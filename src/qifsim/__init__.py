@@ -10,7 +10,9 @@ comparisons. The ``qifsim`` CLI drives all of it from scenario files.
 
 __version__ = "0.1.0"
 
-from . import cli, conversion, detection, montecarlo, qpm, repeater, scenario, timebin
+import importlib
+
+from . import conversion, detection, montecarlo, qpm, repeater, scenario, timebin
 from .errors import ConfigError, DomainError, FitError, QifsimError, SolverError
 
 __all__ = [
@@ -29,3 +31,12 @@ __all__ = [
     "FitError",
     "ConfigError",
 ]
+
+
+def __getattr__(name: str):
+    # ``cli`` is imported on first use, not here: ``python -m qifsim.cli``
+    # imports this package before it runs the module, and runpy warns when
+    # the package has already imported it.
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,12 +1,17 @@
 """Stochastic end-to-end experiment engine.
 
-Generates weak coherent pulses, walks each photon through preparation,
-conversion, analysis, and detection, and produces the arrival-time
-histogram, the windowed fringe scan, and the efficiency sweep, with
-Poisson error bars. Every run is reproducible: all randomness flows from
-counter-based substreams derived from the scenario's master seed, a role
-tag, and the grid value of the point, so results are independent of the
-order in which points are simulated.
+Generates weak coherent pulses through preparation, conversion and
+analysis, and produces the arrival-time histogram, the windowed fringe
+scan, and the efficiency sweep, with Poisson error bars. Only the photons
+that fire the detector are sampled: a Poisson photon stream thinned by
+slot, conversion survival and quantum efficiency is again a Poisson
+stream, so each point draws its fired events directly, in a number that
+grows with detections rather than with pulses, and hands them to the
+detector model for jitter, dark counts, dead time and afterpulsing. Every
+run is reproducible: all randomness flows from counter-based substreams
+derived from the scenario's master seed, a role tag, and the grid value of
+the point, so results are independent of the order in which points are
+simulated.
 
 The analytic counterparts (``expected_fringe``, the budget in
 ``conversion``) use the same scenario; ``validate_against_oracle`` checks
@@ -24,8 +29,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .conversion import pump_coherence_visibility_factor
-from .detection import TacHistogram, build_histogram, simulate_detection
-from .errors import DomainError, QifsimError
+from .detection import (
+    FWHM_TO_SIGMA,
+    TacHistogram,
+    _gaussian_window_capture,
+    build_histogram,
+    simulate_detection,
+)
+from .errors import ConfigError, DomainError, QifsimError
 from .scenario import Scenario, scenario_digest
 from .timebin import analyze, apply_conversion_phase, prepare_qubit
 
@@ -36,7 +47,6 @@ __all__ = [
     "ExpectedFringe",
     "ValidationReport",
     "substream",
-    "sample_photon_numbers",
     "run_fringe_scan",
     "run_efficiency_sweep",
     "expected_fringe",
@@ -54,17 +64,6 @@ def substream(master_seed: int, tag: str, value: float = 0.0) -> np.random.Gener
     bits = int(np.float64(value).view(np.uint64))
     seq = np.random.SeedSequence((master_seed, zlib.crc32(tag.encode()), bits))
     return np.random.Generator(np.random.Philox(seq))
-
-
-def sample_photon_numbers(
-    mean_photon_number: float, pulses: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Per-pulse photon numbers of a weak coherent source: Poisson(<n>)."""
-    if mean_photon_number < 0:
-        raise DomainError(f"mean photon number must be >= 0, got {mean_photon_number}")
-    if pulses < 0:
-        raise DomainError(f"pulse count must be >= 0, got {pulses}")
-    return rng.poisson(mean_photon_number, pulses)
 
 
 @dataclass(frozen=True)
@@ -168,70 +167,95 @@ def _window_counts(times_ns: np.ndarray, period_ns: float, center_ns: float, wid
     return int(np.count_nonzero(folded < width_ns))
 
 
+def _reject_repeats(values: np.ndarray, quantity: str) -> None:
+    """A grid value keys its point's substream, so a repeat would replay its draws."""
+    seen: set[float] = set()
+    for value in values.tolist():
+        if value in seen:
+            raise ConfigError(
+                f"{quantity} grid repeats the value {value!r}; each point draws "
+                f"from a stream keyed by its value, so grid values must be distinct"
+            )
+        seen.add(value)
+
+
 def _simulate_point(
     s: Scenario, beta_rad: float, pulses: int, rng: np.random.Generator
 ) -> tuple[TacHistogram, int, int]:
-    """One phase point: returns (histogram, window counts, background counts)."""
+    """One phase point: returns (histogram, window counts, background counts).
+
+    Samples only the photons that fire the detector. With Poisson photon
+    numbers per pulse, the photons of each slot that survive conversion and
+    fire the detector form independent Poisson streams, so each stream's
+    total over the point is drawn directly and its events are spread over
+    uniformly chosen pulses:
+
+    - early and late slots: Poisson(N mu s QE (p_early + p_late)) events,
+      each early or late in proportion to p_early : p_late;
+    - middle slot: its probability depends on the pump-phase drift of the
+      pulse, so candidates are drawn at the largest probability p_max and
+      each is kept with probability p_mid(drift) / p_max;
+    - cw background: Poisson(cw_fraction N mu s s_cw QE) events at uniform
+      times.
+
+    Here N is the pulse count, mu the mean photon number, s the conversion
+    survival and s_cw the cw photon's forward-port passage.
+    """
     period = s.sync_period_ns()
     delta_tau = s.analysis.delta_tau_ns
     duration_s = s.duration_s(pulses)
-    conv_survival = s.conversion_survival()
     p_early, p_late, mid_offset, mid_amp = _slot_terms(s)
     alpha = s.preparation.phase_rad
+    # Mean fired photons per pulse, per unit of slot or passage probability.
+    fired_per_pulse = (
+        s.source.mean_photon_number
+        * s.conversion_survival()
+        * s.detector.quantum_efficiency
+    )
 
-    photons_per_pulse = sample_photon_numbers(s.source.mean_photon_number, pulses, rng)
-    pulse_idx = np.repeat(np.arange(pulses, dtype=np.int64), photons_per_pulse)
-    n_photons = pulse_idx.size
+    p_sides = p_early + p_late
+    n_sides = rng.poisson(pulses * fired_per_pulse * p_sides)
+    side_idx = rng.integers(0, pulses, n_sides)
+    side_slot = np.where(rng.random(n_sides) * p_sides < p_early, 0, 2)
 
+    p_max = mid_offset + abs(mid_amp)
+    n_mid = rng.poisson(pulses * fired_per_pulse * p_max)
+    mid_idx = rng.integers(0, pulses, n_mid)
     # Pump phase drift between the two bins of each pulse: a Wiener
     # increment of variance 2 dt / tau_c. The absolute pump phase is common
-    # to both bins and drops out, so only this increment is realized.
+    # to both bins and drops out, so only this increment is realized, once
+    # per occupied pulse: every photon of a pulse sees the same drift.
     tau_c = s.pump.coherence_time_ns
     if math.isfinite(tau_c):
-        drift = rng.normal(0.0, math.sqrt(2.0 * delta_tau / tau_c), pulses)
+        occupied, pulse_of = np.unique(mid_idx, return_inverse=True)
+        sigma_drift = math.sqrt(2.0 * delta_tau / tau_c)
+        drift = rng.normal(0.0, sigma_drift, occupied.size)[pulse_of]
     else:
-        drift = np.zeros(pulses)
-
+        drift = 0.0
     p_mid = mid_offset + mid_amp * np.cos(alpha + drift - beta_rad)
-    p_mid_photon = p_mid[pulse_idx]
+    mid_idx = mid_idx[rng.random(n_mid) * p_max < p_mid]
 
-    u = rng.random(n_photons)
-    slot = np.full(n_photons, -1, dtype=np.int8)
-    slot[u < p_early] = 0
-    mid_mask = (u >= p_early) & (u < p_early + p_mid_photon)
-    slot[mid_mask] = 1
-    late_mask = (u >= p_early + p_mid_photon) & (u < p_early + p_mid_photon + p_late)
-    slot[late_mask] = 2
-
-    kept = slot >= 0
-    sigma_pulse = s.source.pulse_fwhm_ns * (1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0))))
-    n_kept = int(np.count_nonzero(kept))
+    pulse_idx = np.concatenate([side_idx, mid_idx])
+    slot = np.concatenate([side_slot, np.ones(mid_idx.size, dtype=side_slot.dtype)])
+    n_signal = pulse_idx.size
+    sigma_pulse = s.source.pulse_fwhm_ns * FWHM_TO_SIGMA
     if s.source.pulse_shape == "gaussian":
-        emission = rng.normal(0.0, sigma_pulse, n_kept) if sigma_pulse > 0 else np.zeros(n_kept)
+        emission = rng.normal(0.0, sigma_pulse, n_signal) if sigma_pulse > 0 else np.zeros(n_signal)
     else:
         half = 0.5 * s.source.pulse_fwhm_ns
-        emission = rng.uniform(-half, half, n_kept) if half > 0 else np.zeros(n_kept)
-    signal_times = (
-        pulse_idx[kept] * period
-        + s.tac_offset_ns
-        + slot[kept].astype(float) * delta_tau
-        + emission
-    )
+        emission = rng.uniform(-half, half, n_signal) if half > 0 else np.zeros(n_signal)
+    signal_times = pulse_idx * period + s.tac_offset_ns + slot * delta_tau + emission
 
-    n_cw = rng.poisson(s.source.cw_background_fraction * s.source.mean_photon_number * pulses)
+    n_cw = rng.poisson(
+        s.source.cw_background_fraction * pulses * fired_per_pulse * _cw_survival(s)
+    )
     cw_times = rng.uniform(0.0, duration_s * 1e9, n_cw)
 
-    times = np.concatenate([signal_times, cw_times])
-    survival = np.concatenate(
-        [
-            np.full(signal_times.size, conv_survival),
-            np.full(n_cw, conv_survival * _cw_survival(s)),
-        ]
-    )
-    order = np.argsort(times, kind="stable")
-    arrivals = np.column_stack([times[order], survival[order]])
-
-    detections = simulate_detection(arrivals, s.detector, duration_s, rng)
+    times = np.sort(np.concatenate([signal_times, cw_times]))
+    # The thinning above already applied the quantum efficiency; the
+    # detector model must not apply it a second time.
+    detector = replace(s.detector, quantum_efficiency=1.0)
+    detections = simulate_detection(times, detector, duration_s, rng)
     hist = build_histogram(
         detections, period, s.histogram_bin_width_ps, origin_ns=0.0, sync_pulses=pulses
     )
@@ -252,10 +276,14 @@ def run_fringe_scan(s: Scenario, phases_rad, pulses: int | None = None) -> RunRe
 
     Deterministic for a given scenario and master seed; each phase point
     draws from its own substream.
+
+    Raises:
+        ConfigError: a phase appears twice in the grid.
     """
     phases = np.asarray(phases_rad, dtype=float)
     if phases.size < 2:
         raise DomainError(f"need at least 2 phase points, got {phases.size}")
+    _reject_repeats(phases, "phase")
     n_pulses = s.pulses_per_point if pulses is None else pulses
     if n_pulses < 0:
         raise DomainError(f"pulses must be >= 0, got {n_pulses}")
@@ -303,14 +331,19 @@ def run_efficiency_sweep(
     ``mc_photons_per_point``) through the three loss stages as independent
     binomial thinnings. This sweep always measures the physical budget; the
     fringe-scan statistics switch has no effect here.
+
+    Raises:
+        ConfigError: a power appears twice in the grid.
     """
     results = []
     n = s.mc_photons_per_point if photons is None else photons
     if n < 0:
         raise DomainError(f"photon count must be >= 0, got {n}")
+    powers = np.asarray(powers_w, dtype=float)
+    _reject_repeats(powers, "pump power")
     pre_t = s.chain_pre.transmission()
     post_t = s.chain_post.transmission()
-    for power in np.asarray(powers_w, dtype=float):
+    for power in powers:
         if power < 0:
             raise DomainError(f"pump power must be >= 0, got {power} W")
         rng = substream(s.master_seed, "efficiency-sweep", power)
@@ -342,19 +375,6 @@ class ExpectedFringe:
     v_raw: float
 
 
-def _gaussian_capture(mu: float, sigma: float, lo: float, hi: float, period: float) -> float:
-    """Window capture of a Gaussian peak folded on the sync period."""
-    total = 0.0
-    for k in (-1, 0, 1):
-        m = mu + k * period
-        if sigma == 0:
-            total += 1.0 if lo <= m < hi else 0.0
-        else:
-            z = 1.0 / (sigma * math.sqrt(2.0))
-            total += 0.5 * (math.erf((hi - m) * z) - math.erf((lo - m) * z))
-    return total
-
-
 def expected_fringe(s: Scenario, phases_rad, pulses: int | None = None) -> ExpectedFringe:
     """Closed-form expectation of ``run_fringe_scan``'s window counts.
 
@@ -373,12 +393,14 @@ def expected_fringe(s: Scenario, phases_rad, pulses: int | None = None) -> Expec
     delta_tau = s.analysis.delta_tau_ns
     lo, hi = s.sca.bounds()
 
-    fwhm_to_sigma = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-    sigma = math.hypot(
-        s.source.pulse_fwhm_ns * fwhm_to_sigma, s.detector.jitter_sigma_ns()
-    )
+    sigma = math.hypot(s.source.pulse_fwhm_ns * FWHM_TO_SIGMA, s.detector.jitter_sigma_ns())
+    # Each slot's peak, folded on the sync period: its copies one period
+    # either side can reach the window too.
     captures = [
-        _gaussian_capture(s.tac_offset_ns + i * delta_tau, sigma, lo, hi, period)
+        sum(
+            _gaussian_window_capture(s.tac_offset_ns + i * delta_tau + k * period, sigma, lo, hi)
+            for k in (-1, 0, 1)
+        )
         for i in range(3)
     ]
 

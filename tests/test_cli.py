@@ -36,6 +36,7 @@ def data_rows(path):
 def test_budget_prints_table_and_logs(tmp_path, run_cli):
     proc = run_cli("budget", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert "eta_QI" in proc.stdout
     assert "0.133 %" in proc.stdout
     csv_path = tmp_path / f"{DIGEST}-budget.csv"
@@ -146,6 +147,13 @@ def test_bad_phase_grid_exits_2(tmp_path, run_cli):
     proc = run_cli("fringe-scan", "--phases", "0:6.28", cwd=tmp_path)
     assert proc.returncode == 2
     assert "start:stop:n" in proc.stderr
+
+
+def test_repeated_phases_exit_2_without_outputs(tmp_path, run_cli):
+    proc = run_cli("fringe-scan", "--phases", "1:1:4", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "repeats the value 1.0" in proc.stderr
+    assert list(tmp_path.glob("*.csv")) == []
 
 
 def test_unknown_command_rejected(tmp_path, run_cli):

@@ -2,18 +2,18 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qifsim import montecarlo
 from qifsim.detection import extract_visibility
-from qifsim.errors import DomainError
+from qifsim.errors import ConfigError, DomainError
 from qifsim.montecarlo import (
     expected_fringe,
     run_efficiency_sweep,
     run_fringe_scan,
-    sample_photon_numbers,
     substream,
     validate_against_oracle,
 )
@@ -51,18 +51,6 @@ def test_substream_separates_tags_seeds_and_values():
     assert not np.array_equal(base, substream(43, "fringe-scan", 1.25).random(8))
     assert not np.array_equal(base, substream(42, "efficiency-sweep", 1.25).random(8))
     assert not np.array_equal(base, substream(42, "fringe-scan", 1.26).random(8))
-
-
-def test_photon_number_statistics():
-    rng = substream(7, "poisson-check")
-    n = sample_photon_numbers(1.0, 200_000, rng)
-    assert n.size == 200_000
-    assert n.mean() == pytest.approx(1.0, abs=3.0 / math.sqrt(200_000))
-    assert n.var() == pytest.approx(1.0, abs=0.02)
-    with pytest.raises(DomainError):
-        sample_photon_numbers(-1.0, 10, rng)
-    with pytest.raises(DomainError):
-        sample_photon_numbers(1.0, -1, rng)
 
 
 # --- fringe scan determinism ---
@@ -125,6 +113,41 @@ def test_fringe_scan_needs_two_phases(ref):
         run_fringe_scan(ref, PHASES_12, pulses=-1)
 
 
+def test_fringe_scan_rejects_repeated_phases(ref):
+    # Both points would draw from the same substream.
+    with pytest.raises(ConfigError, match="repeats the value 0.5"):
+        run_fringe_scan(ref, [0.0, 0.5, 1.0, 0.5], pulses=100)
+
+
+def test_pump_drift_is_shared_by_the_photons_of_a_pulse(ref):
+    # About 66 rad rms of drift washes the fringe out. Photons of one pulse
+    # share its drift, so they land in the window together and the counts
+    # are overdispersed; independent drifts per photon would give a
+    # variance-to-mean ratio near 1.
+    quiet = quiet_variant(ref)
+    s = dataclasses.replace(
+        quiet,
+        source=dataclasses.replace(quiet.source, mean_photon_number=30.0),
+        pump=dataclasses.replace(quiet.pump, coherence_time_ns=1e-3),
+        detector=dataclasses.replace(quiet.detector, quantum_efficiency=1.0),
+    )
+    phases = np.linspace(0.0, 2.0 * math.pi, 400, endpoint=False)
+    counts = np.array([p.counts for p in run_fringe_scan(s, phases, pulses=1_000).fringe])
+    assert counts.var() / counts.mean() > 1.3
+
+
+def test_fringe_scan_memory_grows_with_detections(ref):
+    # 2e7 pulses: sampling every photon would take gigabytes; the fired
+    # events take tens of megabytes.
+    tracemalloc.start()
+    try:
+        run_fringe_scan(ref, PHASES_12[:2], pulses=10_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+
+
 def test_quiet_scenario_reaches_unit_visibility(ref):
     run = run_fringe_scan(quiet_variant(ref), PHASES_12, pulses=400_000)
     fit = extract_visibility(run.fringe_points(), background=run.mean_background())
@@ -175,6 +198,11 @@ def test_efficiency_sweep_reproducible_and_order_invariant(ref):
         run_efficiency_sweep(ref, [-0.1])
 
 
+def test_efficiency_sweep_rejects_repeated_powers(ref):
+    with pytest.raises(ConfigError, match="repeats the value 0.3"):
+        run_efficiency_sweep(ref, [0.1, 0.3, 0.3])
+
+
 # --- analytic expectation and validation ---
 
 
@@ -202,13 +230,35 @@ def test_expected_fringe_rejects_square_pulses(ref):
         expected_fringe(square, PHASES_12)
 
 
-def test_validation_agrees_at_reference_settings(ref):
-    report = validate_against_oracle(ref, PHASES_12, pulses=200_000)
+def assert_oracle_agrees(s):
+    report = validate_against_oracle(s, PHASES_12, pulses=200_000)
     assert report.chi2_per_dof is not None
     assert 0.2 < report.chi2_per_dof < 2.7
     assert report.flagged_phases == ()
     assert report.n_points == 12
     assert len(report.rows) == 12
+
+
+def test_validation_agrees_at_reference_settings(ref):
+    assert_oracle_agrees(ref)
+
+
+OFF_REFERENCE = {
+    "physical-budget": lambda ref: dataclasses.replace(ref, unit_conversion_survival=False),
+    "mean-photon-number-3": lambda ref: dataclasses.replace(
+        ref, source=dataclasses.replace(ref.source, mean_photon_number=3.0)
+    ),
+    "unit-qe-short-pump-coherence": lambda ref: dataclasses.replace(
+        ref,
+        pump=dataclasses.replace(ref.pump, coherence_time_ns=5.0),
+        detector=dataclasses.replace(ref.detector, quantum_efficiency=1.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", OFF_REFERENCE)
+def test_validation_agrees_off_reference_settings(ref, variant):
+    assert_oracle_agrees(OFF_REFERENCE[variant](ref))
 
 
 def test_validation_flags_corrupted_oracle(ref):
