@@ -2,7 +2,9 @@
 
 Loads a scenario file, dispatches one of the analysis or simulation
 commands, writes plot-ready CSV files named <scenario-digest>-<kind>.csv
-into the output directory, and appends a provenance line to run.log there.
+into the output directory, and appends a provenance line to run.log there:
+scenario digest, seed, wall time since start-up and the status, with the
+error message when the command failed.
 
 Exit codes: 0 success, 2 configuration problem (bad file, key, or
 invariant; the message names it), 3 numeric or solver failure.
@@ -16,6 +18,7 @@ import datetime
 import math
 import os
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -362,13 +365,28 @@ _DISPATCH = {
 }
 
 
-def _append_run_log(out: Path, s: Scenario | None, command: str, status: str) -> None:
+# Escapes that keep an error message inside one tab-separated run.log field.
+_LOG_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+
+
+def _append_run_log(
+    out: Path,
+    s: Scenario | None,
+    command: str,
+    started: float,
+    error: QifsimError | None = None,
+) -> None:
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     digest = scenario_digest(s) if s is not None else "-"
     seed = s.master_seed if s is not None else "-"
+    status = "ok"
+    if error is not None:
+        message = str(error).translate(_LOG_ESCAPES)
+        status = f"error:{type(error).__name__}\terror={message}"
     line = (
         f"{stamp}\tversion={__version__}\tcommand={command}\t"
-        f"digest={digest}\tseed={seed}\tstatus={status}\n"
+        f"digest={digest}\tseed={seed}\t"
+        f"wall_s={time.perf_counter() - started:.3f}\tstatus={status}\n"
     )
     try:
         with open(out / "run.log", "a") as handle:
@@ -377,14 +395,17 @@ def _append_run_log(out: Path, s: Scenario | None, command: str, status: str) ->
         raise ConfigError(f"cannot append to run log in {out}: {exc}") from exc
 
 
-def _try_log(out: Path, s: Scenario | None, command: str, status: str) -> None:
+def _try_log(
+    out: Path, s: Scenario | None, command: str, started: float, error: QifsimError
+) -> None:
     try:
-        _append_run_log(out, s, command, status)
+        _append_run_log(out, s, command, started, error)
     except ConfigError:
         pass
 
 
 def main(argv=None) -> int:
+    started = time.perf_counter()
     args = _build_parser().parse_args(argv)
     out = Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
 
@@ -399,13 +420,13 @@ def main(argv=None) -> int:
         _DISPATCH[args.command](scenario, out, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        _try_log(out, scenario, args.command, f"error:{type(exc).__name__}")
+        _try_log(out, scenario, args.command, started, exc)
         return 2
     except QifsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _try_log(out, scenario, args.command, f"error:{type(exc).__name__}")
+        _try_log(out, scenario, args.command, started, exc)
         return 3
-    _append_run_log(out, scenario, args.command, "ok")
+    _append_run_log(out, scenario, args.command, started)
     return 0
 
 

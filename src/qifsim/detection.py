@@ -231,7 +231,7 @@ def _dead_time_pass(
     accepted: list[float] = []
     blocked_until = -math.inf
     if p_after == 0.0:
-        for t in times_ns:
+        for t in times_ns.tolist():
             if t >= blocked_until:
                 accepted.append(t)
                 blocked_until = t + dead_ns
@@ -240,7 +240,7 @@ def _dead_time_pass(
     # merged stream ordered without rebuilding the array. Spawning stops at
     # the observation horizon, which also terminates the cascade at
     # afterpulse probability 1.
-    heap = list(times_ns)
+    heap = times_ns.tolist()
     heapify(heap)
     while heap:
         t = heappop(heap)

@@ -16,8 +16,6 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from scipy.optimize import brentq
-
 from .errors import ConfigError, DomainError, SolverError
 
 __all__ = [
@@ -268,9 +266,8 @@ def solve_poling_period(
 ) -> float:
     """Poling period (um) that quasi-phase matches the DFG triple.
 
-    Root of the mismatch as a function of 1/Lambda via bracketed Brent
-    search. The residual is linear in 1/Lambda, so convergence is immediate;
-    bracketing keeps the solver derivative-free and sign-checked.
+    The mismatch 2 pi (bulk - m/Lambda) is linear in 1/Lambda, so the
+    period is m / bulk in closed form; the residual is checked afterwards.
 
     Raises:
         SolverError: the bulk mismatch is not positive, so no positive
@@ -284,19 +281,12 @@ def solve_poling_period(
             f"{'zero' if bulk == 0 else 'negative'} ({bulk:.6e} 1/um) for "
             f"({signal_um}, {pump_um}) um at {temperature_k} K"
         )
+    period = order / bulk
     output_um = dfg_output_wavelength(signal_um, pump_um)
-    cfg_for = lambda period: QpmConfig(period, 1.0, temperature_k, order)
-
-    def residual(inv_period: float) -> float:
-        return phase_mismatch(signal_um, pump_um, output_um, cfg_for(1.0 / inv_period), model)
-
-    lo, hi = 1e-9, bulk / order + 1.0
-    inv = brentq(residual, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    period = 1.0 / inv
-    if abs(residual(inv)) > SOLVER_TOL_RAD_UM:
-        raise SolverError(
-            f"poling-period search left residual {residual(inv):.3e} rad/um"
-        )
+    cfg = QpmConfig(period, 1.0, temperature_k, order)
+    residual = phase_mismatch(signal_um, pump_um, output_um, cfg, model)
+    if abs(residual) > SOLVER_TOL_RAD_UM:
+        raise SolverError(f"poling-period search left residual {residual:.3e} rad/um")
     return period
 
 
@@ -313,6 +303,29 @@ def qpm_acceptance(delta_k_rad_um: float, length_cm: float) -> float:
     return (math.sin(x) / x) ** 2
 
 
+def _refine_root(f, a: float, b: float, fa: float, fb: float) -> float:
+    """Root of f inside [a, b], where fa and fb have opposite signs.
+
+    Illinois false position: the secant through the bracket ends, with the
+    value at the kept end halved whenever a new point falls on the same side
+    as the last one, so neither end stalls. Stops when the bracket is
+    narrower than 1e-12 um plus 8.9e-16 relative.
+    """
+    for _ in range(100):
+        c = b - fb * (b - a) / (fb - fa)
+        fc = f(c)
+        if fc == 0.0:
+            return c
+        if (fc > 0.0) != (fb > 0.0):
+            a, fa = b, fb
+        else:
+            fa *= 0.5
+        b, fb = c, fc
+        if abs(b - a) < 1e-12 + 8.9e-16 * abs(b):
+            return b
+    raise SolverError(f"root refinement did not converge in [{a}, {b}] um")
+
+
 def solve_pump_wavelength(
     poling_period_um: float,
     signal_um: float,
@@ -323,7 +336,7 @@ def solve_pump_wavelength(
     """Pump wavelength (um) that phase matches at the given period and T.
 
     Scans the fixed search bracket [1.3, 1.8] um for sign changes of the
-    mismatch and refines each with bracketed Brent search. The mismatch is
+    mismatch and refines each by Illinois false position. The mismatch is
     symmetric under exchanging the pump and output waves, so two roots can
     coexist; the one with the pump redder than the output (pump wavelength
     above twice the signal wavelength) is returned, which is the
@@ -355,7 +368,7 @@ def solve_pump_wavelength(
         if f0 == 0.0:
             root = x0
         elif f0 * f1 < 0:
-            root = brentq(residual, x0, x1, xtol=1e-12, rtol=8.9e-16)
+            root = _refine_root(residual, x0, x1, f0, f1)
     if fs[-1] == 0.0:
         root = xs[-1]
     if root is None:

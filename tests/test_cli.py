@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from qifsim import cli
 from qifsim.scenario import load_reference_scenario, serialize_scenario
 
 DIGEST = "eb1952feeb4f"
@@ -141,6 +142,51 @@ def test_missing_scenario_exits_2_without_outputs(tmp_path, run_cli):
     log = (tmp_path / "run.log").read_text()
     assert "status=error:ConfigError" in log
     assert "digest=-" in log
+
+
+def run_log_fields(path):
+    """The tab-separated fields of the single line in ``path``, by name."""
+    lines = path.read_text().splitlines()
+    assert len(lines) == 1
+    stamp, *fields = lines[0].split("\t")
+    return dict(field.split("=", 1) for field in fields)
+
+
+def test_run_log_records_wall_time(tmp_path):
+    assert cli.main(["budget", "--out", str(tmp_path)]) == 0
+    fields = run_log_fields(tmp_path / "run.log")
+    assert list(fields)[-2:] == ["wall_s", "status"]
+    assert 0.0 <= float(fields["wall_s"]) < 60.0
+    assert fields["status"] == "ok"
+
+
+def test_run_log_records_escaped_error_message(tmp_path):
+    missing = tmp_path / "tab\there\nand\\there.scenario"
+    assert cli.main(["budget", "--scenario", str(missing), "--out", str(tmp_path)]) == 2
+    fields = run_log_fields(tmp_path / "run.log")
+    assert list(fields)[-3:] == ["wall_s", "status", "error"]
+    assert fields["status"] == "error:ConfigError"
+    assert fields["error"] == (
+        f"scenario file not found: {tmp_path}/tab\\there\\nand\\\\there.scenario"
+    )
+
+
+def test_cli_runs_without_scipy(tmp_path, cli_env):
+    script = (
+        "import sys, qifsim.cli\n"
+        "assert qifsim.cli.main(['qpm-solve', '--out', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=cli_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / f"{DIGEST}-qpm.csv").exists()
 
 
 def test_bad_phase_grid_exits_2(tmp_path, run_cli):

@@ -120,9 +120,10 @@ def test_solve_poling_period_zeroes_mismatch():
 
 
 def test_third_order_period_triples():
-    p1 = qpm.solve_poling_period(SIGNAL_UM, PUMP_UM, T_DEVICE_K, order=1)
-    p3 = qpm.solve_poling_period(SIGNAL_UM, PUMP_UM, T_DEVICE_K, order=3)
-    assert p3 == pytest.approx(3.0 * p1, rel=1e-12)
+    for t in (T_DEVICE_K, *np.linspace(330.0, 370.0, 9)):
+        p1 = qpm.solve_poling_period(SIGNAL_UM, PUMP_UM, float(t), order=1)
+        p3 = qpm.solve_poling_period(SIGNAL_UM, PUMP_UM, float(t), order=3)
+        assert p3 == pytest.approx(3.0 * p1, rel=1e-12)
 
 
 def test_solve_poling_period_reports_impossible_sign():
@@ -183,6 +184,16 @@ def test_temperature_tuning_curve_monotonic():
     ]
     assert pumps[0] == pytest.approx(PUMP_UM, abs=1e-6)
     assert all(a < b for a, b in zip(pumps, pumps[1:]))
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_solve_pump_zeroes_mismatch_over_tuning_range(order):
+    period = qpm.solve_poling_period(SIGNAL_UM, PUMP_UM, 330.0, order=order)
+    for t in np.linspace(330.0, 370.0, 9):
+        cfg = qpm.QpmConfig(period, 1.0, float(t), order)
+        pump = qpm.solve_pump_wavelength(period, SIGNAL_UM, float(t), order=order)
+        out = qpm.dfg_output_wavelength(SIGNAL_UM, pump)
+        assert abs(qpm.phase_mismatch(SIGNAL_UM, pump, out, cfg)) <= qpm.SOLVER_TOL_RAD_UM
 
 
 def test_solve_pump_no_root_reports_endpoints():
