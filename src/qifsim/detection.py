@@ -6,12 +6,24 @@ arrival-time histogram folded on the laser sync, windowed peak selection,
 and the estimators used on top: dead-time correction, rate unfolding
 through a calibrated attenuator, peak FWHM, and fringe visibility.
 
+The dead time is a vectorised gate: an event at least one dead time after
+its predecessor is always accepted, and inside each cluster between such
+events the acceptances follow "first event after the dead time ends", a
+step taken by every cluster at once. Afterpulses repair that gated stream:
+each real event's afterpulse mark is drawn up front, and only the
+candidates of accepted events are looped over, in time order. An accepted
+candidate blocks the real events in its dead time, and the real chain is
+re-gated from there until it rejoins the old one. Both are exact: the
+output equals a sequential loop over the merged stream fed the same marks.
+
 Times are nanoseconds unless a suffix says otherwise; rates are hertz.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
@@ -34,7 +46,6 @@ __all__ = [
     "peak_fwhm",
     "sca_counts",
     "extract_visibility",
-    "visibility_max_min",
 ]
 
 # FWHM of a Gaussian = 2 sqrt(2 ln 2) sigma.
@@ -222,37 +233,154 @@ def unfold_photon_rate(
     return net / det.quantum_efficiency * 10.0 ** (attenuation_db / 10.0)
 
 
+def _gate(times_ns: np.ndarray, dead_ns: float) -> np.ndarray:
+    """Mask of the events a non-paralyzable detector accepts, dead_ns > 0.
+
+    Equals the sequential rule (accept t when t >= last accepted + dead)
+    bit for bit, and draws no random numbers. An event with
+    t[i] >= t[i-1] + dead heads a cluster and is always accepted: every
+    earlier acceptance ended its dead time by t[i-1] + dead, and rounding
+    is monotone. Inside a cluster the acceptances follow
+    nxt(i) = searchsorted(t, t[i] + dead), the first event at or after the
+    end of i's dead time. A frontier starts at the heads and steps along
+    nxt while it stays in its cluster, so the loop runs once per acceptance
+    in the longest cluster, and nxt is searched for frontier events only.
+    """
+    n = times_ns.size
+    keep = np.zeros(n, dtype=bool)
+    head = np.ones(n, dtype=bool)
+    head[1:] = times_ns[1:] >= times_ns[:-1] + dead_ns
+    frontier = np.flatnonzero(head)
+    end = np.append(frontier[1:], n)
+    while frontier.size:
+        keep[frontier] = True
+        more = frontier + 1 < end
+        frontier, end = frontier[more], end[more]
+        # A dead time below one ulp of t leaves t + dead == t; the
+        # sequential rule then accepts the very next event.
+        frontier = np.maximum(
+            np.searchsorted(times_ns, times_ns[frontier] + dead_ns, side="left"), frontier + 1
+        )
+        inside = frontier < end
+        frontier, end = frontier[inside], end[inside]
+    return keep
+
+
+def _afterpulse_marks(
+    rng: np.random.Generator, p_after: float, dead_ns: float
+) -> Iterator[float | None]:
+    """Marks of accepted afterpulses, in the order they are accepted.
+
+    A mark is the exponential delay after the dead time at which the
+    afterpulse spawns one of its own, or None when it spawns none. They are
+    drawn 256 at a time, which costs far less than two scalar draws each.
+    """
+    while True:
+        spawn = (rng.random(256) < p_after).tolist()
+        delays = iter(rng.exponential(dead_ns, sum(spawn)).tolist())
+        for spawns in spawn:
+            yield next(delays) if spawns else None
+
+
+def _afterpulse_pass(
+    times_ns: np.ndarray,
+    dead_ns: float,
+    spawners: np.ndarray,
+    delays_ns: np.ndarray,
+    horizon_ns: float,
+    marks: Iterator[float | None],
+) -> np.ndarray:
+    """Gate real events and the afterpulses that accepted events spawn.
+
+    Real event ``spawners[k]`` carries the afterpulse mark: if accepted, it
+    spawns a candidate at t + dead + ``delays_ns[k]``. Acceptance never
+    depends on an event's own mark, so marks assigned up front give the
+    same process as marks drawn after each acceptance. Accepted
+    afterpulses take their marks from ``marks`` in time order.
+
+    The real stream is gated at once; only the candidates loop, on a heap,
+    in time order. Every pushed candidate is later than the one being
+    handled, so all acceptances before it are final. An accepted candidate
+    c blocks the real events in [c, c + dead); the real chain is then
+    re-walked from c + dead until it rejoins the old one, dropping the old
+    acceptances it skips and pushing the candidates of spawners it newly
+    accepts, each at most once. A candidate whose real parent is no longer
+    accepted is dropped. Spawning stops at the observation horizon, which
+    also terminates the cascade at afterpulse probability 1.
+    """
+    keep = _gate(times_ns, dead_ns)
+    tl = times_ns.tolist()
+    n = len(tl)
+    cand = times_ns[spawners] + dead_ns + delays_ns
+    below = cand < horizon_ns
+    first = below & keep[spawners]
+    heap = list(zip(cand[first].tolist(), spawners[first].tolist()))
+    heapify(heap)
+    # Candidates of spawners that the real chain does not accept (yet).
+    later = below & ~first
+    pending = dict(zip(spawners[later].tolist(), cand[later].tolist()))
+    afterpulses: list[float] = []
+    last_afterpulse = -math.inf
+    while heap:
+        c, parent = heappop(heap)
+        if parent >= 0 and not keep[parent]:
+            continue
+        j0 = bisect_left(tl, c)
+        # The last accepted event before c blocks it or nothing does. A real
+        # event before c - 2 dead cannot, whatever the rounding of t + dead,
+        # so the backward search stops there.
+        last = last_afterpulse
+        floor = c - 2.0 * dead_ns
+        k = j0 - 1
+        while k >= 0 and tl[k] >= floor:
+            if keep[k]:
+                last = max(last, tl[k])
+                break
+            k -= 1
+        if c < last + dead_ns:
+            continue
+        afterpulses.append(c)
+        last_afterpulse = c
+        j = bisect_left(tl, c + dead_ns, j0)
+        if j > j0:
+            keep[j0:j] = False
+        while j < n and not keep[j]:
+            keep[j] = True
+            if j in pending:
+                heappush(heap, (pending.pop(j), j))
+            k = bisect_left(tl, tl[j] + dead_ns, j + 1)
+            if k > j + 1:
+                keep[j + 1 : k] = False
+            j = k
+        delay = next(marks)
+        if delay is not None:
+            spawned = c + dead_ns + delay
+            if spawned < horizon_ns:
+                heappush(heap, (spawned, -1))
+    real = times_ns[keep]
+    return np.insert(real, np.searchsorted(real, afterpulses), afterpulses)
+
+
 def _dead_time_pass(
     times_ns: np.ndarray, det: DetectorModel, rng: np.random.Generator, horizon_ns: float
 ) -> np.ndarray:
-    """Sequential non-paralyzable gating, optionally spawning afterpulses."""
+    """Non-paralyzable gating of a sorted stream, optionally with afterpulses.
+
+    Without afterpulsing this is ``_gate`` alone and draws no random
+    numbers. With it, every real event's afterpulse mark is drawn up front,
+    ``rng.random(n) < p`` and then one exponential delay of scale dead per
+    spawner; the afterpulses' own marks follow from the same ``rng`` as
+    they are needed, and ``_afterpulse_pass`` loops over the candidates
+    only.
+    """
     dead_ns = det.dead_time_us * 1e3
     p_after = det.afterpulse_probability
-    accepted: list[float] = []
-    blocked_until = -math.inf
     if p_after == 0.0:
-        for t in times_ns.tolist():
-            if t >= blocked_until:
-                accepted.append(t)
-                blocked_until = t + dead_ns
-        return np.asarray(accepted)
-    # Afterpulse candidates interleave with real events; a heap keeps the
-    # merged stream ordered without rebuilding the array. Spawning stops at
-    # the observation horizon, which also terminates the cascade at
-    # afterpulse probability 1.
-    heap = times_ns.tolist()
-    heapify(heap)
-    while heap:
-        t = heappop(heap)
-        if t < blocked_until:
-            continue
-        accepted.append(t)
-        blocked_until = t + dead_ns
-        if rng.random() < p_after:
-            candidate = t + dead_ns + rng.exponential(dead_ns)
-            if candidate < horizon_ns:
-                heappush(heap, candidate)
-    return np.asarray(accepted)
+        return times_ns[_gate(times_ns, dead_ns)]
+    spawners = np.flatnonzero(rng.random(times_ns.size) < p_after)
+    delays_ns = rng.exponential(dead_ns, spawners.size)
+    marks = _afterpulse_marks(rng, p_after, dead_ns)
+    return _afterpulse_pass(times_ns, dead_ns, spawners, delays_ns, horizon_ns, marks)
 
 
 def simulate_detection(
@@ -282,21 +410,23 @@ def simulate_detection(
     if duration_s < 0:
         raise DomainError(f"duration must be >= 0, got {duration_s} s")
     arr = np.asarray(arrivals, dtype=float)
+    survival = 1.0
     if arr.size == 0:
         times = np.empty(0)
-        survival = np.empty(0)
     elif arr.ndim == 1:
-        times, survival = arr, np.ones_like(arr)
+        times = arr
     elif arr.ndim == 2 and arr.shape[1] == 2:
         times, survival = arr[:, 0], arr[:, 1]
+        if survival.min() < 0 or survival.max() > 1:
+            raise DomainError("survival probabilities must be in [0, 1]")
     else:
         raise DomainError(f"arrivals must be (N,) times or (N, 2) pairs, got shape {arr.shape}")
     if times.size and np.any(np.diff(times) < 0):
         raise DomainError("arrival times must be sorted ascending")
-    if survival.size and (survival.min() < 0 or survival.max() > 1):
-        raise DomainError("survival probabilities must be in [0, 1]")
 
-    fired = times[rng.random(times.size) < det.quantum_efficiency * survival]
+    p_fire = det.quantum_efficiency * survival
+    # Keeping every arrival with probability 1 needs no draw.
+    fired = times if np.all(p_fire == 1.0) else times[rng.random(times.size) < p_fire]
     sigma = det.jitter_sigma_ns()
     if sigma > 0 and fired.size:
         fired = fired + rng.normal(0.0, sigma, fired.size)
@@ -520,16 +650,3 @@ def extract_visibility(
         phase_offset_rad=phase_offset,
         residual_rms=residual_rms,
     )
-
-
-def visibility_max_min(counts) -> float:
-    """Contrast (max - min)/(max + min); the textbook two-point estimator."""
-    c = np.asarray(counts, dtype=float)
-    if c.size < 2:
-        raise DomainError("need at least 2 points for a max/min contrast")
-    if np.any(c < 0):
-        raise DomainError("counts must be >= 0")
-    hi, lo = c.max(), c.min()
-    if hi + lo == 0:
-        return 0.0
-    return (hi - lo) / (hi + lo)

@@ -1,6 +1,7 @@
 """Detector stochastics, histogramming, and the count-rate estimators."""
 
 import math
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from qifsim.detection import (
     sca_counts,
     simulate_detection,
     unfold_photon_rate,
-    visibility_max_min,
 )
 from qifsim.errors import DomainError, FitError
 
@@ -168,6 +168,132 @@ def test_afterpulsing_adds_events_and_terminates():
     # Deterministic cascade at probability 1, capped by the observation end.
     assert out.size > 1
     assert out.max() < 1e-4 * 1e9 + 1e5
+
+
+def test_unit_firing_probability_draws_nothing():
+    det = DetectorModel(quantum_efficiency=1.0)
+    times = np.sort(np.random.default_rng(16).uniform(0.0, 1e6, 500))
+    for arrivals in (times, np.column_stack([times, np.ones_like(times)])):
+        rng = rng_of(17)
+        out = simulate_detection(arrivals, det, 0.0, rng)
+        assert np.array_equal(out, times)
+        assert rng.random() == rng_of(17).random()
+
+
+# --- dead-time gate and afterpulses against sequential references ---
+
+
+def sequential_gate(times, dead_ns):
+    """Accept t when t >= last accepted + dead: the definition of the gate."""
+    accepted = []
+    blocked_until = -math.inf
+    for t in times.tolist():
+        if t >= blocked_until:
+            accepted.append(t)
+            blocked_until = t + dead_ns
+    return np.asarray(accepted)
+
+
+def marked_reference(times, dead_ns, spawners, delays_ns, horizon_ns, marks):
+    """One heap over real events and afterpulses, popped in time order.
+
+    Real event ``spawners[k]`` spawns at t + dead + ``delays_ns[k]`` when
+    accepted; an accepted afterpulse takes the next of ``marks``.
+    """
+    delay_of = dict(zip(spawners.tolist(), delays_ns.tolist()))
+    heap = [(t, i) for i, t in enumerate(times.tolist())]
+    heapify(heap)
+    accepted = []
+    blocked_until = -math.inf
+    while heap:
+        t, i = heappop(heap)
+        if t < blocked_until:
+            continue
+        accepted.append(t)
+        blocked_until = t + dead_ns
+        delay = delay_of.get(i) if i >= 0 else next(marks)
+        if delay is None:
+            continue
+        candidate = t + dead_ns + delay
+        if candidate < horizon_ns:
+            heappush(heap, (candidate, -1))
+    return np.asarray(accepted)
+
+
+def afterpulse_marks(p_after, dead_ns):
+    return detection._afterpulse_marks(rng_of(22), p_after, dead_ns)
+
+
+def gate_streams(dead_ns):
+    """Sorted event streams that stress the gate, each with a name."""
+    rng = np.random.default_rng(18)
+    centers = np.repeat(rng.uniform(0.0, 2e4, 30), 12)
+    yield "random", np.sort(rng.uniform(0.0, 500 * dead_ns, 800))
+    yield "clustered", np.sort(centers + rng.exponential(0.3 * dead_ns, centers.size))
+    yield "ties", np.sort(np.round(rng.uniform(0.0, 100 * dead_ns, 600)))
+    yield "gaps below dead", np.cumsum(rng.uniform(0.01, 0.99, 700) * dead_ns)
+    # Gaps of t + dead nudged by -1, 0 or +1 ulp, where the rounding of
+    # t + dead decides acceptance. Below t = dead, t' - t is inexact too.
+    edge = [float(rng.uniform(0.0, dead_ns))]
+    for step in rng.integers(-1, 2, 400).tolist():
+        end = edge[-1] + dead_ns
+        edge.append(float(np.nextafter(end, end + step)))
+    yield "gaps at dead", np.asarray(edge)
+    for k in range(40):
+        start = float(rng.uniform(0.0, dead_ns))
+        yield f"pair at dead {k}", np.array([start, float(np.nextafter(start + dead_ns, 0.0))])
+    yield "empty", np.empty(0)
+    yield "single", np.array([3.0])
+
+
+@pytest.mark.parametrize("dead_ns", [0.37, 5.0, 20.0])
+def test_gate_matches_sequential_loop(dead_ns):
+    for name, times in gate_streams(dead_ns):
+        gated = times[detection._gate(times, dead_ns)]
+        assert np.array_equal(gated, sequential_gate(times, dead_ns)), name
+
+
+def test_gate_draws_no_random_numbers():
+    det = DetectorModel(quantum_efficiency=1.0, dead_time_us=0.02)
+    times = np.sort(np.random.default_rng(19).uniform(0.0, 1e4, 1000))
+    rng = rng_of(20)
+    out = detection._dead_time_pass(times, det, rng, 1e4)
+    assert np.array_equal(out, sequential_gate(times, 20.0))
+    assert rng.random() == rng_of(20).random()
+
+
+@pytest.mark.parametrize("p_after", [0.05, 0.3, 0.9, 1.0])
+def test_afterpulse_pass_matches_marked_reference(p_after):
+    dead_ns = 20.0
+    mark_rng = np.random.default_rng(21)
+    for name, times in gate_streams(dead_ns):
+        spawners = np.flatnonzero(mark_rng.random(times.size) < p_after)
+        delays = mark_rng.exponential(dead_ns, spawners.size)
+        horizon = (float(times[-1]) if times.size else 0.0) + 30 * dead_ns
+        args = (times, dead_ns, spawners, delays, horizon)
+        out = detection._afterpulse_pass(*args, afterpulse_marks(p_after, dead_ns))
+        expected = marked_reference(*args, afterpulse_marks(p_after, dead_ns))
+        assert np.array_equal(out, expected), name
+
+
+def test_afterpulse_rate_delay_and_gap():
+    # Real events 5000 dead times apart: every one is accepted and starts
+    # its own cascade, whose length is geometric with mean 1 / (1 - p).
+    p, dead_ns, n = 0.3, 20.0, 20000
+    det = DetectorModel(
+        quantum_efficiency=1.0, dead_time_us=dead_ns * 1e-3, afterpulse_probability=p
+    )
+    gap_ns = 5000 * dead_ns
+    times = gap_ns * np.arange(n, dtype=float)
+    out = simulate_detection(times, det, n * gap_ns * 1e-9, rng_of(23))
+    expected = n / (1.0 - p)
+    assert abs(out.size - expected) < 4.0 * math.sqrt(n * p) / (1.0 - p)
+    # In a cascade each afterpulse follows its parent, the event before it.
+    is_afterpulse = ~np.isin(out, times)
+    delays = (out[1:] - out[:-1])[is_afterpulse[1:]] - dead_ns
+    assert not is_afterpulse[0]
+    assert abs(delays.mean() - dead_ns) < 4.0 * dead_ns / math.sqrt(delays.size)
+    assert np.all(out[1:] >= out[:-1] + dead_ns)
 
 
 def test_jitter_spreads_arrivals():
@@ -402,10 +528,3 @@ def test_visibility_fit_rejects_non_sinusoid():
     sawtooth = 100.0 + 200.0 * (phases % (math.pi / 2.0))
     with pytest.raises(FitError, match="not sinusoidal"):
         extract_visibility(np.column_stack([phases, sawtooth]))
-
-
-def test_visibility_max_min():
-    assert visibility_max_min([2.0, 1.0]) == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert visibility_max_min([0.0, 0.0]) == 0.0
-    with pytest.raises(DomainError):
-        visibility_max_min([1.0])
