@@ -9,11 +9,15 @@ through a calibrated attenuator, peak FWHM, and fringe visibility.
 The dead time is a vectorised gate: an event at least one dead time after
 its predecessor is always accepted, and inside each cluster between such
 events the acceptances follow "first event after the dead time ends", a
-step taken by every cluster at once. Afterpulses repair that gated stream:
-each real event's afterpulse mark is drawn up front, and only the
-candidates of accepted events are looped over, in time order. An accepted
-candidate blocks the real events in its dead time, and the real chain is
-re-gated from there until it rejoins the old one. Both are exact: the
+step taken by every cluster at once until few clusters are left, which a
+scalar loop finishes. Afterpulses repair that gated stream: each real
+event's afterpulse mark is drawn up front, and the candidates are settled
+in time order. An accepted candidate blocks the real events in its dead
+time, and the real chain is re-gated from there until it rejoins the old
+one. Most candidates only read real events that no such rewrite has
+touched; their test and re-walk come from array searches on the gate, and
+the Python loop applies them. The few that do interact, and afterpulses'
+own candidates, take the sequential rule one by one. Both are exact: the
 output equals a sequential loop over the merged stream fed the same marks.
 
 Times are nanoseconds unless a suffix says otherwise; rates are hertz.
@@ -22,10 +26,10 @@ Times are nanoseconds unless a suffix says otherwise; rates are hertz.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -35,7 +39,6 @@ __all__ = [
     "DetectorModel",
     "TacHistogram",
     "ScaWindow",
-    "ScaResult",
     "VisibilityFit",
     "FWHM_TO_SIGMA",
     "dead_time_observe",
@@ -44,7 +47,6 @@ __all__ = [
     "simulate_detection",
     "build_histogram",
     "peak_fwhm",
-    "sca_counts",
     "extract_visibility",
 ]
 
@@ -160,17 +162,6 @@ class ScaWindow:
         return self.center_ns - half, self.center_ns + half
 
 
-@dataclass(frozen=True)
-class ScaResult:
-    """Window counts plus the modeled side-peak contamination.
-
-    ``leakage_fraction`` is None when no peak model was supplied.
-    """
-
-    counts: int
-    leakage_fraction: float | None = None
-
-
 def dead_time_observe(rate_true_hz: float, dead_time_us: float) -> float:
     """Observed rate of a non-paralyzable detector, R / (1 + R tau)."""
     if rate_true_hz < 0:
@@ -233,6 +224,33 @@ def unfold_photon_rate(
     return net / det.quantum_efficiency * 10.0 ** (attenuation_db / 10.0)
 
 
+# Below this many clusters the gate finishes in a scalar loop: one numpy
+# step costs about as much as scalar steps over a few dozen events, so a
+# narrow frontier of long clusters is the gate's worst case.
+_SCALAR_FRONTIER = 16
+
+# Afterpulse candidates whose re-walk on the gated real stream takes more
+# steps, or rewrites more events, than these are left to the sequential rule.
+_BULK_STEPS = 8
+_BULK_SPAN = 64
+
+
+def _seek(times_ns: np.ndarray, x: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """First index at or after j whose time is at or after x, elementwise.
+
+    Equals max(j, searchsorted(times_ns, x)). Most answers lie within a
+    step or two of j, so two linear probes settle them for a fraction of
+    the cost of a binary search, which then settles the rest.
+    """
+    n = times_ns.size
+    for _ in range(2):
+        j = j + (times_ns[np.minimum(j, n - 1)] < x)
+    j = np.minimum(j, n)
+    rest = np.flatnonzero(times_ns[np.minimum(j, n - 1)] < x)
+    j[rest] = np.searchsorted(times_ns, x[rest])
+    return j
+
+
 def _gate(times_ns: np.ndarray, dead_ns: float) -> np.ndarray:
     """Mask of the events a non-paralyzable detector accepts, dead_ns > 0.
 
@@ -243,8 +261,10 @@ def _gate(times_ns: np.ndarray, dead_ns: float) -> np.ndarray:
     is monotone. Inside a cluster the acceptances follow
     nxt(i) = searchsorted(t, t[i] + dead), the first event at or after the
     end of i's dead time. A frontier starts at the heads and steps along
-    nxt while it stays in its cluster, so the loop runs once per acceptance
+    nxt while it stays in its cluster, so numpy runs once per acceptance
     in the longest cluster, and nxt is searched for frontier events only.
+    Once at most ``_SCALAR_FRONTIER`` clusters are left, each is finished
+    by the sequential rule over its own events as Python floats.
     """
     n = times_ns.size
     keep = np.zeros(n, dtype=bool)
@@ -252,17 +272,22 @@ def _gate(times_ns: np.ndarray, dead_ns: float) -> np.ndarray:
     head[1:] = times_ns[1:] >= times_ns[:-1] + dead_ns
     frontier = np.flatnonzero(head)
     end = np.append(frontier[1:], n)
-    while frontier.size:
+    while frontier.size > _SCALAR_FRONTIER:
         keep[frontier] = True
         more = frontier + 1 < end
-        frontier, end = frontier[more], end[more]
-        # A dead time below one ulp of t leaves t + dead == t; the
-        # sequential rule then accepts the very next event.
-        frontier = np.maximum(
-            np.searchsorted(times_ns, times_ns[frontier] + dead_ns, side="left"), frontier + 1
-        )
+        frontier, end = frontier.compress(more), end.compress(more)
+        # frontier + 1 is not a head, so it falls in the frontier's dead time.
+        frontier = _seek(times_ns, times_ns[frontier] + dead_ns, frontier + 2)
         inside = frontier < end
-        frontier, end = frontier[inside], end[inside]
+        frontier, end = frontier.compress(inside), end.compress(inside)
+    accepted = []
+    for i, stop in zip(frontier.tolist(), end.tolist()):
+        blocked_until = -math.inf
+        for k, t in enumerate(times_ns[i:stop].tolist(), i):
+            if t >= blocked_until:
+                accepted.append(k)
+                blocked_until = t + dead_ns
+    keep[accepted] = True
     return keep
 
 
@@ -298,67 +323,175 @@ def _afterpulse_pass(
     same process as marks drawn after each acceptance. Accepted
     afterpulses take their marks from ``marks`` in time order.
 
-    The real stream is gated at once; only the candidates loop, on a heap,
-    in time order. Every pushed candidate is later than the one being
-    handled, so all acceptances before it are final. An accepted candidate
-    c blocks the real events in [c, c + dead); the real chain is then
-    re-walked from c + dead until it rejoins the old one, dropping the old
-    acceptances it skips and pushing the candidates of spawners it newly
-    accepts, each at most once. A candidate whose real parent is no longer
-    accepted is dropped. Spawning stops at the observation horizon, which
+    The rule is sequential. Candidates are taken in time order, an
+    afterpulse's own candidate before a real one at the same time. One
+    whose real parent is not accepted at that moment is dropped. Otherwise
+    it is tested against the last accepted event before it; a real event
+    before c - 2 dead cannot block it, whatever the rounding of t + dead.
+    An accepted candidate c blocks the real events in [c, c + dead), and
+    the real chain is re-walked from c + dead until it lands on an event
+    that is already accepted, so only the real events from c up to that
+    one are rewritten. Spawning stops at the observation horizon, which
     also terminates the cascade at afterpulse probability 1.
+
+    Most candidates of real spawners are settled in bulk. Array searches
+    on the gate of the real stream give each one its test and its re-walk
+    as if no afterpulse existed. Until a rewrite reaches its backward
+    window [c - 2 dead, c), a candidate reads only events that the gate
+    decided, so the precomputed test and re-walk are the sequential ones,
+    and its test needs just one more comparison, against the last accepted
+    afterpulse. Such a clean candidate that the real gate rejects stays
+    rejected and is never visited. The loop visits the rest in time order,
+    with the afterpulses' own candidates on a heap: dirty candidates, long
+    re-walks and afterpulses' candidates take the sequential rule on a
+    bytearray of acceptances and a memoryview of the times.
     """
-    keep = _gate(times_ns, dead_ns)
-    tl = times_ns.tolist()
-    n = len(tl)
+    keep0 = _gate(times_ns, dead_ns)
+    n = times_ns.size
     cand = times_ns[spawners] + dead_ns + delays_ns
     below = cand < horizon_ns
-    first = below & keep[spawners]
-    heap = list(zip(cand[first].tolist(), spawners[first].tolist()))
-    heapify(heap)
-    # Candidates of spawners that the real chain does not accept (yet).
-    later = below & ~first
-    pending = dict(zip(spawners[later].tolist(), cand[later].tolist()))
+    # Time order, ties by spawner index, as a sequential loop takes them.
+    cand, parent = cand.compress(below), spawners.compress(below)
+    order = np.argsort(cand, kind="stable")
+    cand, parent = cand[order], parent[order]
+    m = cand.size
+    # j0 is the first event at or after c, j1 the first after its dead time.
+    j0 = _seek(times_ns, cand, np.where(times_ns[parent] < cand, parent + 1, 0))
+    j1 = _seek(times_ns, cand + dead_ns, j0)
+    floor = cand - 2.0 * dead_ns
+    # The real gate blocks c when its last acceptance before c lies at or
+    # after the floor and c < t + dead.
+    prev = j0 - 1
+    for _ in range(2):
+        prev -= (prev >= 0) & ~keep0[np.maximum(prev, 0)]
+    rest = np.flatnonzero((prev >= 0) & ~keep0[np.maximum(prev, 0)])
+    if rest.size:
+        kept = np.flatnonzero(keep0)
+        before = np.searchsorted(kept, prev[rest])
+        prev[rest] = np.where(before > 0, kept[before - 1], -1)
+    t_prev = times_ns[np.maximum(prev, 0)]
+    ok = (prev < 0) | (t_prev < floor) | (cand >= t_prev + dead_ns)
+    # Re-walk on the real gate from j1 until it lands on an accepted event:
+    # [j0, stop) then reads 1 on the walk and 0 elsewhere, one slice of
+    # ``pattern`` per candidate.
+    stop = np.full(m, -1)
+    ids = np.flatnonzero(ok)
+    walk = j1[ids]
+    steps_ids, steps_at = [], []
+    for step in range(_BULK_STEPS + 1):
+        done = (walk == n) | keep0[np.minimum(walk, n - 1)]
+        stop[ids.compress(done)] = walk.compress(done)
+        ids, walk = ids.compress(~done), walk.compress(~done)
+        if step == _BULK_STEPS or not ids.size:
+            break
+        steps_ids.append(ids)
+        steps_at.append(walk)
+        walk = _seek(times_ns, times_ns[walk] + dead_ns, walk + 1)
+    stop[stop - j0 > _BULK_SPAN] = -1
+    span = np.where(stop >= 0, stop - j0, 0)
+    offset = np.cumsum(span) - span
+    pattern = np.zeros(int(span.sum()), dtype=np.uint8)
+    if steps_ids:
+        ids, at = np.concatenate(steps_ids), np.concatenate(steps_at)
+        short = stop[ids] >= 0
+        ids, at = ids.compress(short), at.compress(short)
+        pattern[offset[ids] + at - j0[ids]] = 1
+    # Index of the next candidate at or after i that the real gate accepts.
+    next_ok = np.minimum.accumulate(np.where(ok, np.arange(m), m)[::-1])[::-1]
+
+    cs, parents, floors, j0s, j1s = (a.tolist() for a in (cand, parent, floor, j0, j1))
+    stops, offsets = stop.tolist(), offset.tolist()
+    next_ok = next_ok.tolist() + [m]
+    pattern = memoryview(pattern)
+    keep = bytearray(keep0)
+    tv = memoryview(times_ns)
+
+    def seek(x: float, j: int) -> int:
+        """First index at or after j whose time is at or after x."""
+        near = min(j + 4, n)
+        while j < near:
+            if tv[j] >= x:
+                return j
+            j += 1
+        return bisect_left(tv, x, j)
+
+    children: list[float] = []
     afterpulses: list[float] = []
     last_afterpulse = -math.inf
-    while heap:
-        c, parent = heappop(heap)
-        if parent >= 0 and not keep[parent]:
-            continue
-        j0 = bisect_left(tl, c)
-        # The last accepted event before c blocks it or nothing does. A real
-        # event before c - 2 dead cannot, whatever the rounding of t + dead,
-        # so the backward search stops there.
-        last = last_afterpulse
-        floor = c - 2.0 * dead_ns
-        k = j0 - 1
-        while k >= 0 and tl[k] >= floor:
-            if keep[k]:
-                last = max(last, tl[k])
+    # Events before last_j1 are before the last afterpulse or in its dead
+    # time, so they can no longer block a candidate.
+    last_j1 = 0
+    # Time of the latest rewritten real event. Candidates before dirty_end
+    # have a floor at or before it.
+    mod_t = -math.inf
+    dirty_end = 0
+    i = 0
+    while True:
+        nxt = i if i < dirty_end else next_ok[i]
+        if children and (nxt == m or children[0] <= cs[nxt]):
+            c = heappop(children)
+            # Candidates skipped up to here were clean and rejected.
+            i = bisect_left(cs, c, i, nxt)
+            if c < last_afterpulse + dead_ns:
+                continue
+            j0_c = seek(c, last_j1)
+            bulk = False
+        else:
+            if nxt == m:
                 break
-            k -= 1
-        if c < last + dead_ns:
-            continue
+            i = nxt + 1
+            if not keep[parents[nxt]]:
+                continue
+            c = cs[nxt]
+            if c < last_afterpulse + dead_ns:
+                continue
+            j0_c = j0s[nxt]
+            bulk = nxt >= dirty_end and stops[nxt] >= 0
+        if bulk:
+            end = stops[nxt]
+            if end > j0_c:
+                o = offsets[nxt]
+                keep[j0_c:end] = pattern[o : o + end - j0_c]
+            j1_c = j1s[nxt]
+        else:
+            floor_c = c - 2.0 * dead_ns
+            last_t = last_afterpulse
+            k = j0_c - 1
+            while k >= last_j1:
+                t = tv[k]
+                if t < floor_c:
+                    break
+                if keep[k]:
+                    last_t = max(last_t, t)
+                    break
+                k -= 1
+            if c < last_t + dead_ns:
+                continue
+            j1_c = seek(c + dead_ns, j0_c)
+            if j1_c > j0_c:
+                keep[j0_c:j1_c] = bytes(j1_c - j0_c)
+            end = j1_c
+            while end < n and not keep[end]:
+                keep[end] = 1
+                k = seek(tv[end] + dead_ns, end + 1)
+                if k > end + 1:
+                    keep[end + 1 : k] = bytes(k - end - 1)
+                end = k
         afterpulses.append(c)
         last_afterpulse = c
-        j = bisect_left(tl, c + dead_ns, j0)
-        if j > j0:
-            keep[j0:j] = False
-        while j < n and not keep[j]:
-            keep[j] = True
-            if j in pending:
-                heappush(heap, (pending.pop(j), j))
-            k = bisect_left(tl, tl[j] + dead_ns, j + 1)
-            if k > j + 1:
-                keep[j + 1 : k] = False
-            j = k
+        last_j1 = j1_c
+        if end > j0_c and tv[end - 1] > mod_t:
+            mod_t = tv[end - 1]
+            dirty_end = bisect_right(floors, mod_t, i)
         delay = next(marks)
         if delay is not None:
             spawned = c + dead_ns + delay
             if spawned < horizon_ns:
-                heappush(heap, (spawned, -1))
-    real = times_ns[keep]
-    return np.insert(real, np.searchsorted(real, afterpulses), afterpulses)
+                heappush(children, spawned)
+    # Equal times are equal values, so a stable merge of the two sorted
+    # runs gives the same array as inserting each afterpulse.
+    real = times_ns.compress(np.frombuffer(keep, dtype=bool))
+    return np.sort(np.concatenate((real, afterpulses)), kind="stable")
 
 
 def _dead_time_pass(
@@ -370,13 +503,12 @@ def _dead_time_pass(
     numbers. With it, every real event's afterpulse mark is drawn up front,
     ``rng.random(n) < p`` and then one exponential delay of scale dead per
     spawner; the afterpulses' own marks follow from the same ``rng`` as
-    they are needed, and ``_afterpulse_pass`` loops over the candidates
-    only.
+    they are needed, and ``_afterpulse_pass`` settles the candidates.
     """
     dead_ns = det.dead_time_us * 1e3
     p_after = det.afterpulse_probability
     if p_after == 0.0:
-        return times_ns[_gate(times_ns, dead_ns)]
+        return times_ns.compress(_gate(times_ns, dead_ns))
     spawners = np.flatnonzero(rng.random(times_ns.size) < p_after)
     delays_ns = rng.exponential(dead_ns, spawners.size)
     marks = _afterpulse_marks(rng, p_after, dead_ns)
@@ -521,60 +653,6 @@ def _gaussian_window_capture(mu_ns: float, sigma_ns: float, lo: float, hi: float
         return 1.0 if lo <= mu_ns < hi else 0.0
     z = 1.0 / (sigma_ns * math.sqrt(2.0))
     return 0.5 * (math.erf((hi - mu_ns) * z) - math.erf((lo - mu_ns) * z))
-
-
-def sca_counts(
-    source,
-    window: ScaWindow,
-    sync_period_ns: float | None = None,
-    peak_sigma_ns: float | None = None,
-    peak_separation_ns: float | None = None,
-    side_to_central_ratio: float = 0.5,
-) -> ScaResult:
-    """Counts inside the SCA window, with a side-peak leakage estimate.
-
-    Args:
-        source: a TacHistogram (bins counted by center position) or raw
-            detection timestamps (folded when ``sync_period_ns`` is given).
-        window: selection window, assumed centered on the middle peak for
-            the leakage model.
-        sync_period_ns: folding period for raw timestamps.
-        peak_sigma_ns: Gaussian width of each arrival peak; enables the
-            leakage estimate together with ``peak_separation_ns``.
-        peak_separation_ns: spacing of the side peaks from the central one.
-        side_to_central_ratio: area of each side peak relative to the
-            central one; 1/2 for a balanced interferometer pair at
-            mid-fringe.
-
-    Returns:
-        ScaResult with the integer window count and, when the peak model is
-        supplied, the modeled fraction of window counts that leaked in from
-        the side peaks (None otherwise).
-    """
-    lo, hi = window.bounds()
-    if isinstance(source, TacHistogram):
-        centers = source.bin_centers_ns()
-        inside = (centers >= lo) & (centers < hi)
-        count = int(source.counts[inside].sum())
-    else:
-        t = np.asarray(source, dtype=float)
-        if sync_period_ns is not None:
-            t = np.mod(t, sync_period_ns)
-        count = int(np.count_nonzero((t >= lo) & (t < hi)))
-
-    leakage = None
-    if peak_sigma_ns is not None and peak_separation_ns is not None:
-        if peak_sigma_ns <= 0 or peak_separation_ns <= 0:
-            raise DomainError("peak model needs positive sigma and separation")
-        central = _gaussian_window_capture(window.center_ns, peak_sigma_ns, lo, hi)
-        sides = sum(
-            _gaussian_window_capture(window.center_ns + s * peak_separation_ns, peak_sigma_ns, lo, hi)
-            for s in (-1.0, 1.0)
-        )
-        weighted_sides = side_to_central_ratio * sides
-        total = central + weighted_sides
-        leakage = weighted_sides / total if total > 0 else 0.0
-    return ScaResult(counts=count, leakage_fraction=leakage)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from qifsim.detection import (
     dead_time_observe,
     extract_visibility,
     peak_fwhm,
-    sca_counts,
     simulate_detection,
     unfold_photon_rate,
 )
@@ -242,6 +241,19 @@ def gate_streams(dead_ns):
     for k in range(40):
         start = float(rng.uniform(0.0, dead_ns))
         yield f"pair at dead {k}", np.array([start, float(np.nextafter(start + dead_ns, 0.0))])
+    # One event per sync period, which is 0.83 dead times, with a small
+    # spread: a single cluster that the scalar loop finishes.
+    period = dead_ns / 1.2
+    yield "periodic", np.sort(period * np.arange(2000) + rng.normal(0.0, 0.018 * period, 2000))
+    # Periodic bursts of different lengths: the frontier narrows one
+    # cluster at a time before the scalar loop takes over.
+    bursts = [
+        start + period * np.arange(length)
+        for start, length in zip(
+            3000.0 * dead_ns * np.arange(40), rng.integers(5, 120, 40).tolist()
+        )
+    ]
+    yield "periodic bursts", np.concatenate(bursts)
     yield "empty", np.empty(0)
     yield "single", np.array([3.0])
 
@@ -262,13 +274,35 @@ def test_gate_draws_no_random_numbers():
     assert rng.random() == rng_of(20).random()
 
 
+def afterpulse_streams(dead_ns, p_after):
+    """(name, times, spawners, delays) of each afterpulse test stream.
+
+    The gate's streams with random marks, then two at the density of a
+    saturated detector.
+    """
+    rng = np.random.default_rng(21)
+    for name, times in gate_streams(dead_ns):
+        spawners = np.flatnonzero(rng.random(times.size) < p_after)
+        yield name, times, spawners, rng.exponential(dead_ns, spawners.size)
+    # One event per 2.2 dead times (44 ns at 20 ns): most candidates are
+    # settled in bulk, the rest interact.
+    n = 20000
+    times = np.sort(rng.uniform(0.0, 2.2 * dead_ns * n, n))
+    spawners = np.flatnonzero(rng.random(n) < p_after)
+    yield "poisson", times, spawners, rng.exponential(dead_ns, spawners.size)
+    # Every event spawns soon after its dead time and the next one follows
+    # 1.2-1.8 dead times later: afterpulses keep rewriting the real chain,
+    # and their own candidates land in the backward windows of the real
+    # candidates after them.
+    times = np.cumsum(rng.uniform(1.2, 1.8, 4000) * dead_ns)
+    spawners = np.arange(times.size)
+    yield "children in windows", times, spawners, rng.uniform(0.0, 0.5 * dead_ns, times.size)
+
+
 @pytest.mark.parametrize("p_after", [0.05, 0.3, 0.9, 1.0])
 def test_afterpulse_pass_matches_marked_reference(p_after):
     dead_ns = 20.0
-    mark_rng = np.random.default_rng(21)
-    for name, times in gate_streams(dead_ns):
-        spawners = np.flatnonzero(mark_rng.random(times.size) < p_after)
-        delays = mark_rng.exponential(dead_ns, spawners.size)
+    for name, times, spawners, delays in afterpulse_streams(dead_ns, p_after):
         horizon = (float(times[-1]) if times.size else 0.0) + 30 * dead_ns
         args = (times, dead_ns, spawners, delays, horizon)
         out = detection._afterpulse_pass(*args, afterpulse_marks(p_after, dead_ns))
@@ -428,50 +462,9 @@ def test_delta_pulse_occupies_at_most_two_bins():
 # --- SCA window ---
 
 
-def test_sca_counts_histogram_and_raw_agree():
-    rng = np.random.default_rng(14)
-    times = np.concatenate(
-        [
-            rng.normal(5.2, 0.2, 5000) + SYNC_PERIOD_NS * rng.integers(0, 100, 5000),
-            rng.uniform(0.0, SYNC_PERIOD_NS * 100, 2000),
-        ]
-    )
-    window = ScaWindow(5.2, 0.5)
-    raw = sca_counts(times, window, sync_period_ns=SYNC_PERIOD_NS)
-    hist = build_histogram(times, SYNC_PERIOD_NS, 50.0)
-    binned = sca_counts(hist, window)
-    # Bin quantization moves edge events; agreement within one bin's load.
-    assert abs(raw.counts - binned.counts) <= hist.counts.max()
-    assert raw.leakage_fraction is None
-
-
-def test_sca_leakage_model_frozen():
-    sigma_peak = math.hypot(1.0, 0.8) * FWHM_TO_SIGMA
-    res = sca_counts(
-        TacHistogram(50.0, 0.0, np.zeros(334, dtype=np.int64)),
-        ScaWindow(5.2, 0.5),
-        peak_sigma_ns=sigma_peak,
-        peak_separation_ns=2.2,
-        side_to_central_ratio=0.5,
-    )
-    assert res.leakage_fraction == pytest.approx(0.0004649352327527538, rel=1e-12)
-    assert 0.0 < res.leakage_fraction < 0.02
-
-
-def test_sca_leakage_grows_with_window():
-    sigma_peak = math.hypot(1.0, 0.8) * FWHM_TO_SIGMA
-    hist = TacHistogram(50.0, 0.0, np.zeros(334, dtype=np.int64))
-    narrow = sca_counts(hist, ScaWindow(5.2, 0.5), peak_sigma_ns=sigma_peak, peak_separation_ns=2.2)
-    wide = sca_counts(hist, ScaWindow(5.2, 3.0), peak_sigma_ns=sigma_peak, peak_separation_ns=2.2)
-    assert wide.leakage_fraction > narrow.leakage_fraction
-
-
 def test_sca_window_validation():
     with pytest.raises(DomainError):
         ScaWindow(5.2, 0.0)
-    hist = TacHistogram(50.0, 0.0, np.zeros(334, dtype=np.int64))
-    with pytest.raises(DomainError):
-        sca_counts(hist, ScaWindow(5.2, 0.5), peak_sigma_ns=0.0, peak_separation_ns=2.2)
 
 
 # --- visibility ---
