@@ -18,7 +18,6 @@ __all__ = [
     "LossStage",
     "LossChain",
     "NoiseModel",
-    "compose_chain",
     "internal_conversion_efficiency",
     "end_to_end_efficiency",
     "normalized_efficiency_from_measurement",
@@ -126,13 +125,6 @@ class LossChain:
             running *= t
             rows.append((stage.name, t, running))
         return rows
-
-
-def compose_chain(stages: LossChain | list[LossStage] | tuple[LossStage, ...]) -> float:
-    """Total transmission of a loss chain (1.0 when empty)."""
-    if not isinstance(stages, LossChain):
-        stages = LossChain(tuple(stages))
-    return stages.transmission()
 
 
 def internal_conversion_efficiency(

@@ -553,20 +553,25 @@ def simulate_detection(
             raise DomainError("survival probabilities must be in [0, 1]")
     else:
         raise DomainError(f"arrivals must be (N,) times or (N, 2) pairs, got shape {arr.shape}")
-    if times.size and np.any(np.diff(times) < 0):
+    if times.size and np.any(times[1:] < times[:-1]):
         raise DomainError("arrival times must be sorted ascending")
 
     p_fire = det.quantum_efficiency * survival
     # Keeping every arrival with probability 1 needs no draw.
     fired = times if np.all(p_fire == 1.0) else times[rng.random(times.size) < p_fire]
     sigma = det.jitter_sigma_ns()
-    if sigma > 0 and fired.size:
-        fired = fired + rng.normal(0.0, sigma, fired.size)
-
+    jitter = rng.normal(0.0, sigma, fired.size) if sigma > 0 and fired.size else None
     n_dark = rng.poisson(det.dark_count_rate_hz * duration_s)
-    darks = rng.uniform(0.0, duration_s * 1e9, n_dark)
 
-    stream = np.sort(np.concatenate([fired, darks]))
+    # The jittered arrivals and the darks share one buffer, sorted in place.
+    stream = np.empty(fired.size + n_dark)
+    if jitter is None:
+        stream[: fired.size] = fired
+    else:
+        np.add(fired, jitter, out=stream[: fired.size])
+        del jitter
+    stream[fired.size :] = rng.uniform(0.0, duration_s * 1e9, n_dark)
+    stream.sort()
     if det.dead_time_us == 0.0 and det.afterpulse_probability == 0.0:
         return stream
     horizon_ns = max(duration_s * 1e9, float(stream[-1]) if stream.size else 0.0)
@@ -587,13 +592,32 @@ def build_histogram(
     """
     if sync_period_ns <= 0:
         raise DomainError(f"sync period must be > 0, got {sync_period_ns}")
+    t = np.asarray(detections_ns, dtype=float)
+    folded = np.mod(t - origin_ns, sync_period_ns)
+    return _bin_folded(folded, sync_period_ns, bin_width_ps, origin_ns, sync_pulses)
+
+
+def _bin_folded(
+    folded_ns: np.ndarray,
+    sync_period_ns: float,
+    bin_width_ps: float,
+    origin_ns: float = 0.0,
+    sync_pulses: int = 0,
+) -> TacHistogram:
+    """Bin times already folded on the sync period, the one binning rule.
+
+    A time at or past the last bin's left edge, the period end included,
+    lands in the last bin.
+    """
     width_ns = bin_width_ps * 1e-3
     if width_ns <= 0:
         raise DomainError(f"bin width must be > 0, got {bin_width_ps}")
     n_bins = max(1, math.ceil(sync_period_ns / width_ns - 1e-9))
-    t = np.asarray(detections_ns, dtype=float)
-    folded = np.mod(t - origin_ns, sync_period_ns)
-    idx = np.minimum((folded / width_ns).astype(np.int64), n_bins - 1)
+    # Dividing straight into the integer buffer truncates as astype would,
+    # without a float temporary the size of the input.
+    idx = np.empty(folded_ns.size, dtype=np.int64)
+    np.divide(folded_ns, width_ns, out=idx, casting="unsafe")
+    np.minimum(idx, n_bins - 1, out=idx)
     counts = np.bincount(idx, minlength=n_bins).astype(np.int64)
     return TacHistogram(
         bin_width_ps=bin_width_ps, origin_ns=origin_ns, counts=counts, sync_pulses=sync_pulses

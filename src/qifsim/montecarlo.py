@@ -7,11 +7,13 @@ that fire the detector are sampled: a Poisson photon stream thinned by
 slot, conversion survival and quantum efficiency is again a Poisson
 stream, so each point draws its fired events directly, in a number that
 grows with detections rather than with pulses, and hands them to the
-detector model for jitter, dark counts, dead time and afterpulsing. Every
-run is reproducible: all randomness flows from counter-based substreams
-derived from the scenario's master seed, a role tag, and the grid value of
-the point, so results are independent of the order in which points are
-simulated.
+detector model for jitter, dark counts, dead time and afterpulsing. Each
+sampling stage is a helper whose temporaries are freed when it returns,
+and the detections are folded on the sync period once, for the histogram
+and both window counts. Every run is reproducible: all randomness flows
+from counter-based substreams derived from the scenario's master seed, a
+role tag, and the grid value of the point, so results are independent of
+the order in which points are simulated.
 
 The analytic counterparts (``expected_fringe``, the budget in
 ``conversion``) use the same scenario; ``validate_against_oracle`` checks
@@ -28,12 +30,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conversion import pump_coherence_visibility_factor
 from .detection import (
     FWHM_TO_SIGMA,
     TacHistogram,
+    _bin_folded,
     _gaussian_window_capture,
-    build_histogram,
     simulate_detection,
 )
 from .errors import ConfigError, DomainError, QifsimError
@@ -160,11 +161,21 @@ def _cw_survival(s: Scenario) -> float:
     return prep * ana
 
 
-def _window_counts(times_ns: np.ndarray, period_ns: float, center_ns: float, width_ns: float) -> int:
-    """Counts whose folded arrival lies in a window, wrap-safe."""
+def _window_counts(folded_ns: np.ndarray, period_ns: float, center_ns: float, width_ns: float) -> int:
+    """Folded arrival times inside a window, half-open and wrap-safe.
+
+    The window is [lo, lo + width) with lo the left edge folded on the
+    period; the part past the period end wraps to the start, and a window
+    at least one period wide counts every event once.
+    """
+    if width_ns >= period_ns:
+        return int(folded_ns.size)
     lo = (center_ns - 0.5 * width_ns) % period_ns
-    folded = np.mod(times_ns - lo, period_ns)
-    return int(np.count_nonzero(folded < width_ns))
+    hi = lo + width_ns
+    below_lo = int(np.count_nonzero(folded_ns < lo))
+    if hi <= period_ns:
+        return int(np.count_nonzero(folded_ns < hi)) - below_lo
+    return folded_ns.size - below_lo + int(np.count_nonzero(folded_ns < hi - period_ns))
 
 
 def _reject_repeats(values: np.ndarray, quantity: str) -> None:
@@ -177,6 +188,125 @@ def _reject_repeats(values: np.ndarray, quantity: str) -> None:
                 f"from a stream keyed by its value, so grid values must be distinct"
             )
         seen.add(value)
+
+
+def _pulse_ranks(pulse: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rank of each entry among the distinct values, and how many there are.
+
+    The ranks are ``np.unique(pulse, return_inverse=True)[1]``: sort, mark
+    where each run of equal values starts, and count the run starts.
+    """
+    if not pulse.size:
+        return np.empty(0, dtype=np.intp), 0
+    order = np.argsort(pulse)
+    ordered = pulse[order]
+    run_start = np.empty(pulse.size, dtype=bool)
+    run_start[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=run_start[1:])
+    np.cumsum(run_start, out=ordered)
+    ordered -= 1
+    rank = np.empty_like(order)
+    rank[order] = ordered
+    return rank, int(ordered[-1]) + 1
+
+
+def _side_times(
+    s: Scenario, pulses: int, fired_per_pulse: float, p_early: float, p_late: float, rng
+) -> np.ndarray:
+    """Emission-free times of the fired early and late photons.
+
+    Poisson(N f (p_early + p_late)) events on uniformly chosen pulses, each
+    early or late in proportion to p_early : p_late, with f the fired
+    photons per pulse per unit of slot probability.
+    """
+    p_sides = p_early + p_late
+    n = rng.poisson(pulses * fired_per_pulse * p_sides)
+    times = rng.integers(0, pulses, n) * s.sync_period_ns()
+    u = rng.random(n)
+    u *= p_sides
+    times += s.tac_offset_ns
+    times += np.where(u < p_early, 0.0, 2.0 * s.analysis.delta_tau_ns)
+    return times
+
+
+def _middle_times(
+    s: Scenario,
+    beta_rad: float,
+    pulses: int,
+    fired_per_pulse: float,
+    mid_offset: float,
+    mid_amp: float,
+    rng,
+) -> np.ndarray:
+    """Emission-free times of the fired middle-slot photons.
+
+    Poisson(N f p_max) candidates at the largest slot probability p_max,
+    each kept with probability p_mid(drift) / p_max.
+    """
+    p_max = mid_offset + abs(mid_amp)
+    n = rng.poisson(pulses * fired_per_pulse * p_max)
+    pulse = rng.integers(0, pulses, n)
+    alpha = s.preparation.phase_rad
+    # Pump phase drift between the two bins of each pulse: a Wiener
+    # increment of variance 2 dt / tau_c. The absolute pump phase is common
+    # to both bins and drops out, so only this increment is realized, once
+    # per occupied pulse: every photon of a pulse sees the same drift.
+    tau_c = s.pump.coherence_time_ns
+    if math.isfinite(tau_c):
+        rank, occupied = _pulse_ranks(pulse)
+        sigma_drift = math.sqrt(2.0 * s.analysis.delta_tau_ns / tau_c)
+        p_mid = rng.normal(0.0, sigma_drift, occupied)[rank]
+        del rank
+        # mid_offset + mid_amp cos(alpha + drift - beta), term by term.
+        p_mid += alpha
+        p_mid -= beta_rad
+        np.cos(p_mid, out=p_mid)
+        p_mid *= mid_amp
+        p_mid += mid_offset
+    else:
+        p_mid = mid_offset + mid_amp * np.cos(alpha - beta_rad)
+    u = rng.random(n)
+    u *= p_max
+    times = pulse.compress(u < p_mid) * s.sync_period_ns()
+    times += s.tac_offset_ns
+    times += s.analysis.delta_tau_ns
+    return times
+
+
+def _arrival_times(s: Scenario, beta_rad: float, pulses: int, rng: np.random.Generator) -> np.ndarray:
+    """Sorted arrival times of one point's fired signal photons and cw light.
+
+    Each time is pulse index x period + TAC offset + slot offset + emission
+    offset, summed in that order.
+    """
+    p_early, p_late, mid_offset, mid_amp = _slot_terms(s)
+    # Mean fired photons per pulse, per unit of slot or passage probability.
+    fired_per_pulse = (
+        s.source.mean_photon_number
+        * s.conversion_survival()
+        * s.detector.quantum_efficiency
+    )
+    times = np.concatenate(
+        (
+            _side_times(s, pulses, fired_per_pulse, p_early, p_late, rng),
+            _middle_times(s, beta_rad, pulses, fired_per_pulse, mid_offset, mid_amp, rng),
+        )
+    )
+    if s.source.pulse_shape == "gaussian":
+        sigma_pulse = s.source.pulse_fwhm_ns * FWHM_TO_SIGMA
+        if sigma_pulse > 0:
+            times += rng.normal(0.0, sigma_pulse, times.size)
+    else:
+        half = 0.5 * s.source.pulse_fwhm_ns
+        if half > 0:
+            times += rng.uniform(-half, half, times.size)
+
+    n_cw = rng.poisson(
+        s.source.cw_background_fraction * pulses * fired_per_pulse * _cw_survival(s)
+    )
+    times = np.concatenate((times, rng.uniform(0.0, s.duration_s(pulses) * 1e9, n_cw)))
+    times.sort()
+    return times
 
 
 def _simulate_point(
@@ -200,69 +330,23 @@ def _simulate_point(
 
     Here N is the pulse count, mu the mean photon number, s the conversion
     survival and s_cw the cw photon's forward-port passage.
+
+    Each stage is a helper whose temporaries die when it returns, so the
+    point holds about three event-sized arrays at its peak. The detections
+    are folded on the sync period once, in place, and that one folded array
+    feeds the histogram and both window counts.
     """
     period = s.sync_period_ns()
-    delta_tau = s.analysis.delta_tau_ns
-    duration_s = s.duration_s(pulses)
-    p_early, p_late, mid_offset, mid_amp = _slot_terms(s)
-    alpha = s.preparation.phase_rad
-    # Mean fired photons per pulse, per unit of slot or passage probability.
-    fired_per_pulse = (
-        s.source.mean_photon_number
-        * s.conversion_survival()
-        * s.detector.quantum_efficiency
-    )
-
-    p_sides = p_early + p_late
-    n_sides = rng.poisson(pulses * fired_per_pulse * p_sides)
-    side_idx = rng.integers(0, pulses, n_sides)
-    side_slot = np.where(rng.random(n_sides) * p_sides < p_early, 0, 2)
-
-    p_max = mid_offset + abs(mid_amp)
-    n_mid = rng.poisson(pulses * fired_per_pulse * p_max)
-    mid_idx = rng.integers(0, pulses, n_mid)
-    # Pump phase drift between the two bins of each pulse: a Wiener
-    # increment of variance 2 dt / tau_c. The absolute pump phase is common
-    # to both bins and drops out, so only this increment is realized, once
-    # per occupied pulse: every photon of a pulse sees the same drift.
-    tau_c = s.pump.coherence_time_ns
-    if math.isfinite(tau_c):
-        occupied, pulse_of = np.unique(mid_idx, return_inverse=True)
-        sigma_drift = math.sqrt(2.0 * delta_tau / tau_c)
-        drift = rng.normal(0.0, sigma_drift, occupied.size)[pulse_of]
-    else:
-        drift = 0.0
-    p_mid = mid_offset + mid_amp * np.cos(alpha + drift - beta_rad)
-    mid_idx = mid_idx[rng.random(n_mid) * p_max < p_mid]
-
-    pulse_idx = np.concatenate([side_idx, mid_idx])
-    slot = np.concatenate([side_slot, np.ones(mid_idx.size, dtype=side_slot.dtype)])
-    n_signal = pulse_idx.size
-    sigma_pulse = s.source.pulse_fwhm_ns * FWHM_TO_SIGMA
-    if s.source.pulse_shape == "gaussian":
-        emission = rng.normal(0.0, sigma_pulse, n_signal) if sigma_pulse > 0 else np.zeros(n_signal)
-    else:
-        half = 0.5 * s.source.pulse_fwhm_ns
-        emission = rng.uniform(-half, half, n_signal) if half > 0 else np.zeros(n_signal)
-    signal_times = pulse_idx * period + s.tac_offset_ns + slot * delta_tau + emission
-
-    n_cw = rng.poisson(
-        s.source.cw_background_fraction * pulses * fired_per_pulse * _cw_survival(s)
-    )
-    cw_times = rng.uniform(0.0, duration_s * 1e9, n_cw)
-
-    times = np.sort(np.concatenate([signal_times, cw_times]))
     # The thinning above already applied the quantum efficiency; the
     # detector model must not apply it a second time.
     detector = replace(s.detector, quantum_efficiency=1.0)
-    detections = simulate_detection(times, detector, duration_s, rng)
-    hist = build_histogram(
-        detections, period, s.histogram_bin_width_ps, origin_ns=0.0, sync_pulses=pulses
+    detections = simulate_detection(
+        _arrival_times(s, beta_rad, pulses, rng), detector, s.duration_s(pulses), rng
     )
-    window = _window_counts(detections, period, s.sca.center_ns, s.sca.width_ns)
-    background = _window_counts(
-        detections, period, s.sca.center_ns + 0.5 * period, s.sca.width_ns
-    )
+    folded = np.mod(detections, period, out=detections)
+    window = _window_counts(folded, period, s.sca.center_ns, s.sca.width_ns)
+    background = _window_counts(folded, period, s.sca.center_ns + 0.5 * period, s.sca.width_ns)
+    hist = _bin_folded(folded, period, s.histogram_bin_width_ps, sync_pulses=pulses)
     return hist, window, background
 
 
@@ -405,9 +489,7 @@ def expected_fringe(s: Scenario, phases_rad, pulses: int | None = None) -> Expec
     ]
 
     p_early, p_late, mid_offset, mid_amp = _slot_terms(s)
-    pump_factor = pump_coherence_visibility_factor(
-        s.preparation.delta_tau_ns, s.pump.coherence_time_ns
-    )
+    pump_factor = s.pump_coherence_factor()
 
     scale = n_pulses * s.source.mean_photon_number * s.conversion_survival() * s.detector.quantum_efficiency
     signal_offset = scale * (

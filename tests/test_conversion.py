@@ -11,7 +11,6 @@ from qifsim.conversion import (
     LossStage,
     NoiseModel,
     PumpField,
-    compose_chain,
     end_to_end_efficiency,
     internal_conversion_efficiency,
     noise_rate,
@@ -119,7 +118,7 @@ def test_loss_stage_rejects(kwargs):
 
 
 def test_chain_composition():
-    assert compose_chain([]) == 1.0
+    assert LossChain().transmission() == 1.0
     chain = device_post_chain()
     expected = 10 ** (-0.03) * 0.86 * 0.70 * 0.80 * 0.80 * 0.10
     assert chain.transmission() == pytest.approx(expected, rel=1e-14)

@@ -141,11 +141,14 @@ def test_fringe_scan_memory_grows_with_detections(ref):
     # events take tens of megabytes.
     tracemalloc.start()
     try:
-        run_fringe_scan(ref, PHASES_12[:2], pulses=10_000_000)
+        run = run_fringe_scan(ref, PHASES_12[:2], pulses=10_000_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 100e6
+    # About three event-sized float arrays at the point's peak.
+    detections_per_point = run.histogram.total_counts() / 2
+    assert peak < 40 * detections_per_point
 
 
 def test_quiet_scenario_reaches_unit_visibility(ref):
@@ -163,6 +166,57 @@ def test_statistical_error_scales_inverse_sqrt(ref):
     rel_small = np.mean([p.stat_error / p.counts for p in small.fringe])
     rel_large = np.mean([p.stat_error / p.counts for p in large.fringe])
     assert rel_large / rel_small == pytest.approx(0.5, abs=0.1)
+
+
+# --- window rule and pulse ranks ---
+
+PERIOD_NS = 1e3 / 60.0
+
+
+def test_window_counts_wraps_past_the_period_end():
+    # Centre 0.1 ns, width 0.5 ns: the window is [P - 0.15, P) plus [0, 0.35).
+    lo = (0.1 - 0.25) % PERIOD_NS
+    hi = lo + 0.5 - PERIOD_NS
+    inside = [lo, PERIOD_NS - 0.1, 0.0, 0.2, np.nextafter(hi, 0.0)]
+    outside = [np.nextafter(lo, 0.0), hi, 0.36, 5.0, PERIOD_NS - 0.2]
+    folded = np.array(inside + outside)
+    assert montecarlo._window_counts(folded, PERIOD_NS, 0.1, 0.5) == len(inside)
+    assert montecarlo._window_counts(folded[::-1], PERIOD_NS, 0.1, 0.5) == len(inside)
+
+
+@pytest.mark.parametrize("width_ns", [PERIOD_NS, 1.5 * PERIOD_NS, 40.0 * PERIOD_NS])
+def test_window_counts_at_least_one_period_counts_every_event_once(width_ns):
+    folded = np.mod(substream(1, "window").uniform(0.0, 1e6, 5000), PERIOD_NS)
+    # np.mod of a time just below zero can round up to the period itself.
+    folded[:3] = (0.0, np.nextafter(PERIOD_NS, 0.0), PERIOD_NS)
+    for center in (0.0, 3.3, 0.5 * PERIOD_NS, PERIOD_NS - 0.01):
+        assert montecarlo._window_counts(folded, PERIOD_NS, center, width_ns) == folded.size
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_window_counts_agrees_with_unfolded_formula(seed):
+    # Reference: the rule as written on unfolded times, (t - lo) mod P < w.
+    # The two can round differently only within an ulp of an edge.
+    rng = substream(seed, "window")
+    t = rng.uniform(0.0, 1e8, 200_000)
+    folded = np.mod(t, PERIOD_NS)
+    for center, width in [(2.0, 0.5), (0.1, 0.5), (PERIOD_NS - 0.05, 0.4), (8.0, 16.0), (4.0, 1e-3)]:
+        lo = (center - 0.5 * width) % PERIOD_NS
+        d = np.mod(t - lo, PERIOD_NS)
+        away = (np.minimum(d, PERIOD_NS - d) > 1e-6) & (np.abs(d - width) > 1e-6)
+        expected = int(np.count_nonzero(d[away] < width))
+        assert montecarlo._window_counts(folded[away], PERIOD_NS, center, width) == expected
+
+
+def test_pulse_ranks_match_unique_inverse():
+    rng = substream(4, "ranks")
+    for pulse in (rng.integers(0, 50, 400), rng.integers(0, 10**9, 400), np.zeros(3, dtype=np.int64)):
+        occupied, inverse = np.unique(pulse, return_inverse=True)
+        rank, n_occupied = montecarlo._pulse_ranks(pulse)
+        assert n_occupied == occupied.size
+        np.testing.assert_array_equal(rank, inverse)
+    rank, n_occupied = montecarlo._pulse_ranks(np.empty(0, dtype=np.int64))
+    assert rank.size == 0 and n_occupied == 0
 
 
 # --- efficiency sweep ---
