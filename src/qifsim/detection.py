@@ -1,10 +1,10 @@
 """Single-photon detector model and arrival-time analysis.
 
-Covers the detector stochastics (efficiency thinning, dark counts, Gaussian
-timing jitter, non-paralyzable dead time, optional afterpulsing), the
-arrival-time histogram folded on the laser sync, windowed peak selection,
-and the estimators used on top: dead-time correction, rate unfolding
-through a calibrated attenuator, peak FWHM, and fringe visibility.
+Covers the detector stochastics (dark counts, Gaussian timing jitter,
+non-paralyzable dead time, optional afterpulsing), the arrival-time
+histogram folded on the laser sync, windowed peak selection, and the
+estimators used on top: dead-time correction, peak FWHM, and fringe
+visibility.
 
 The dead time is a vectorised gate: an event at least one dead time after
 its predecessor is always accepted, and inside each cluster between such
@@ -43,7 +43,6 @@ __all__ = [
     "FWHM_TO_SIGMA",
     "dead_time_observe",
     "dead_time_correct",
-    "unfold_photon_rate",
     "simulate_detection",
     "build_histogram",
     "peak_fwhm",
@@ -59,7 +58,8 @@ class DetectorModel:
     """Free-running single-photon avalanche detector.
 
     Attributes:
-        quantum_efficiency: detection probability per arriving photon.
+        quantum_efficiency: detection probability per arriving photon;
+            the Monte Carlo engine applies it when it thins the photons.
         dark_count_rate_hz: observed-free-running dark rate before dead time.
         dead_time_us: hold-off after each accepted event (non-paralyzable).
         jitter_fwhm_ps: FWHM of the Gaussian timing jitter.
@@ -157,10 +157,6 @@ class ScaWindow:
         if self.width_ns <= 0:
             raise DomainError(f"window width must be > 0, got {self.width_ns}")
 
-    def bounds(self) -> tuple[float, float]:
-        half = 0.5 * self.width_ns
-        return self.center_ns - half, self.center_ns + half
-
 
 def dead_time_observe(rate_true_hz: float, dead_time_us: float) -> float:
     """Observed rate of a non-paralyzable detector, R / (1 + R tau)."""
@@ -191,37 +187,6 @@ def dead_time_correct(rate_obs_hz: float, dead_time_us: float) -> float:
             f"time (occupancy {occupancy:.3g} >= 1); no finite true rate"
         )
     return rate_obs_hz / (1.0 - occupancy)
-
-
-def unfold_photon_rate(
-    rate_obs_hz: float,
-    rate_dark_obs_hz: float,
-    det: DetectorModel,
-    attenuation_db: float,
-) -> float:
-    """Photon rate upstream of a calibrated attenuator.
-
-    Dead-time corrects both the total and the dark observation, subtracts,
-    divides out the quantum efficiency, and scales back through the
-    attenuation: (corr(R) - corr(R_dark)) / QE * 10^(A/10).
-
-    Raises:
-        DomainError: non-positive efficiency, negative attenuation, or a
-            dark rate exceeding the total (nothing left to unfold).
-    """
-    if det.quantum_efficiency <= 0:
-        raise DomainError("quantum efficiency must be > 0 to unfold a photon rate")
-    if attenuation_db < 0:
-        raise DomainError(f"attenuation must be >= 0 dB, got {attenuation_db}")
-    net = dead_time_correct(rate_obs_hz, det.dead_time_us) - dead_time_correct(
-        rate_dark_obs_hz, det.dead_time_us
-    )
-    if net < 0:
-        raise DomainError(
-            f"dark rate exceeds total rate ({rate_dark_obs_hz} > {rate_obs_hz} Hz "
-            f"observed); measurement carries no signal"
-        )
-    return net / det.quantum_efficiency * 10.0 ** (attenuation_db / 10.0)
 
 
 # Below this many clusters the gate finishes in a scalar loop: one numpy
@@ -521,18 +486,17 @@ def simulate_detection(
     duration_s: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Stochastic detector response to a photon arrival stream.
+    """Stochastic detector response to a stream of firing photons.
 
     Args:
-        arrivals: array-like of (time_ns, survival_probability) rows, time
-            sorted; a 1-D array is taken as times with unit survival.
+        arrivals: sorted times of the photons that fire the detector; the
+            caller has already thinned them by the quantum efficiency.
         det: detector parameters.
         duration_s: observation window for dark-count generation, seconds.
         rng: random generator (caller owns the substream).
 
     Returns:
-        Sorted detection timestamps in ns. Each arrival fires with
-        probability QE x survival, detected times are smeared by the
+        Sorted detection timestamps in ns. The arrivals are smeared by the
         Gaussian jitter, homogeneous Poisson dark counts are merged in, and
         a non-paralyzable dead time gates the combined stream.
 
@@ -541,24 +505,10 @@ def simulate_detection(
     """
     if duration_s < 0:
         raise DomainError(f"duration must be >= 0, got {duration_s} s")
-    arr = np.asarray(arrivals, dtype=float)
-    survival = 1.0
-    if arr.size == 0:
-        times = np.empty(0)
-    elif arr.ndim == 1:
-        times = arr
-    elif arr.ndim == 2 and arr.shape[1] == 2:
-        times, survival = arr[:, 0], arr[:, 1]
-        if survival.min() < 0 or survival.max() > 1:
-            raise DomainError("survival probabilities must be in [0, 1]")
-    else:
-        raise DomainError(f"arrivals must be (N,) times or (N, 2) pairs, got shape {arr.shape}")
-    if times.size and np.any(times[1:] < times[:-1]):
+    fired = np.asarray(arrivals, dtype=float)
+    if fired.size and np.any(fired[1:] < fired[:-1]):
         raise DomainError("arrival times must be sorted ascending")
 
-    p_fire = det.quantum_efficiency * survival
-    # Keeping every arrival with probability 1 needs no draw.
-    fired = times if np.all(p_fire == 1.0) else times[rng.random(times.size) < p_fire]
     sigma = det.jitter_sigma_ns()
     jitter = rng.normal(0.0, sigma, fired.size) if sigma > 0 and fired.size else None
     n_dark = rng.poisson(det.dark_count_rate_hz * duration_s)

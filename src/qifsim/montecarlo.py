@@ -15,9 +15,11 @@ from counter-based substreams derived from the scenario's master seed, a
 role tag, and the grid value of the point, so results are independent of
 the order in which points are simulated.
 
-The analytic counterparts (``expected_fringe``, the budget in
-``conversion``) use the same scenario; ``validate_against_oracle`` checks
-the two against each other.
+Each point is one intensity model, a few Poisson components with a mean
+count per pulse and a time profile: the engine samples it, and
+``expected_fringe`` integrates it over the window by the engine's own
+window rule; ``validate_against_oracle`` checks the two against each
+other.
 """
 
 from __future__ import annotations
@@ -133,32 +135,90 @@ class RunResult:
         return h.hexdigest()
 
 
-def _slot_terms(s: Scenario) -> tuple[float, float, float, float]:
-    """Constant slot probabilities and the middle-slot fringe terms.
+@dataclass(frozen=True)
+class _SidePeaks:
+    """Early and late slots: one Poisson stream, split p_early : p_late."""
 
-    Returns (p_early, p_late, mid_offset, mid_amplitude) per photon, taken
-    from probe analyses at zero and pi phase difference so this stays a
-    single source of truth with the amplitude algebra. The amplitude
-    already carries the scenario's extra visibility penalty; the pump-phase
-    mechanism supplies the rest per pulse.
+    p_early: float
+    p_late: float
+    late_delay_ns: float
+
+
+@dataclass(frozen=True)
+class _MiddlePeak:
+    """The interfering slot, of weight offset + amplitude cos(alpha + drift - beta).
+
+    ``drift_rad`` is the rms pump-phase drift across the qubit's bin
+    separation, one Gaussian draw per pulse; 0 for a coherent pump.
     """
-    qubit = prepare_qubit(s.preparation)
-    qubit = apply_conversion_phase(qubit, s.extra_visibility_penalty)
+
+    offset: float
+    amplitude: float
+    alpha_rad: float
+    drift_rad: float
+    delay_ns: float
+
+
+@dataclass(frozen=True)
+class _PointModel:
+    """Intensity of the photons that fire the detector, per phase point.
+
+    Three Poisson components, each weighted per unit of ``fired_per_pulse``
+    (mean fired photons per pulse per unit of slot or passage probability):
+    the early/late pair and the middle peak, centred at pulse x period +
+    ``tac_offset_ns`` + slot delay and spread by the pulse shape, and cw
+    light flat over the run, of weight ``cw``. ``pulse_width_ns`` is the
+    Gaussian sigma, or the full width of a square pulse. The engine samples
+    these components and ``expected_fringe`` integrates them; the
+    detector's jitter, darks and dead time are not part of the model.
+    """
+
+    fired_per_pulse: float
+    tac_offset_ns: float
+    pulse_shape: str
+    pulse_width_ns: float
+    sides: _SidePeaks
+    middle: _MiddlePeak
+    cw: float
+
+
+def _point_model(s: Scenario) -> _PointModel:
+    """The scenario's per-point model, the same at every analysis phase.
+
+    The slot probabilities come from probe analyses at zero and pi phase
+    difference, so they stay one source of truth with the amplitude
+    algebra. The middle amplitude already carries the scenario's extra
+    visibility penalty; the pump drift supplies the rest per pulse.
+    """
+    qubit = apply_conversion_phase(prepare_qubit(s.preparation), s.extra_visibility_penalty)
     alpha = s.preparation.phase_rad
-    aligned = analyze(qubit, replace(s.analysis, phase_rad=alpha))
-    opposed = analyze(qubit, replace(s.analysis, phase_rad=alpha + math.pi))
-    p_early = aligned.slots[0][1]
-    p_late = aligned.slots[2][1]
-    mid_hi = aligned.slots[1][1]
-    mid_lo = opposed.slots[1][1]
-    return p_early, p_late, 0.5 * (mid_hi + mid_lo), 0.5 * (mid_hi - mid_lo)
-
-
-def _cw_survival(s: Scenario) -> float:
-    """Forward-port passage probability of a cw photon through both devices."""
-    prep = 2.0 * s.preparation.forward_path_amplitude() ** 2
-    ana = 2.0 * s.analysis.forward_path_amplitude() ** 2
-    return prep * ana
+    aligned = analyze(qubit, replace(s.analysis, phase_rad=alpha)).slots
+    opposed = analyze(qubit, replace(s.analysis, phase_rad=alpha + math.pi)).slots
+    mid_hi, mid_lo = aligned[1][1], opposed[1][1]
+    delta_tau = s.analysis.delta_tau_ns
+    fwhm = s.source.pulse_fwhm_ns
+    # The pump phase drifts as a Wiener process, of variance 2 dt / tau_c
+    # across the qubit's bin separation dt, so exp(-drift^2 / 2) is the
+    # scenario's pump coherence factor.
+    drift = math.sqrt(2.0 * s.preparation.delta_tau_ns / s.pump.coherence_time_ns)
+    # A cw photon is not split into bins: it passes both forward ports.
+    passage = 2.0 * s.preparation.forward_path_amplitude() ** 2
+    passage *= 2.0 * s.analysis.forward_path_amplitude() ** 2
+    return _PointModel(
+        fired_per_pulse=(
+            s.source.mean_photon_number
+            * s.conversion_survival()
+            * s.detector.quantum_efficiency
+        ),
+        tac_offset_ns=s.tac_offset_ns,
+        pulse_shape=s.source.pulse_shape,
+        pulse_width_ns=fwhm * FWHM_TO_SIGMA if s.source.pulse_shape == "gaussian" else fwhm,
+        sides=_SidePeaks(aligned[0][1], aligned[2][1], 2.0 * delta_tau),
+        middle=_MiddlePeak(
+            0.5 * (mid_hi + mid_lo), 0.5 * (mid_hi - mid_lo), alpha, drift, delta_tau
+        ),
+        cw=s.source.cw_background_fraction * passage,
+    )
 
 
 def _window_counts(folded_ns: np.ndarray, period_ns: float, center_ns: float, width_ns: float) -> int:
@@ -176,6 +236,25 @@ def _window_counts(folded_ns: np.ndarray, period_ns: float, center_ns: float, wi
     if hi <= period_ns:
         return int(np.count_nonzero(folded_ns < hi)) - below_lo
     return folded_ns.size - below_lo + int(np.count_nonzero(folded_ns < hi - period_ns))
+
+
+def _window_share(s: Scenario, center_ns: float, sigma_ns: float) -> float:
+    """Share of a Gaussian peak's events that ``_window_counts`` counts.
+
+    The same rule on the peak folded on the period: the window is [lo,
+    lo + width) with lo folded on the period, reaching past the period end
+    into the next copy of the peak, and a window at least one period wide
+    counts every event once.
+    """
+    period, width = s.sync_period_ns(), s.sca.width_ns
+    if width >= period:
+        return 1.0
+    lo = (s.sca.center_ns - 0.5 * width) % period
+    center = center_ns % period
+    return sum(
+        _gaussian_window_capture(center + k * period, sigma_ns, lo, lo + width)
+        for k in (-1, 0, 1, 2)
+    )
 
 
 def _reject_repeats(values: np.ndarray, quantity: str) -> None:
@@ -210,126 +289,96 @@ def _pulse_ranks(pulse: np.ndarray) -> tuple[np.ndarray, int]:
     return rank, int(ordered[-1]) + 1
 
 
-def _side_times(
-    s: Scenario, pulses: int, fired_per_pulse: float, p_early: float, p_late: float, rng
-) -> np.ndarray:
+def _side_times(m: _PointModel, pulses: int, period: float, rng) -> np.ndarray:
     """Emission-free times of the fired early and late photons.
 
     Poisson(N f (p_early + p_late)) events on uniformly chosen pulses, each
-    early or late in proportion to p_early : p_late, with f the fired
-    photons per pulse per unit of slot probability.
+    early or late in proportion to p_early : p_late.
     """
-    p_sides = p_early + p_late
-    n = rng.poisson(pulses * fired_per_pulse * p_sides)
-    times = rng.integers(0, pulses, n) * s.sync_period_ns()
+    p_early, p_sides = m.sides.p_early, m.sides.p_early + m.sides.p_late
+    n = rng.poisson(pulses * m.fired_per_pulse * p_sides)
+    times = rng.integers(0, pulses, n) * period
     u = rng.random(n)
     u *= p_sides
-    times += s.tac_offset_ns
-    times += np.where(u < p_early, 0.0, 2.0 * s.analysis.delta_tau_ns)
+    times += m.tac_offset_ns
+    times += np.where(u < p_early, 0.0, m.sides.late_delay_ns)
     return times
 
 
-def _middle_times(
-    s: Scenario,
-    beta_rad: float,
-    pulses: int,
-    fired_per_pulse: float,
-    mid_offset: float,
-    mid_amp: float,
-    rng,
-) -> np.ndarray:
+def _middle_times(m: _PointModel, beta_rad: float, pulses: int, period: float, rng) -> np.ndarray:
     """Emission-free times of the fired middle-slot photons.
 
     Poisson(N f p_max) candidates at the largest slot probability p_max,
     each kept with probability p_mid(drift) / p_max.
     """
-    p_max = mid_offset + abs(mid_amp)
-    n = rng.poisson(pulses * fired_per_pulse * p_max)
+    mid = m.middle
+    p_max = mid.offset + abs(mid.amplitude)
+    n = rng.poisson(pulses * m.fired_per_pulse * p_max)
     pulse = rng.integers(0, pulses, n)
-    alpha = s.preparation.phase_rad
-    # Pump phase drift between the two bins of each pulse: a Wiener
-    # increment of variance 2 dt / tau_c. The absolute pump phase is common
-    # to both bins and drops out, so only this increment is realized, once
-    # per occupied pulse: every photon of a pulse sees the same drift.
-    tau_c = s.pump.coherence_time_ns
-    if math.isfinite(tau_c):
+    # The absolute pump phase is common to both bins and drops out, so only
+    # the drift between them is realized, once per occupied pulse: every
+    # photon of a pulse sees the same drift.
+    if mid.drift_rad > 0:
         rank, occupied = _pulse_ranks(pulse)
-        sigma_drift = math.sqrt(2.0 * s.analysis.delta_tau_ns / tau_c)
-        p_mid = rng.normal(0.0, sigma_drift, occupied)[rank]
+        p_mid = rng.normal(0.0, mid.drift_rad, occupied)[rank]
         del rank
-        # mid_offset + mid_amp cos(alpha + drift - beta), term by term.
-        p_mid += alpha
+        # offset + amplitude cos(alpha + drift - beta), term by term.
+        p_mid += mid.alpha_rad
         p_mid -= beta_rad
         np.cos(p_mid, out=p_mid)
-        p_mid *= mid_amp
-        p_mid += mid_offset
+        p_mid *= mid.amplitude
+        p_mid += mid.offset
     else:
-        p_mid = mid_offset + mid_amp * np.cos(alpha - beta_rad)
+        p_mid = mid.offset + mid.amplitude * np.cos(mid.alpha_rad - beta_rad)
     u = rng.random(n)
     u *= p_max
-    times = pulse.compress(u < p_mid) * s.sync_period_ns()
-    times += s.tac_offset_ns
-    times += s.analysis.delta_tau_ns
+    times = pulse.compress(u < p_mid) * period
+    times += m.tac_offset_ns
+    times += mid.delay_ns
     return times
 
 
-def _arrival_times(s: Scenario, beta_rad: float, pulses: int, rng: np.random.Generator) -> np.ndarray:
+def _arrival_times(
+    s: Scenario, m: _PointModel, beta_rad: float, pulses: int, rng: np.random.Generator
+) -> np.ndarray:
     """Sorted arrival times of one point's fired signal photons and cw light.
 
-    Each time is pulse index x period + TAC offset + slot offset + emission
+    Each time is pulse index x period + TAC offset + slot delay + emission
     offset, summed in that order.
     """
-    p_early, p_late, mid_offset, mid_amp = _slot_terms(s)
-    # Mean fired photons per pulse, per unit of slot or passage probability.
-    fired_per_pulse = (
-        s.source.mean_photon_number
-        * s.conversion_survival()
-        * s.detector.quantum_efficiency
-    )
+    period = s.sync_period_ns()
     times = np.concatenate(
         (
-            _side_times(s, pulses, fired_per_pulse, p_early, p_late, rng),
-            _middle_times(s, beta_rad, pulses, fired_per_pulse, mid_offset, mid_amp, rng),
+            _side_times(m, pulses, period, rng),
+            _middle_times(m, beta_rad, pulses, period, rng),
         )
     )
-    if s.source.pulse_shape == "gaussian":
-        sigma_pulse = s.source.pulse_fwhm_ns * FWHM_TO_SIGMA
-        if sigma_pulse > 0:
-            times += rng.normal(0.0, sigma_pulse, times.size)
+    if m.pulse_shape == "gaussian":
+        if m.pulse_width_ns > 0:
+            times += rng.normal(0.0, m.pulse_width_ns, times.size)
     else:
-        half = 0.5 * s.source.pulse_fwhm_ns
+        half = 0.5 * m.pulse_width_ns
         if half > 0:
             times += rng.uniform(-half, half, times.size)
 
-    n_cw = rng.poisson(
-        s.source.cw_background_fraction * pulses * fired_per_pulse * _cw_survival(s)
-    )
+    n_cw = rng.poisson(pulses * m.fired_per_pulse * m.cw)
     times = np.concatenate((times, rng.uniform(0.0, s.duration_s(pulses) * 1e9, n_cw)))
     times.sort()
     return times
 
 
 def _simulate_point(
-    s: Scenario, beta_rad: float, pulses: int, rng: np.random.Generator
+    s: Scenario, m: _PointModel, beta_rad: float, pulses: int, rng: np.random.Generator
 ) -> tuple[TacHistogram, int, int]:
     """One phase point: returns (histogram, window counts, background counts).
 
     Samples only the photons that fire the detector. With Poisson photon
     numbers per pulse, the photons of each slot that survive conversion and
-    fire the detector form independent Poisson streams, so each stream's
-    total over the point is drawn directly and its events are spread over
-    uniformly chosen pulses:
-
-    - early and late slots: Poisson(N mu s QE (p_early + p_late)) events,
-      each early or late in proportion to p_early : p_late;
-    - middle slot: its probability depends on the pump-phase drift of the
-      pulse, so candidates are drawn at the largest probability p_max and
-      each is kept with probability p_mid(drift) / p_max;
-    - cw background: Poisson(cw_fraction N mu s s_cw QE) events at uniform
-      times.
-
-    Here N is the pulse count, mu the mean photon number, s the conversion
-    survival and s_cw the cw photon's forward-port passage.
+    fire the detector form independent Poisson streams, the components of
+    ``m``, so each stream's total over the point is drawn directly and its
+    events are spread over uniformly chosen pulses; the middle slot's
+    candidates are drawn at its largest probability and thinned by the
+    drift of their pulse.
 
     Each stage is a helper whose temporaries die when it returns, so the
     point holds about three event-sized arrays at its peak. The detections
@@ -337,11 +386,8 @@ def _simulate_point(
     feeds the histogram and both window counts.
     """
     period = s.sync_period_ns()
-    # The thinning above already applied the quantum efficiency; the
-    # detector model must not apply it a second time.
-    detector = replace(s.detector, quantum_efficiency=1.0)
     detections = simulate_detection(
-        _arrival_times(s, beta_rad, pulses, rng), detector, s.duration_s(pulses), rng
+        _arrival_times(s, m, beta_rad, pulses, rng), s.detector, s.duration_s(pulses), rng
     )
     folded = np.mod(detections, period, out=detections)
     window = _window_counts(folded, period, s.sca.center_ns, s.sca.width_ns)
@@ -373,13 +419,14 @@ def run_fringe_scan(s: Scenario, phases_rad, pulses: int | None = None) -> RunRe
         raise DomainError(f"pulses must be >= 0, got {n_pulses}")
 
     started = time.perf_counter()
+    model = _point_model(s)
     merged: TacHistogram | None = None
     fringe: list[FringePoint] = []
     backgrounds: list[int] = []
     for beta in phases:
         rng = substream(s.master_seed, "fringe-scan", beta)
         try:
-            hist, window, background = _simulate_point(s, float(beta), n_pulses, rng)
+            hist, window, background = _simulate_point(s, model, float(beta), n_pulses, rng)
         except QifsimError as exc:
             raise type(exc)(f"phase point beta = {beta:.6g} rad: {exc}") from exc
         merged = hist if merged is None else merged.merged_with(hist)
@@ -462,9 +509,12 @@ class ExpectedFringe:
 def expected_fringe(s: Scenario, phases_rad, pulses: int | None = None) -> ExpectedFringe:
     """Closed-form expectation of ``run_fringe_scan``'s window counts.
 
-    Assumes Gaussian pulses (the square shape has no closed-form window
-    capture here) and a dead-time-free detector; the scenario's dead time
-    is ignored, which is exact at zero and an approximation otherwise.
+    Integrates the engine's own per-point model over the SCA window, by the
+    engine's window rule, with each peak widened by the detector jitter,
+    and adds the detector's flat darks. Assumes Gaussian pulses (the square
+    shape has no closed-form window capture here) and a dead-time-free
+    detector; the scenario's dead time is ignored, which is exact at zero
+    and an approximation otherwise.
 
     Raises:
         DomainError: square pulse shape.
@@ -473,46 +523,25 @@ def expected_fringe(s: Scenario, phases_rad, pulses: int | None = None) -> Expec
         raise DomainError("expected_fringe only covers gaussian pulse shapes")
     phases = np.asarray(phases_rad, dtype=float)
     n_pulses = s.pulses_per_point if pulses is None else pulses
-    period = s.sync_period_ns()
-    delta_tau = s.analysis.delta_tau_ns
-    lo, hi = s.sca.bounds()
-
-    sigma = math.hypot(s.source.pulse_fwhm_ns * FWHM_TO_SIGMA, s.detector.jitter_sigma_ns())
-    # Each slot's peak, folded on the sync period: its copies one period
-    # either side can reach the window too.
-    captures = [
-        sum(
-            _gaussian_window_capture(s.tac_offset_ns + i * delta_tau + k * period, sigma, lo, hi)
-            for k in (-1, 0, 1)
-        )
-        for i in range(3)
-    ]
-
-    p_early, p_late, mid_offset, mid_amp = _slot_terms(s)
-    pump_factor = s.pump_coherence_factor()
-
-    scale = n_pulses * s.source.mean_photon_number * s.conversion_survival() * s.detector.quantum_efficiency
+    m = _point_model(s)
+    sigma = math.hypot(m.pulse_width_ns, s.detector.jitter_sigma_ns())
+    early, middle, late = (
+        _window_share(s, m.tac_offset_ns + delay, sigma)
+        for delay in (0.0, m.middle.delay_ns, m.sides.late_delay_ns)
+    )
+    scale = n_pulses * m.fired_per_pulse
     signal_offset = scale * (
-        p_early * captures[0] + p_late * captures[2] + mid_offset * captures[1]
+        m.sides.p_early * early + m.sides.p_late * late + m.middle.offset * middle
     )
-    signal_amplitude = scale * mid_amp * pump_factor * captures[1]
+    # The mean of cos(x + drift) over a Gaussian drift is exp(-drift^2 / 2) cos x.
+    signal_amplitude = scale * m.middle.amplitude * math.exp(-0.5 * m.middle.drift_rad**2) * middle
 
-    duration_s = s.duration_s(n_pulses)
-    window_fraction = s.sca.width_ns / period
-    dark_counts = s.detector.dark_count_rate_hz * duration_s * window_fraction
-    cw_counts = (
-        s.source.cw_background_fraction
-        * s.source.mean_photon_number
-        * n_pulses
-        * _cw_survival(s)
-        * s.conversion_survival()
-        * s.detector.quantum_efficiency
-        * window_fraction
-    )
-    background = dark_counts + cw_counts
+    period = s.sync_period_ns()
+    flat = min(s.sca.width_ns, period) / period
+    dark = s.detector.dark_count_rate_hz * s.duration_s(n_pulses)
+    background = (dark + scale * m.cw) * flat
 
-    alpha = s.preparation.phase_rad
-    counts = background + signal_offset + signal_amplitude * np.cos(alpha - phases)
+    counts = background + signal_offset + signal_amplitude * np.cos(m.middle.alpha_rad - phases)
     v_net = signal_amplitude / signal_offset if signal_offset > 0 else 0.0
     v_raw = (
         signal_amplitude / (signal_offset + background)

@@ -23,18 +23,9 @@ __all__ = [
     "link_success_probability",
     "link_rate_hz",
     "break_even_distance",
-    "ATTENUATION_DB_PER_KM",
 ]
 
 PROTOCOL_CLASSES = ("single-photon", "two-photon")
-
-# Default attenuations by band: telecom C, telecom O, and near-infrared.
-ATTENUATION_DB_PER_KM = {
-    "1550nm": 0.2,
-    "1310nm": 0.35,
-    "780nm": 4.0,
-}
-
 
 @dataclass(frozen=True)
 class LinkConfig:

@@ -17,8 +17,6 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import DomainError
 
 __all__ = [
@@ -26,11 +24,9 @@ __all__ = [
     "Interferometer",
     "PulseSource",
     "AnalysisResult",
-    "FringeCurve",
     "prepare_qubit",
     "apply_conversion_phase",
     "analyze",
-    "fringe_oracle",
 ]
 
 NORM_TOL = 1e-9
@@ -271,54 +267,3 @@ def analyze(qubit: TimeBinQubit, ifo: Interferometer) -> AnalysisResult:
         back_slots=((t0, p_back_0), (t0 + dt_i, p_back_1), (t0 + 2.0 * dt_i, p_back_2)),
         absorbed=absorbed,
     )
-
-
-@dataclass(frozen=True)
-class FringeCurve:
-    """Closed-form middle-slot fringe over an analysis phase grid."""
-
-    phases_rad: np.ndarray
-    expected_counts: np.ndarray
-    v_net: float
-    v_raw: float
-
-
-def fringe_oracle(
-    phases_rad,
-    signal_scale: float,
-    coherence: float = 1.0,
-    b_dark: float = 0.0,
-    b_cw: float = 0.0,
-    alpha_rad: float = 0.0,
-    extra_penalty: float = 1.0,
-) -> FringeCurve:
-    """Analytic middle-slot fringe with backgrounds.
-
-    N(beta) = S (1 + V_net cos(alpha - beta)) / 2 + B_dark + B_cw, with
-    V_net the product of the coherence factor and any extra multiplicative
-    penalty. The raw visibility folds the backgrounds in:
-    V_raw = S V_net / (S + 2 (B_dark + B_cw)).
-
-    Args:
-        phases_rad: analysis phase grid.
-        signal_scale: expected interfering counts S per point.
-        coherence: qubit coherence factor c.
-        b_dark: expected dark counts per point inside the window.
-        b_cw: expected cw background counts per point inside the window.
-        alpha_rad: preparation phase.
-        extra_penalty: further visibility penalties, multiplicative.
-    """
-    if signal_scale <= 0:
-        raise DomainError(f"signal scale must be > 0, got {signal_scale}")
-    if b_dark < 0 or b_cw < 0:
-        raise DomainError("backgrounds must be >= 0")
-    if not 0.0 <= coherence <= 1.0:
-        raise DomainError(f"coherence must be in [0, 1], got {coherence}")
-    if not 0.0 <= extra_penalty <= 1.0:
-        raise DomainError(f"extra penalty must be in [0, 1], got {extra_penalty}")
-    phases = np.asarray(phases_rad, dtype=float)
-    v_net = coherence * extra_penalty
-    background = b_dark + b_cw
-    counts = signal_scale * (1.0 + v_net * np.cos(alpha_rad - phases)) / 2.0 + background
-    v_raw = signal_scale * v_net / (signal_scale + 2.0 * background)
-    return FringeCurve(phases_rad=phases, expected_counts=counts, v_net=v_net, v_raw=v_raw)

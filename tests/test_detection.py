@@ -18,7 +18,6 @@ from qifsim.detection import (
     extract_visibility,
     peak_fwhm,
     simulate_detection,
-    unfold_photon_rate,
 )
 from qifsim.errors import DomainError, FitError
 
@@ -63,27 +62,6 @@ def test_dead_time_correct_rejects_saturation():
         dead_time_correct(40000.0, 30.0)
 
 
-def test_unfold_photon_rate_frozen():
-    det = DetectorModel(quantum_efficiency=0.1, dead_time_us=30.0)
-    rate = unfold_photon_rate(6000.0, 100.0, det, 80.0)
-    assert rate == pytest.approx(7216772268023.582, rel=1e-14)
-
-
-def test_unfold_reduces_to_correction():
-    det = DetectorModel(quantum_efficiency=1.0, dead_time_us=30.0)
-    assert unfold_photon_rate(6000.0, 0.0, det, 0.0) == dead_time_correct(6000.0, 30.0)
-
-
-def test_unfold_rejects_dark_above_total():
-    det = DetectorModel(quantum_efficiency=0.1, dead_time_us=30.0)
-    with pytest.raises(DomainError, match="no signal"):
-        unfold_photon_rate(100.0, 200.0, det, 80.0)
-    with pytest.raises(DomainError):
-        unfold_photon_rate(6000.0, 100.0, det, -1.0)
-    with pytest.raises(DomainError):
-        unfold_photon_rate(6000.0, 100.0, DetectorModel(quantum_efficiency=0.0), 80.0)
-
-
 # --- detector model and stochastic response ---
 
 
@@ -112,22 +90,6 @@ def test_ideal_detector_passes_arrivals_through():
     times = np.sort(np.random.default_rng(5).uniform(0.0, 1e6, 500))
     out = simulate_detection(times, det, 0.0, rng_of(1))
     assert np.array_equal(out, times)
-
-
-def test_zero_efficiency_detects_nothing():
-    det = DetectorModel(quantum_efficiency=0.0)
-    out = simulate_detection(np.arange(100.0), det, 0.0, rng_of(2))
-    assert out.size == 0
-
-
-def test_survival_column_thins_stream():
-    det = DetectorModel(quantum_efficiency=1.0)
-    n = 200000
-    times = np.arange(n, dtype=float)
-    arrivals = np.column_stack([times, np.full(n, 0.25)])
-    out = simulate_detection(arrivals, det, 0.0, rng_of(3))
-    expected = n * 0.25
-    assert abs(out.size - expected) < 3.0 * math.sqrt(expected)
 
 
 def test_dark_counts_poisson_level():
@@ -172,11 +134,10 @@ def test_afterpulsing_adds_events_and_terminates():
 def test_unit_firing_probability_draws_nothing():
     det = DetectorModel(quantum_efficiency=1.0)
     times = np.sort(np.random.default_rng(16).uniform(0.0, 1e6, 500))
-    for arrivals in (times, np.column_stack([times, np.ones_like(times)])):
-        rng = rng_of(17)
-        out = simulate_detection(arrivals, det, 0.0, rng)
-        assert np.array_equal(out, times)
-        assert rng.random() == rng_of(17).random()
+    rng = rng_of(17)
+    out = simulate_detection(times, det, 0.0, rng)
+    assert np.array_equal(out, times)
+    assert rng.random() == rng_of(17).random()
 
 
 # --- dead-time gate and afterpulses against sequential references ---
@@ -341,10 +302,6 @@ def test_simulate_detection_input_validation():
     det = DetectorModel(quantum_efficiency=1.0)
     with pytest.raises(DomainError, match="sorted"):
         simulate_detection(np.array([2.0, 1.0]), det, 0.0, rng_of(1))
-    with pytest.raises(DomainError, match="survival"):
-        simulate_detection(np.array([[0.0, 1.5]]), det, 0.0, rng_of(1))
-    with pytest.raises(DomainError):
-        simulate_detection(np.zeros((3, 4)), det, 0.0, rng_of(1))
     with pytest.raises(DomainError):
         simulate_detection(np.empty(0), det, -1.0, rng_of(1))
 

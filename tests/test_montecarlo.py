@@ -106,6 +106,16 @@ def test_fringe_scan_zero_pulses(ref):
     assert run.histogram.total_counts() == 0
 
 
+def test_zero_efficiency_scan_counts_nothing(ref):
+    # The engine's thinning is the only place the quantum efficiency acts.
+    blind = dataclasses.replace(
+        ref,
+        detector=dataclasses.replace(ref.detector, quantum_efficiency=0.0, dark_count_rate_hz=0.0),
+    )
+    run = run_fringe_scan(blind, PHASES_12[:3], pulses=20_000)
+    assert run.histogram.total_counts() == 0
+
+
 def test_fringe_scan_needs_two_phases(ref):
     with pytest.raises(DomainError, match="phase points"):
         run_fringe_scan(ref, [0.0], pulses=100)
@@ -134,6 +144,15 @@ def test_pump_drift_is_shared_by_the_photons_of_a_pulse(ref):
     phases = np.linspace(0.0, 2.0 * math.pi, 400, endpoint=False)
     counts = np.array([p.counts for p in run_fringe_scan(s, phases, pulses=1_000).fringe])
     assert counts.var() / counts.mean() > 1.3
+
+
+def test_pump_drift_spans_the_preparation_delay(ref):
+    # The drift is the pump phase across the qubit's bin separation, which
+    # the preparation delay sets; the analysis delay may differ by up to 1 %,
+    # here 2.222 ns against 2.2 ns.
+    s = dataclasses.replace(ref, analysis=dataclasses.replace(ref.analysis, delta_tau_ns=2.222))
+    drift = montecarlo._point_model(s).middle.drift_rad
+    assert math.exp(-0.5 * drift**2) == pytest.approx(s.pump_coherence_factor(), rel=1e-12)
 
 
 def test_fringe_scan_memory_grows_with_detections(ref):
@@ -306,6 +325,14 @@ OFF_REFERENCE = {
         ref,
         pump=dataclasses.replace(ref.pump, coherence_time_ns=5.0),
         detector=dataclasses.replace(ref.detector, quantum_efficiency=1.0),
+    ),
+    # The window rule folds the left edge on the period, wraps past the
+    # period end, and counts every event once from a period wide up.
+    "sca-centre-two-periods-on": lambda ref: dataclasses.replace(
+        ref, sca=dataclasses.replace(ref.sca, center_ns=ref.sca.center_ns + 2.0 * ref.sync_period_ns())
+    ),
+    "sca-width-one-and-a-half-periods": lambda ref: dataclasses.replace(
+        ref, sca=dataclasses.replace(ref.sca, width_ns=1.5 * ref.sync_period_ns())
     ),
 }
 

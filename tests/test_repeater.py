@@ -7,7 +7,6 @@ import pytest
 
 from qifsim.errors import DomainError
 from qifsim.repeater import (
-    ATTENUATION_DB_PER_KM,
     LinkConfig,
     break_even_distance,
     fiber_transmission,
@@ -26,7 +25,7 @@ def test_fiber_transmission_frozen():
 
 def test_half_power_length_in_telecom_band():
     # 3 dB point of standard telecom fiber sits at ~15 km.
-    length = 10.0 * math.log10(2.0) / ATTENUATION_DB_PER_KM["1550nm"]
+    length = 10.0 * math.log10(2.0) / 0.2
     assert length == pytest.approx(15.05149978319906, rel=1e-12)
     assert fiber_transmission(length, 0.2) == pytest.approx(0.5, rel=1e-12)
 

@@ -20,7 +20,6 @@ from qifsim.timebin import (
     TimeBinQubit,
     analyze,
     apply_conversion_phase,
-    fringe_oracle,
     prepare_qubit,
 )
 
@@ -210,31 +209,3 @@ def test_source_validation():
     with pytest.raises(DomainError):
         PulseSource(60.0, 1.0, 1.0, 0.3, pulse_shape="sech")
 
-
-def test_fringe_oracle_background_dilution():
-    phases = np.linspace(0.0, 2.0 * math.pi, 12)
-    curve = fringe_oracle(phases, signal_scale=14.0, coherence=0.96, b_dark=0.6, b_cw=0.4)
-    # B/S = 1/14 dilutes a 0.96 net contrast to exactly 0.84 raw.
-    assert curve.v_net == pytest.approx(0.96, rel=1e-12)
-    assert curve.v_raw == pytest.approx(0.84, rel=1e-12)
-    expected_peak = 14.0 * (1.0 + 0.96) / 2.0 + 1.0
-    assert curve.expected_counts[0] == pytest.approx(expected_peak, rel=1e-12)
-
-
-def test_fringe_oracle_counts_follow_cosine():
-    phases = np.linspace(0.0, 2.0 * math.pi, 36)
-    curve = fringe_oracle(phases, signal_scale=100.0, coherence=0.5, alpha_rad=0.9)
-    manual = 100.0 * (1.0 + 0.5 * np.cos(0.9 - phases)) / 2.0
-    assert np.allclose(curve.expected_counts, manual, rtol=1e-12)
-
-
-def test_fringe_oracle_validation():
-    phases = np.linspace(0.0, 2.0 * math.pi, 12)
-    with pytest.raises(DomainError):
-        fringe_oracle(phases, signal_scale=0.0)
-    with pytest.raises(DomainError):
-        fringe_oracle(phases, signal_scale=10.0, b_dark=-1.0)
-    with pytest.raises(DomainError):
-        fringe_oracle(phases, signal_scale=10.0, coherence=1.2)
-    with pytest.raises(DomainError):
-        fringe_oracle(phases, signal_scale=10.0, extra_penalty=-0.1)
