@@ -28,6 +28,7 @@ from . import __version__, montecarlo, qpm, repeater
 from .detection import extract_visibility
 from .errors import ConfigError, DomainError, QifsimError
 from .scenario import Scenario, load_reference_scenario, load_scenario, scenario_digest
+from .scenario import _parse_grid as scenario_grid
 
 __all__ = ["main"]
 
@@ -45,13 +46,10 @@ COMMANDS = (
 
 
 def _parse_grid(raw: str, flag: str) -> np.ndarray:
-    parts = raw.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"{flag} must be start:stop:n, got {raw!r}")
     try:
-        start, stop, n = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop, n = scenario_grid(raw)
     except ValueError as exc:
-        raise ConfigError(f"{flag} has a malformed field in {raw!r}") from exc
+        raise ConfigError(f"{flag} must be start:stop:n, got {raw!r}") from exc
     if n < 1:
         raise ConfigError(f"{flag} needs n >= 1, got {n}")
     return np.linspace(start, stop, n)
@@ -127,10 +125,6 @@ def _meta(s: Scenario, kind: str, **extra) -> dict:
     return meta
 
 
-def _default_phases() -> np.ndarray:
-    return np.linspace(0.0, 2.0 * math.pi, 12)
-
-
 def _cmd_qpm_solve(s: Scenario, out: Path, args) -> list[Path]:
     t = s.qpm.temperature_k
     signal = s.signal_wavelength_um
@@ -192,16 +186,19 @@ def _cmd_efficiency(s: Scenario, out: Path, args) -> list[Path]:
     return [path]
 
 
-def _fringe_run(s: Scenario, args) -> tuple[montecarlo.RunResult, np.ndarray]:
-    phases = _parse_grid(args.phases, "--phases") if args.phases else _default_phases()
-    pulses = args.pulses if args.pulses is not None else None
-    if pulses is not None and pulses < 0:
-        raise ConfigError(f"--pulses must be >= 0, got {pulses}")
-    return montecarlo.run_fringe_scan(s, phases, pulses=pulses), phases
+def _scan_args(args) -> tuple[np.ndarray, int | None]:
+    """The --phases grid (default 0:2pi:12) and the --pulses override."""
+    if args.phases:
+        phases = _parse_grid(args.phases, "--phases")
+    else:
+        phases = np.linspace(0.0, 2.0 * math.pi, 12)
+    if args.pulses is not None and args.pulses < 0:
+        raise ConfigError(f"--pulses must be >= 0, got {args.pulses}")
+    return phases, args.pulses
 
 
 def _cmd_fringe_scan(s: Scenario, out: Path, args) -> list[Path]:
-    result, phases = _fringe_run(s, args)
+    result = montecarlo.run_fringe_scan(s, *_scan_args(args))
     rows = [
         (repr(p.phase_rad), p.counts, repr(p.stat_error)) for p in result.fringe
     ]
@@ -228,7 +225,7 @@ def _cmd_fringe_scan(s: Scenario, out: Path, args) -> list[Path]:
 
 
 def _cmd_histogram(s: Scenario, out: Path, args) -> list[Path]:
-    result, _ = _fringe_run(s, args)
+    result = montecarlo.run_fringe_scan(s, *_scan_args(args))
     hist = result.histogram
     edges = hist.bin_edges_ns()
     rows = [
@@ -327,9 +324,7 @@ def _cmd_budget(s: Scenario, out: Path, args) -> list[Path]:
 
 
 def _cmd_validate(s: Scenario, out: Path, args) -> list[Path]:
-    phases = _parse_grid(args.phases, "--phases") if args.phases else _default_phases()
-    pulses = args.pulses if args.pulses is not None else None
-    report = montecarlo.validate_against_oracle(s, phases, pulses=pulses)
+    report = montecarlo.validate_against_oracle(s, *_scan_args(args))
     rows = [
         (repr(phase), repr(obs), repr(exp), repr(z))
         for phase, obs, exp, z in report.rows

@@ -501,11 +501,13 @@ def simulate_detection(
         a non-paralyzable dead time gates the combined stream.
 
     Raises:
-        DomainError: arrival times not sorted, or negative duration.
+        DomainError: arrival times not 1-D or not sorted, or negative duration.
     """
     if duration_s < 0:
         raise DomainError(f"duration must be >= 0, got {duration_s} s")
     fired = np.asarray(arrivals, dtype=float)
+    if fired.ndim != 1:
+        raise DomainError(f"arrival times must be 1-D, got shape {fired.shape}")
     if fired.size and np.any(fired[1:] < fired[:-1]):
         raise DomainError("arrival times must be sorted ascending")
 

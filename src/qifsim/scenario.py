@@ -6,8 +6,12 @@ plus the run controls. Keys are named after the physical symbols they
 carry. Parsing is strict: unknown sections or keys, missing keys, and
 malformed values are config errors that name the file, section, and key.
 
-The serialized form is canonical (fixed section and key order, repr
-floats), so its SHA-256 digest identifies the physics of a run and a
+The format has one definition, the key table ``_KEYS``: each row names a
+section, a key, the dotted ``Scenario`` attribute it sets and how its text
+is parsed and formatted. Parsing and serialization both walk the table;
+only the loss-chain sections, whose keys are free stage names, are a
+special row. The serialized form is canonical (table order, repr floats),
+so its SHA-256 digest identifies the physics of a run and a
 parse/serialize round trip is the identity.
 """
 
@@ -15,17 +19,19 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 from dataclasses import dataclass
 from importlib import resources
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
+from typing import Any, Callable, NamedTuple, get_type_hints
 
 from . import conversion, qpm
 from .detection import DetectorModel, ScaWindow
 from .errors import ConfigError, DomainError
 from .qpm import QpmConfig
 from .repeater import LinkConfig
-from .timebin import Interferometer, PulseSource
+from .timebin import DELAY_MATCH_RTOL, Interferometer, PulseSource
 
 __all__ = [
     "RepeaterSettings",
@@ -91,9 +97,9 @@ class Scenario:
 
     def __post_init__(self) -> None:
         dt_p, dt_a = self.preparation.delta_tau_ns, self.analysis.delta_tau_ns
-        if abs(dt_p - dt_a) > 0.01 * dt_p:
+        if abs(dt_p - dt_a) > DELAY_MATCH_RTOL * dt_p:
             raise ConfigError(
-                f"interferometer delays differ beyond 1%: preparation "
+                f"interferometer delays differ beyond {DELAY_MATCH_RTOL:.0%}: preparation "
                 f"{dt_p} ns vs analysis {dt_a} ns"
             )
         if self.signal_wavelength_um <= 0:
@@ -150,11 +156,6 @@ class Scenario:
         """
         return 1.0 if self.unit_conversion_survival else self.eta_qi()
 
-    def pump_coherence_factor(self) -> float:
-        return conversion.pump_coherence_visibility_factor(
-            self.preparation.delta_tau_ns, self.pump.coherence_time_ns
-        )
-
     def noise_rate_hz(self) -> float:
         return conversion.noise_rate(self.pump, self.output_wavelength_um(), self.noise)
 
@@ -175,112 +176,160 @@ class Scenario:
         self.source.warn_if_unresolved(self.preparation.delta_tau_ns)
 
 
-class _Section:
-    """Typed, consumed-key-tracking view of one INI section."""
+class _Kind(NamedTuple):
+    """How the text of one key becomes a value, and back.
 
-    def __init__(self, origin: str, name: str, values: dict[str, str]):
-        self.origin = origin
-        self.name = name
-        self._values = dict(values)
-        self._taken: set[str] = set()
+    ``parse`` raises ValueError on malformed text, and the error then reads
+    "<key> = <text>; expected <expected>".
+    """
 
-    def _raw(self, key: str) -> str:
-        if key not in self._values:
-            raise ConfigError(f"{self.origin}: section [{self.name}] is missing key {key!r}")
-        self._taken.add(key)
-        return self._values[key]
-
-    def text(self, key: str) -> str:
-        return self._raw(key)
-
-    def floating(self, key: str) -> float:
-        raw = self._raw(key)
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{self.origin}: [{self.name}] {key} = {raw!r} is not a number"
-            ) from exc
-
-    def integer(self, key: str) -> int:
-        raw = self._raw(key)
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{self.origin}: [{self.name}] {key} = {raw!r} is not an integer"
-            ) from exc
-
-    def boolean(self, key: str) -> bool:
-        raw = self._raw(key).lower()
-        if raw not in ("true", "false"):
-            raise ConfigError(
-                f"{self.origin}: [{self.name}] {key} = {raw!r} must be true or false"
-            )
-        return raw == "true"
-
-    def remaining(self) -> dict[str, str]:
-        """All not-yet-taken keys, in file order (for stage lists)."""
-        return {k: v for k, v in self._values.items() if k not in self._taken}
-
-    def finish(self) -> None:
-        leftovers = sorted(set(self._values) - self._taken)
-        if leftovers:
-            raise ConfigError(
-                f"{self.origin}: section [{self.name}] has unknown keys {leftovers}"
-            )
+    parse: Callable[[str], Any]
+    format: Callable[[Any], str]
+    expected: str
 
 
-_SECTIONS = (
-    "source",
-    "preparation_interferometer",
-    "analysis_interferometer",
-    "qpm",
-    "pump",
-    "conversion",
-    "chain_pre",
-    "chain_post",
-    "noise",
-    "detector",
-    "acquisition",
-    "repeater",
+def _parse_bool(raw: str) -> bool:
+    value = raw.lower()
+    if value not in ("true", "false"):
+        raise ValueError(raw)
+    return value == "true"
+
+
+def _parse_grid(raw: str) -> tuple[float, float, int]:
+    """``start:stop:n`` as (start, stop, n); ValueError when malformed."""
+    start, stop, n = raw.split(":")
+    return float(start), float(stop), int(n)
+
+
+def _parse_stage(raw: str) -> tuple[float, str]:
+    value, unit = raw.split()
+    return float(value), unit
+
+
+_FLOAT = _Kind(float, repr, "a number")
+_INT = _Kind(int, str, "an integer")
+_BOOL = _Kind(_parse_bool, lambda v: "true" if v else "false", "true or false")
+_TEXT = _Kind(str, str, "text")
+_FRACTION_OR_BUDGET = _Kind(
+    lambda raw: None if raw == "from_budget" else float(raw),
+    lambda v: "from_budget" if v is None else repr(v),
+    "a fraction or 'from_budget'",
+)
+_GRID = _Kind(_parse_grid, lambda g: f"{g[0]!r}:{g[1]!r}:{g[2]}", "start:stop:n")
+# One loss stage: parsed to (value, unit), formatted from a LossStage.
+_STAGE = _Kind(
+    _parse_stage, lambda st: f"{st.value!r} {st.unit}", "'<value> fraction' or '<value> dB'"
 )
 
 
-def _parse_chain(section: _Section) -> conversion.LossChain:
-    stages = []
-    for name, raw in section.remaining().items():
-        section._taken.add(name)
-        parts = raw.split()
-        if len(parts) != 2 or parts[1] not in ("fraction", "dB"):
-            raise ConfigError(
-                f"{section.origin}: [{section.name}] {name} = {raw!r}; expected "
-                f"'<value> fraction' or '<value> dB'"
-            )
-        try:
-            value = float(parts[0])
-        except ValueError as exc:
-            raise ConfigError(
-                f"{section.origin}: [{section.name}] {name} = {raw!r} is not numeric"
-            ) from exc
-        try:
-            stages.append(conversion.LossStage(name=name, value=value, unit=parts[1]))
-        except DomainError as exc:
-            raise ConfigError(f"{section.origin}: [{section.name}] {name}: {exc}") from exc
-    try:
-        return conversion.LossChain(tuple(stages))
-    except DomainError as exc:
-        raise ConfigError(f"{section.origin}: [{section.name}]: {exc}") from exc
+class _Key(NamedTuple):
+    section: str
+    key: str | None  # None: every key of the section is one loss stage
+    path: str  # dotted Scenario attribute the key sets
+    kind: _Kind
 
 
-def _parse_grid(origin: str, raw: str) -> tuple[float, float, int]:
-    parts = raw.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"{origin}: length_grid_km = {raw!r}; expected start:stop:n")
+# The scenario format: every section and key, in canonical order. Parsing
+# and serialization both walk this table.
+_KEYS = (
+    _Key("source", "repetition_rate_mhz", "source.repetition_rate_mhz", _FLOAT),
+    _Key("source", "pulse_fwhm_ns", "source.pulse_fwhm_ns", _FLOAT),
+    _Key("source", "pulse_shape", "source.pulse_shape", _TEXT),
+    _Key("source", "mean_photon_number", "source.mean_photon_number", _FLOAT),
+    _Key("source", "coherence_time_ns", "source.coherence_time_ns", _FLOAT),
+    _Key("source", "cw_background_fraction", "source.cw_background_fraction", _FLOAT),
+    _Key("preparation_interferometer", "delta_tau_ns", "preparation.delta_tau_ns", _FLOAT),
+    _Key("preparation_interferometer", "phase_rad", "preparation.phase_rad", _FLOAT),
+    _Key("preparation_interferometer", "transmission", "preparation.transmission", _FLOAT),
+    _Key("preparation_interferometer", "splitting_ratio", "preparation.splitting_ratio", _FLOAT),
+    _Key("preparation_interferometer", "normalize_forward", "preparation.normalize_forward", _BOOL),
+    _Key("analysis_interferometer", "delta_tau_ns", "analysis.delta_tau_ns", _FLOAT),
+    _Key("analysis_interferometer", "phase_rad", "analysis.phase_rad", _FLOAT),
+    _Key("analysis_interferometer", "transmission", "analysis.transmission", _FLOAT),
+    _Key("analysis_interferometer", "splitting_ratio", "analysis.splitting_ratio", _FLOAT),
+    _Key("analysis_interferometer", "normalize_forward", "analysis.normalize_forward", _BOOL),
+    _Key("qpm", "poling_period_um", "qpm.poling_period_um", _FLOAT),
+    _Key("qpm", "crystal_length_cm", "qpm.crystal_length_cm", _FLOAT),
+    _Key("qpm", "temperature_k", "qpm.temperature_k", _FLOAT),
+    _Key("qpm", "order", "qpm.order", _INT),
+    _Key("qpm", "signal_wavelength_um", "signal_wavelength_um", _FLOAT),
+    _Key("pump", "power_w", "pump.power_w", _FLOAT),
+    _Key("pump", "wavelength_um", "pump.wavelength_um", _FLOAT),
+    _Key("pump", "coherence_time_ns", "pump.coherence_time_ns", _FLOAT),
+    _Key("conversion", "eta_norm_per_W_cm2", "eta_norm_per_w_cm2", _FLOAT),
+    _Key("conversion", "unit_conversion_survival", "unit_conversion_survival", _BOOL),
+    _Key("conversion", "extra_visibility_penalty", "extra_visibility_penalty", _FLOAT),
+    _Key("chain_pre", None, "chain_pre.stages", _STAGE),
+    _Key("chain_post", None, "chain_post.stages", _STAGE),
+    _Key("noise", "spdc_coeff_hz_per_w", "noise.spdc_coeff_hz_per_w", _FLOAT),
+    _Key("noise", "raman_coeff_hz_per_w", "noise.raman_coeff_hz_per_w", _FLOAT),
+    _Key("noise", "pump_extinction_db", "noise.pump_extinction_db", _FLOAT),
+    _Key("noise", "target_band_coeff_hz_per_w", "noise.target_band_coeff_hz_per_w", _FLOAT),
+    _Key("noise", "pump_prefiltered", "noise.pump_prefiltered", _BOOL),
+    _Key("detector", "quantum_efficiency", "detector.quantum_efficiency", _FLOAT),
+    _Key("detector", "dark_count_rate_hz", "detector.dark_count_rate_hz", _FLOAT),
+    _Key("detector", "dead_time_us", "detector.dead_time_us", _FLOAT),
+    _Key("detector", "jitter_fwhm_ps", "detector.jitter_fwhm_ps", _FLOAT),
+    _Key("detector", "afterpulse_probability", "detector.afterpulse_probability", _FLOAT),
+    _Key("acquisition", "sca_center_ns", "sca.center_ns", _FLOAT),
+    _Key("acquisition", "sca_width_ns", "sca.width_ns", _FLOAT),
+    _Key("acquisition", "histogram_bin_width_ps", "histogram_bin_width_ps", _FLOAT),
+    _Key("acquisition", "tac_offset_ns", "tac_offset_ns", _FLOAT),
+    _Key("acquisition", "pulses_per_point", "pulses_per_point", _INT),
+    _Key("acquisition", "mc_photons_per_point", "mc_photons_per_point", _INT),
+    _Key("acquisition", "master_seed", "master_seed", _INT),
+    _Key("repeater", "link_length_km", "repeater.link_length_km", _FLOAT),
+    _Key("repeater", "attenuation_native_db_per_km", "repeater.attenuation_native_db_per_km", _FLOAT),
+    _Key("repeater", "attenuation_telecom_db_per_km", "repeater.attenuation_telecom_db_per_km", _FLOAT),
+    _Key("repeater", "system_efficiency", "repeater.system_efficiency", _FLOAT),
+    _Key("repeater", "interface_efficiency", "repeater.interface_efficiency", _FRACTION_OR_BUDGET),
+    _Key("repeater", "protocol", "repeater.protocol", _TEXT),
+    _Key("repeater", "attempt_rate_hz", "repeater.attempt_rate_hz", _FLOAT),
+    _Key("repeater", "length_grid_km", "repeater.length_grid_km", _GRID),
+)
+
+_SECTIONS = tuple(dict.fromkeys(row.section for row in _KEYS))
+# Built once: making an attrgetter for a dotted path costs more than calling it.
+_GETTERS = {row.path: attrgetter(row.path) for row in _KEYS}
+
+# Component class of each Scenario attribute that a dotted path enters.
+_COMPONENTS = get_type_hints(Scenario)
+
+
+def _read(origin: str, section: str, key: str, raw: str, kind: _Kind):
     try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
+        return kind.parse(raw)
     except ValueError as exc:
-        raise ConfigError(f"{origin}: length_grid_km = {raw!r} has a bad field") from exc
+        raise ConfigError(
+            f"{origin}: [{section}] {key} = {raw!r}; expected {kind.expected}"
+        ) from exc
+
+
+def _parse_section(origin: str, section: str, given: dict[str, str], rows) -> dict[str, Any]:
+    """The Scenario fields that one section's table rows set, components built."""
+    fields: dict[str, Any] = {}
+    parts: dict[str, dict[str, Any]] = {}
+    for row in rows:
+        if row.key is None:  # a stage list: every key left is one loss stage
+            value = tuple(
+                conversion.LossStage(name, *_read(origin, section, name, raw, row.kind))
+                for name, raw in given.items()
+            )
+            given = {}
+        elif row.key not in given:
+            raise ConfigError(f"{origin}: section [{section}] is missing key {row.key!r}")
+        else:
+            value = _read(origin, section, row.key, given.pop(row.key), row.kind)
+        component, _, name = row.path.rpartition(".")
+        if component:
+            parts.setdefault(component, {})[name] = value
+        else:
+            fields[name] = value
+    if given:
+        raise ConfigError(f"{origin}: section [{section}] has unknown keys {sorted(given)}")
+    for component, kwargs in parts.items():
+        fields[component] = _COMPONENTS[component](**kwargs)
+    return fields
 
 
 def parse_scenario(text: str, origin: str = "<string>") -> Scenario:
@@ -304,151 +353,14 @@ def parse_scenario(text: str, origin: str = "<string>") -> Scenario:
     if unknown:
         raise ConfigError(f"{origin}: unknown sections {unknown}")
 
-    sec = {name: _Section(origin, name, dict(parser[name])) for name in _SECTIONS}
-
-    def build(section: _Section, factory, **kwargs):
+    fields: dict[str, Any] = {}
+    for section, rows in groupby(_KEYS, attrgetter("section")):
         try:
-            return factory(**kwargs)
-        except (DomainError, ConfigError) as exc:
-            raise ConfigError(f"{origin}: [{section.name}]: {exc}") from exc
-
-    s = sec["source"]
-    source = build(
-        s,
-        PulseSource,
-        repetition_rate_mhz=s.floating("repetition_rate_mhz"),
-        pulse_fwhm_ns=s.floating("pulse_fwhm_ns"),
-        mean_photon_number=s.floating("mean_photon_number"),
-        coherence_time_ns=s.floating("coherence_time_ns"),
-        cw_background_fraction=s.floating("cw_background_fraction"),
-        pulse_shape=s.text("pulse_shape"),
-    )
-
-    def ifo(section: _Section) -> Interferometer:
-        return build(
-            section,
-            Interferometer,
-            delta_tau_ns=section.floating("delta_tau_ns"),
-            phase_rad=section.floating("phase_rad"),
-            transmission=section.floating("transmission"),
-            splitting_ratio=section.floating("splitting_ratio"),
-            normalize_forward=section.boolean("normalize_forward"),
-        )
-
-    preparation = ifo(sec["preparation_interferometer"])
-    analysis = ifo(sec["analysis_interferometer"])
-
-    q = sec["qpm"]
-    qpm_cfg = build(
-        q,
-        QpmConfig,
-        poling_period_um=q.floating("poling_period_um"),
-        crystal_length_cm=q.floating("crystal_length_cm"),
-        temperature_k=q.floating("temperature_k"),
-        order=q.integer("order"),
-    )
-    signal_wavelength_um = q.floating("signal_wavelength_um")
-
-    p = sec["pump"]
-    pump = build(
-        p,
-        conversion.PumpField,
-        power_w=p.floating("power_w"),
-        wavelength_um=p.floating("wavelength_um"),
-        coherence_time_ns=p.floating("coherence_time_ns"),
-    )
-
-    c = sec["conversion"]
-    eta_norm = c.floating("eta_norm_per_W_cm2")
-    unit_survival = c.boolean("unit_conversion_survival")
-    extra_penalty = c.floating("extra_visibility_penalty")
-
-    chain_pre = _parse_chain(sec["chain_pre"])
-    chain_post = _parse_chain(sec["chain_post"])
-
-    n = sec["noise"]
-    noise = build(
-        n,
-        conversion.NoiseModel,
-        spdc_coeff_hz_per_w=n.floating("spdc_coeff_hz_per_w"),
-        raman_coeff_hz_per_w=n.floating("raman_coeff_hz_per_w"),
-        pump_extinction_db=n.floating("pump_extinction_db"),
-        target_band_coeff_hz_per_w=n.floating("target_band_coeff_hz_per_w"),
-        pump_prefiltered=n.boolean("pump_prefiltered"),
-    )
-
-    d = sec["detector"]
-    detector = build(
-        d,
-        DetectorModel,
-        quantum_efficiency=d.floating("quantum_efficiency"),
-        dark_count_rate_hz=d.floating("dark_count_rate_hz"),
-        dead_time_us=d.floating("dead_time_us"),
-        jitter_fwhm_ps=d.floating("jitter_fwhm_ps"),
-        afterpulse_probability=d.floating("afterpulse_probability"),
-    )
-
-    a = sec["acquisition"]
-    sca = build(
-        a, ScaWindow, center_ns=a.floating("sca_center_ns"), width_ns=a.floating("sca_width_ns")
-    )
-    histogram_bin_width_ps = a.floating("histogram_bin_width_ps")
-    tac_offset_ns = a.floating("tac_offset_ns")
-    pulses_per_point = a.integer("pulses_per_point")
-    mc_photons_per_point = a.integer("mc_photons_per_point")
-    master_seed = a.integer("master_seed")
-
-    r = sec["repeater"]
-    raw_eta = r.text("interface_efficiency")
-    if raw_eta == "from_budget":
-        interface_eta: float | None = None
-    else:
-        try:
-            interface_eta = float(raw_eta)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{origin}: [repeater] interface_efficiency = {raw_eta!r}; expected "
-                f"a fraction or 'from_budget'"
-            ) from exc
-    repeater = build(
-        r,
-        RepeaterSettings,
-        link_length_km=r.floating("link_length_km"),
-        attenuation_native_db_per_km=r.floating("attenuation_native_db_per_km"),
-        attenuation_telecom_db_per_km=r.floating("attenuation_telecom_db_per_km"),
-        system_efficiency=r.floating("system_efficiency"),
-        interface_efficiency=interface_eta,
-        protocol=r.text("protocol"),
-        attempt_rate_hz=r.floating("attempt_rate_hz"),
-        length_grid_km=_parse_grid(origin, r.text("length_grid_km")),
-    )
-
-    for section in sec.values():
-        section.finish()
-
+            fields.update(_parse_section(origin, section, dict(parser[section]), rows))
+        except DomainError as exc:
+            raise ConfigError(f"{origin}: [{section}]: {exc}") from exc
     try:
-        return Scenario(
-            source=source,
-            preparation=preparation,
-            analysis=analysis,
-            qpm=qpm_cfg,
-            signal_wavelength_um=signal_wavelength_um,
-            pump=pump,
-            eta_norm_per_w_cm2=eta_norm,
-            unit_conversion_survival=unit_survival,
-            extra_visibility_penalty=extra_penalty,
-            chain_pre=chain_pre,
-            chain_post=chain_post,
-            noise=noise,
-            detector=detector,
-            sca=sca,
-            histogram_bin_width_ps=histogram_bin_width_ps,
-            tac_offset_ns=tac_offset_ns,
-            pulses_per_point=pulses_per_point,
-            mc_photons_per_point=mc_photons_per_point,
-            master_seed=master_seed,
-            repeater=repeater,
-        )
+        return Scenario(**fields)
     except (DomainError, ConfigError) as exc:
         raise ConfigError(f"{origin}: {exc}") from exc
 
@@ -474,128 +386,19 @@ def load_reference_scenario() -> Scenario:
         return load_scenario(path)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def serialize_scenario(s: Scenario) -> str:
     """Canonical text form; parsing it back reproduces ``s`` exactly."""
-    out = io.StringIO()
-
-    def section(name: str, pairs) -> None:
-        out.write(f"[{name}]\n")
-        for key, value in pairs:
-            out.write(f"{key} = {_fmt(value)}\n")
-        out.write("\n")
-
-    section(
-        "source",
-        [
-            ("repetition_rate_mhz", s.source.repetition_rate_mhz),
-            ("pulse_fwhm_ns", s.source.pulse_fwhm_ns),
-            ("pulse_shape", s.source.pulse_shape),
-            ("mean_photon_number", s.source.mean_photon_number),
-            ("coherence_time_ns", s.source.coherence_time_ns),
-            ("cw_background_fraction", s.source.cw_background_fraction),
-        ],
-    )
-    for name, ifo in (
-        ("preparation_interferometer", s.preparation),
-        ("analysis_interferometer", s.analysis),
-    ):
-        section(
-            name,
-            [
-                ("delta_tau_ns", ifo.delta_tau_ns),
-                ("phase_rad", ifo.phase_rad),
-                ("transmission", ifo.transmission),
-                ("splitting_ratio", ifo.splitting_ratio),
-                ("normalize_forward", ifo.normalize_forward),
-            ],
-        )
-    section(
-        "qpm",
-        [
-            ("poling_period_um", s.qpm.poling_period_um),
-            ("crystal_length_cm", s.qpm.crystal_length_cm),
-            ("temperature_k", s.qpm.temperature_k),
-            ("order", s.qpm.order),
-            ("signal_wavelength_um", s.signal_wavelength_um),
-        ],
-    )
-    section(
-        "pump",
-        [
-            ("power_w", s.pump.power_w),
-            ("wavelength_um", s.pump.wavelength_um),
-            ("coherence_time_ns", s.pump.coherence_time_ns),
-        ],
-    )
-    section(
-        "conversion",
-        [
-            ("eta_norm_per_W_cm2", s.eta_norm_per_w_cm2),
-            ("unit_conversion_survival", s.unit_conversion_survival),
-            ("extra_visibility_penalty", s.extra_visibility_penalty),
-        ],
-    )
-    for name, chain in (("chain_pre", s.chain_pre), ("chain_post", s.chain_post)):
-        section(name, [(st.name, f"{_fmt(st.value)} {st.unit}") for st in chain.stages])
-    section(
-        "noise",
-        [
-            ("spdc_coeff_hz_per_w", s.noise.spdc_coeff_hz_per_w),
-            ("raman_coeff_hz_per_w", s.noise.raman_coeff_hz_per_w),
-            ("pump_extinction_db", s.noise.pump_extinction_db),
-            ("target_band_coeff_hz_per_w", s.noise.target_band_coeff_hz_per_w),
-            ("pump_prefiltered", s.noise.pump_prefiltered),
-        ],
-    )
-    section(
-        "detector",
-        [
-            ("quantum_efficiency", s.detector.quantum_efficiency),
-            ("dark_count_rate_hz", s.detector.dark_count_rate_hz),
-            ("dead_time_us", s.detector.dead_time_us),
-            ("jitter_fwhm_ps", s.detector.jitter_fwhm_ps),
-            ("afterpulse_probability", s.detector.afterpulse_probability),
-        ],
-    )
-    section(
-        "acquisition",
-        [
-            ("sca_center_ns", s.sca.center_ns),
-            ("sca_width_ns", s.sca.width_ns),
-            ("histogram_bin_width_ps", s.histogram_bin_width_ps),
-            ("tac_offset_ns", s.tac_offset_ns),
-            ("pulses_per_point", s.pulses_per_point),
-            ("mc_photons_per_point", s.mc_photons_per_point),
-            ("master_seed", s.master_seed),
-        ],
-    )
-    r = s.repeater
-    grid = ":".join([repr(r.length_grid_km[0]), repr(r.length_grid_km[1]), str(r.length_grid_km[2])])
-    section(
-        "repeater",
-        [
-            ("link_length_km", r.link_length_km),
-            ("attenuation_native_db_per_km", r.attenuation_native_db_per_km),
-            ("attenuation_telecom_db_per_km", r.attenuation_telecom_db_per_km),
-            ("system_efficiency", r.system_efficiency),
-            (
-                "interface_efficiency",
-                "from_budget" if r.interface_efficiency is None else repr(r.interface_efficiency),
-            ),
-            ("protocol", r.protocol),
-            ("attempt_rate_hz", r.attempt_rate_hz),
-            ("length_grid_km", grid),
-        ],
-    )
-    return out.getvalue()
+    lines = []
+    for section, rows in groupby(_KEYS, attrgetter("section")):
+        lines.append(f"[{section}]")
+        for row in rows:
+            value = _GETTERS[row.path](s)
+            if row.key is None:
+                lines += [f"{stage.name} = {row.kind.format(stage)}" for stage in value]
+            else:
+                lines.append(f"{row.key} = {row.kind.format(value)}")
+        lines.append("")
+    return "\n".join(lines) + "\n"
 
 
 def scenario_digest(s: Scenario) -> str:

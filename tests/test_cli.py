@@ -222,3 +222,10 @@ def test_explicit_scenario_path(tmp_path, run_cli):
     proc = run_cli("budget", "--scenario", str(copy), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / f"{DIGEST}-budget.csv").exists()
+
+
+def test_negative_pulses_exit_2_without_outputs(tmp_path, run_cli):
+    proc = run_cli("validate", "--pulses", "-1", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "--pulses must be >= 0" in proc.stderr
+    assert list(tmp_path.glob("*.csv")) == []

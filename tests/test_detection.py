@@ -304,6 +304,8 @@ def test_simulate_detection_input_validation():
         simulate_detection(np.array([2.0, 1.0]), det, 0.0, rng_of(1))
     with pytest.raises(DomainError):
         simulate_detection(np.empty(0), det, -1.0, rng_of(1))
+    with pytest.raises(DomainError, match="1-D"):
+        simulate_detection(np.zeros((3, 4)), det, 1e-6, rng_of(1))
 
 
 # --- folding and histogramming ---

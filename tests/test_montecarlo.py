@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qifsim import montecarlo
+from qifsim.conversion import pump_coherence_visibility_factor
 from qifsim.detection import extract_visibility
 from qifsim.errors import ConfigError, DomainError
 from qifsim.montecarlo import (
@@ -152,7 +153,8 @@ def test_pump_drift_spans_the_preparation_delay(ref):
     # here 2.222 ns against 2.2 ns.
     s = dataclasses.replace(ref, analysis=dataclasses.replace(ref.analysis, delta_tau_ns=2.222))
     drift = montecarlo._point_model(s).middle.drift_rad
-    assert math.exp(-0.5 * drift**2) == pytest.approx(s.pump_coherence_factor(), rel=1e-12)
+    factor = pump_coherence_visibility_factor(s.preparation.delta_tau_ns, s.pump.coherence_time_ns)
+    assert math.exp(-0.5 * drift**2) == pytest.approx(factor, rel=1e-12)
 
 
 def test_fringe_scan_memory_grows_with_detections(ref):

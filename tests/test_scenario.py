@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from qifsim.conversion import pump_coherence_visibility_factor
 from qifsim.errors import ConfigError
 from qifsim.scenario import (
     load_reference_scenario,
@@ -29,7 +30,10 @@ def test_reference_scenario_digest_frozen(ref):
 def test_reference_scenario_physics(ref):
     assert ref.output_wavelength_um() == pytest.approx(1.308693586698337, rel=1e-12)
     assert ref.eta_qi() == pytest.approx(0.0013291635371188786, rel=1e-12)
-    assert ref.pump_coherence_factor() == pytest.approx(0.96, rel=1e-12)
+    factor = pump_coherence_visibility_factor(
+        ref.preparation.delta_tau_ns, ref.pump.coherence_time_ns
+    )
+    assert factor == pytest.approx(0.96, rel=1e-12)
     assert ref.sync_period_ns() == pytest.approx(1e3 / 60.0, rel=1e-14)
     assert ref.noise_rate_hz() == 0.0
     # Fringe statistics are decoupled from the 0.13 percent budget here.
@@ -151,3 +155,27 @@ def test_noise_inf_extinction_roundtrip(ref):
     text = serialize_scenario(ref)
     assert "pump_extinction_db = inf" in text
     assert math.isinf(parse_scenario(text).noise.pump_extinction_db)
+
+
+def _key_lines():
+    """(section, key, line index) of every table key in the reference's canonical text.
+
+    Stage lines of the loss chains are left out: their keys are free stage
+    names, so dropping one leaves a valid, shorter chain.
+    """
+    section = None
+    for index, line in enumerate(serialize_scenario(load_reference_scenario()).splitlines()):
+        key = line.split(" = ")[0]
+        if line.startswith("["):
+            section = line[1:-1]
+        elif line and not section.startswith("chain_"):
+            yield pytest.param(section, key, index, id=f"{section}.{key}")
+
+
+@pytest.mark.parametrize("section, key, index", list(_key_lines()))
+def test_every_key_is_required(ref, section, key, index):
+    lines = serialize_scenario(ref).splitlines(keepends=True)
+    del lines[index]
+    expected = rf"probe\.scenario: section \[{section}\] is missing key '{key}'"
+    with pytest.raises(ConfigError, match=expected):
+        parse_scenario("".join(lines), origin="probe.scenario")
