@@ -291,17 +291,14 @@ def _cmd_repeater(s: Scenario, out: Path, args) -> list[Path]:
 
 
 def _cmd_budget(s: Scenario, out: Path, args) -> list[Path]:
-    eta_internal = s.internal_efficiency()
+    stages = [(f"pre/{st.name}", st.transmission()) for st in s.chain_pre.stages]
+    stages.append(("internal_conversion", s.internal_efficiency()))
+    stages += [(f"post/{st.name}", st.transmission()) for st in s.chain_post.stages]
     rows: list[tuple[str, float, float]] = []
     running = 1.0
-    for name, trans, _ in s.chain_pre.cumulative():
+    for name, trans in stages:
         running *= trans
-        rows.append((f"pre/{name}", trans, running))
-    running *= eta_internal
-    rows.append(("internal_conversion", eta_internal, running))
-    for name, trans, _ in s.chain_post.cumulative():
-        running *= trans
-        rows.append((f"post/{name}", trans, running))
+        rows.append((name, trans, running))
     eta_qi = s.eta_qi()
 
     width = max(len(r[0]) for r in rows) + 2

@@ -116,16 +116,6 @@ class LossChain:
             total *= stage.transmission()
         return total
 
-    def cumulative(self) -> list[tuple[str, float, float]]:
-        """Per-stage table of (name, stage transmission, running product)."""
-        rows = []
-        running = 1.0
-        for stage in self.stages:
-            t = stage.transmission()
-            running *= t
-            rows.append((stage.name, t, running))
-        return rows
-
 
 def internal_conversion_efficiency(
     power_w: float, eta_norm_per_w_cm2: float, length_cm: float

@@ -14,11 +14,11 @@ scalar loop finishes. Afterpulses repair that gated stream: each real
 event's afterpulse mark is drawn up front, and the candidates are settled
 in time order. An accepted candidate blocks the real events in its dead
 time, and the real chain is re-gated from there until it rejoins the old
-one. Most candidates only read real events that no such rewrite has
-touched; their test and re-walk come from array searches on the gate, and
-the Python loop applies them. The few that do interact, and afterpulses'
-own candidates, take the sequential rule one by one. Both are exact: the
-output equals a sequential loop over the merged stream fed the same marks.
+one. One array step tests every real event's candidate against the gate;
+a candidate whose backward window no re-gating has touched keeps that
+test. A scalar loop takes the rest, and the afterpulses' own candidates,
+by the sequential rule, and re-gates after every accepted one. The output
+equals a sequential loop over the merged stream fed the same marks.
 
 Times are nanoseconds unless a suffix says otherwise; rates are hertz.
 """
@@ -194,11 +194,6 @@ def dead_time_correct(rate_obs_hz: float, dead_time_us: float) -> float:
 # narrow frontier of long clusters is the gate's worst case.
 _SCALAR_FRONTIER = 16
 
-# Afterpulse candidates whose re-walk on the gated real stream takes more
-# steps, or rewrites more events, than these are left to the sequential rule.
-_BULK_STEPS = 8
-_BULK_SPAN = 64
-
 
 def _seek(times_ns: np.ndarray, x: np.ndarray, j: np.ndarray) -> np.ndarray:
     """First index at or after j whose time is at or after x, elementwise.
@@ -299,17 +294,13 @@ def _afterpulse_pass(
     one are rewritten. Spawning stops at the observation horizon, which
     also terminates the cascade at afterpulse probability 1.
 
-    Most candidates of real spawners are settled in bulk. Array searches
-    on the gate of the real stream give each one its test and its re-walk
-    as if no afterpulse existed. Until a rewrite reaches its backward
-    window [c - 2 dead, c), a candidate reads only events that the gate
-    decided, so the precomputed test and re-walk are the sequential ones,
-    and its test needs just one more comparison, against the last accepted
-    afterpulse. Such a clean candidate that the real gate rejects stays
-    rejected and is never visited. The loop visits the rest in time order,
-    with the afterpulses' own candidates on a heap: dirty candidates, long
-    re-walks and afterpulses' candidates take the sequential rule on a
-    bytearray of acceptances and a memoryview of the times.
+    Each real candidate is tested against the gate of the real stream in
+    one array step. Until a rewrite reaches its backward window
+    [c - 2 dead, c), that test is the sequential one, short of one
+    comparison with the last accepted afterpulse, so a clean candidate
+    that the real gate rejects is never visited. The loop visits the rest
+    in time order, the afterpulses' own candidates on a heap, and re-walks
+    after each accepted one on a bytearray of acceptances.
     """
     keep0 = _gate(times_ns, dead_ns)
     n = times_ns.size
@@ -321,53 +312,20 @@ def _afterpulse_pass(
     cand, parent = cand[order], parent[order]
     m = cand.size
     # j0 is the first event at or after c, j1 the first after its dead time.
-    j0 = _seek(times_ns, cand, np.where(times_ns[parent] < cand, parent + 1, 0))
-    j1 = _seek(times_ns, cand + dead_ns, j0)
+    j0 = np.searchsorted(times_ns, cand)
+    j1 = np.searchsorted(times_ns, cand + dead_ns)
     floor = cand - 2.0 * dead_ns
     # The real gate blocks c when its last acceptance before c lies at or
     # after the floor and c < t + dead.
-    prev = j0 - 1
-    for _ in range(2):
-        prev -= (prev >= 0) & ~keep0[np.maximum(prev, 0)]
-    rest = np.flatnonzero((prev >= 0) & ~keep0[np.maximum(prev, 0)])
-    if rest.size:
-        kept = np.flatnonzero(keep0)
-        before = np.searchsorted(kept, prev[rest])
-        prev[rest] = np.where(before > 0, kept[before - 1], -1)
-    t_prev = times_ns[np.maximum(prev, 0)]
-    ok = (prev < 0) | (t_prev < floor) | (cand >= t_prev + dead_ns)
-    # Re-walk on the real gate from j1 until it lands on an accepted event:
-    # [j0, stop) then reads 1 on the walk and 0 elsewhere, one slice of
-    # ``pattern`` per candidate.
-    stop = np.full(m, -1)
-    ids = np.flatnonzero(ok)
-    walk = j1[ids]
-    steps_ids, steps_at = [], []
-    for step in range(_BULK_STEPS + 1):
-        done = (walk == n) | keep0[np.minimum(walk, n - 1)]
-        stop[ids.compress(done)] = walk.compress(done)
-        ids, walk = ids.compress(~done), walk.compress(~done)
-        if step == _BULK_STEPS or not ids.size:
-            break
-        steps_ids.append(ids)
-        steps_at.append(walk)
-        walk = _seek(times_ns, times_ns[walk] + dead_ns, walk + 1)
-    stop[stop - j0 > _BULK_SPAN] = -1
-    span = np.where(stop >= 0, stop - j0, 0)
-    offset = np.cumsum(span) - span
-    pattern = np.zeros(int(span.sum()), dtype=np.uint8)
-    if steps_ids:
-        ids, at = np.concatenate(steps_ids), np.concatenate(steps_at)
-        short = stop[ids] >= 0
-        ids, at = ids.compress(short), at.compress(short)
-        pattern[offset[ids] + at - j0[ids]] = 1
+    kept = np.flatnonzero(keep0)
+    before = np.searchsorted(kept, j0) - 1
+    t_prev = times_ns[kept[np.maximum(before, 0)]]
+    ok = (before < 0) | (t_prev < floor) | (cand >= t_prev + dead_ns)
     # Index of the next candidate at or after i that the real gate accepts.
     next_ok = np.minimum.accumulate(np.where(ok, np.arange(m), m)[::-1])[::-1]
 
     cs, parents, floors, j0s, j1s = (a.tolist() for a in (cand, parent, floor, j0, j1))
-    stops, offsets = stop.tolist(), offset.tolist()
     next_ok = next_ok.tolist() + [m]
-    pattern = memoryview(pattern)
     keep = bytearray(keep0)
     tv = memoryview(times_ns)
 
@@ -400,7 +358,7 @@ def _afterpulse_pass(
             if c < last_afterpulse + dead_ns:
                 continue
             j0_c = seek(c, last_j1)
-            bulk = False
+            clean = False
         else:
             if nxt == m:
                 break
@@ -411,12 +369,8 @@ def _afterpulse_pass(
             if c < last_afterpulse + dead_ns:
                 continue
             j0_c = j0s[nxt]
-            bulk = nxt >= dirty_end and stops[nxt] >= 0
-        if bulk:
-            end = stops[nxt]
-            if end > j0_c:
-                o = offsets[nxt]
-                keep[j0_c:end] = pattern[o : o + end - j0_c]
+            clean = nxt >= dirty_end
+        if clean:
             j1_c = j1s[nxt]
         else:
             floor_c = c - 2.0 * dead_ns
@@ -433,15 +387,15 @@ def _afterpulse_pass(
             if c < last_t + dead_ns:
                 continue
             j1_c = seek(c + dead_ns, j0_c)
-            if j1_c > j0_c:
-                keep[j0_c:j1_c] = bytes(j1_c - j0_c)
-            end = j1_c
-            while end < n and not keep[end]:
-                keep[end] = 1
-                k = seek(tv[end] + dead_ns, end + 1)
-                if k > end + 1:
-                    keep[end + 1 : k] = bytes(k - end - 1)
-                end = k
+        if j1_c > j0_c:
+            keep[j0_c:j1_c] = bytes(j1_c - j0_c)
+        end = j1_c
+        while end < n and not keep[end]:
+            keep[end] = 1
+            k = seek(tv[end] + dead_ns, end + 1)
+            if k > end + 1:
+                keep[end + 1 : k] = bytes(k - end - 1)
+            end = k
         afterpulses.append(c)
         last_afterpulse = c
         last_j1 = j1_c

@@ -30,7 +30,7 @@ from . import conversion, qpm
 from .detection import DetectorModel, ScaWindow
 from .errors import ConfigError, DomainError
 from .qpm import QpmConfig
-from .repeater import LinkConfig
+from .repeater import PROTOCOL_CLASSES, LinkConfig
 from .timebin import DELAY_MATCH_RTOL, Interferometer, PulseSource
 
 __all__ = [
@@ -68,6 +68,10 @@ class RepeaterSettings:
                 f"length grid must be 0 <= start <= stop with n >= 1, got "
                 f"{start}:{stop}:{n}"
             )
+        if self.protocol not in PROTOCOL_CLASSES:
+            raise DomainError(
+                f"protocol must be one of {PROTOCOL_CLASSES}, got {self.protocol!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -104,25 +108,33 @@ class Scenario:
             )
         if self.signal_wavelength_um <= 0:
             raise ConfigError(
-                f"signal wavelength must be > 0, got {self.signal_wavelength_um}"
+                f"[qpm] signal_wavelength_um must be > 0, got {self.signal_wavelength_um}"
             )
         if self.eta_norm_per_w_cm2 < 0:
             raise ConfigError(
-                f"eta_norm_per_W_cm2 must be >= 0, got {self.eta_norm_per_w_cm2}"
+                f"[conversion] eta_norm_per_W_cm2 must be >= 0, got {self.eta_norm_per_w_cm2}"
             )
         if not 0.0 <= self.extra_visibility_penalty <= 1.0:
             raise ConfigError(
-                f"extra_visibility_penalty must be in [0, 1], got "
+                f"[conversion] extra_visibility_penalty must be in [0, 1], got "
                 f"{self.extra_visibility_penalty}"
             )
         if self.histogram_bin_width_ps <= 0:
             raise ConfigError(
-                f"histogram_bin_width_ps must be > 0, got {self.histogram_bin_width_ps}"
+                f"[acquisition] histogram_bin_width_ps must be > 0, got "
+                f"{self.histogram_bin_width_ps}"
             )
-        if self.pulses_per_point < 0 or self.mc_photons_per_point < 0:
-            raise ConfigError("pulse and photon counts must be >= 0")
+        if self.pulses_per_point < 0:
+            raise ConfigError(
+                f"[acquisition] pulses_per_point must be >= 0, got {self.pulses_per_point}"
+            )
+        if self.mc_photons_per_point < 0:
+            raise ConfigError(
+                f"[acquisition] mc_photons_per_point must be >= 0, got "
+                f"{self.mc_photons_per_point}"
+            )
         if not 0 <= self.master_seed < 2**64:
-            raise ConfigError(f"master_seed must be a u64, got {self.master_seed}")
+            raise ConfigError(f"[acquisition] master_seed must be a u64, got {self.master_seed}")
 
     # Derived quantities used across the engine.
 

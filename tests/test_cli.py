@@ -224,6 +224,16 @@ def test_explicit_scenario_path(tmp_path, run_cli):
     assert (tmp_path / f"{DIGEST}-budget.csv").exists()
 
 
+def test_unknown_protocol_exits_2_without_outputs(tmp_path, run_cli):
+    text = serialize_scenario(load_reference_scenario())
+    bad = tmp_path / "bad.scenario"
+    bad.write_text(text.replace("protocol = single-photon", "protocol = three-photon"))
+    proc = run_cli("budget", "--scenario", str(bad), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "[repeater]: protocol must be" in proc.stderr
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_negative_pulses_exit_2_without_outputs(tmp_path, run_cli):
     proc = run_cli("validate", "--pulses", "-1", cwd=tmp_path)
     assert proc.returncode == 2

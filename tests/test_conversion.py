@@ -122,9 +122,6 @@ def test_chain_composition():
     chain = device_post_chain()
     expected = 10 ** (-0.03) * 0.86 * 0.70 * 0.80 * 0.80 * 0.10
     assert chain.transmission() == pytest.approx(expected, rel=1e-14)
-    rows = chain.cumulative()
-    assert [name for name, _, _ in rows] == [s.name for s in chain.stages]
-    assert rows[-1][2] == pytest.approx(chain.transmission(), rel=1e-14)
 
 
 def test_chain_rejects_duplicate_names():

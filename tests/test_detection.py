@@ -245,8 +245,8 @@ def afterpulse_streams(dead_ns, p_after):
     for name, times in gate_streams(dead_ns):
         spawners = np.flatnonzero(rng.random(times.size) < p_after)
         yield name, times, spawners, rng.exponential(dead_ns, spawners.size)
-    # One event per 2.2 dead times (44 ns at 20 ns): most candidates are
-    # settled in bulk, the rest interact.
+    # One event per 2.2 dead times (44 ns at 20 ns): most candidates keep
+    # the real gate's test, the rest interact.
     n = 20000
     times = np.sort(rng.uniform(0.0, 2.2 * dead_ns * n, n))
     spawners = np.flatnonzero(rng.random(n) < p_after)

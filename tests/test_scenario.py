@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -122,6 +123,33 @@ def test_mismatched_delays_rejected(ref):
     )
     with pytest.raises(ConfigError, match="delays differ"):
         parse_scenario(text)
+
+
+def test_unknown_protocol_rejected(ref):
+    text = serialize_scenario(ref).replace("protocol = single-photon", "protocol = three-photon")
+    with pytest.raises(ConfigError, match=r"probe\.scenario: \[repeater\]: protocol must be"):
+        parse_scenario(text, origin="probe.scenario")
+
+
+@pytest.mark.parametrize(
+    "section, key, bad",
+    [
+        ("qpm", "signal_wavelength_um", "-1.0"),
+        ("conversion", "eta_norm_per_W_cm2", "-1.0"),
+        ("conversion", "extra_visibility_penalty", "1.5"),
+        ("acquisition", "histogram_bin_width_ps", "0.0"),
+        ("acquisition", "pulses_per_point", "-1"),
+        ("acquisition", "mc_photons_per_point", "-1"),
+        ("acquisition", "master_seed", "-1"),
+    ],
+)
+def test_field_error_names_section_and_key(ref, section, key, bad):
+    lines = serialize_scenario(ref).splitlines(keepends=True)
+    index = next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))
+    lines[index] = f"{key} = {bad}\n"
+    expected = rf"probe\.scenario: \[{section}\] {key} must be .*, got {re.escape(bad)}$"
+    with pytest.raises(ConfigError, match=expected):
+        parse_scenario("".join(lines), origin="probe.scenario")
 
 
 def test_bad_interface_efficiency_field(ref):
