@@ -16,9 +16,10 @@ in time order. An accepted candidate blocks the real events in its dead
 time, and the real chain is re-gated from there until it rejoins the old
 one. One array step tests every real event's candidate against the gate;
 a candidate whose backward window no re-gating has touched keeps that
-test. A scalar loop takes the rest, and the afterpulses' own candidates,
-by the sequential rule, and re-gates after every accepted one. The output
-equals a sequential loop over the merged stream fed the same marks.
+test. A scalar loop takes the rest and the afterpulses' own candidates
+by the sequential rule, and re-gates the real chain after every accepted
+one. The output equals a sequential loop over the merged stream fed the
+same marks.
 
 Times are nanoseconds unless a suffix says otherwise; rates are hertz.
 """
