@@ -6,13 +6,18 @@ characterize it: quasi-phase-matching dispersion, conversion and noise
 budgets, time-bin qubit interferometry, single-photon detection, a
 reproducible Monte Carlo experiment engine, and repeater-link rate
 comparisons. The ``qifsim`` CLI drives all of it from scenario files.
+
+The analytic modules and ``scenario`` need only the standard library and
+load with the package. ``detection`` and ``montecarlo``, which need numpy,
+and ``cli`` load on first access (``qifsim.montecarlo``, ``from qifsim
+import detection``), so the analytic commands never import numpy.
 """
 
 __version__ = "0.1.0"
 
 import importlib
 
-from . import conversion, detection, montecarlo, qpm, repeater, scenario, timebin
+from . import conversion, qpm, repeater, scenario, timebin
 from .errors import ConfigError, DomainError, FitError, QifsimError, SolverError
 
 __all__ = [
@@ -34,9 +39,10 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # ``cli`` is imported on first use, not here: ``python -m qifsim.cli``
-    # imports this package before it runs the module, and runpy warns when
-    # the package has already imported it.
-    if name == "cli":
-        return importlib.import_module(".cli", __name__)
+    # ``detection``, ``montecarlo`` and ``cli`` are imported on first access,
+    # not above: the first two import numpy, and ``python -m qifsim.cli``
+    # imports this package before it runs the module, where runpy warns
+    # when the package has already imported it.
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

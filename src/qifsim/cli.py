@@ -6,6 +6,10 @@ into the output directory, and appends a provenance line to run.log there:
 scenario digest, seed, wall time since start-up and the status, with the
 error message when the command failed.
 
+Only the Monte Carlo commands (efficiency-curve, fringe-scan, histogram,
+validate) import numpy and the engine, inside their handlers; the
+analytic commands run on the standard library alone.
+
 Exit codes: 0 success, 2 configuration problem (bad file, key, or
 invariant; the message names it), 3 numeric or solver failure.
 """
@@ -22,10 +26,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, montecarlo, qpm, repeater
-from .detection import extract_visibility
+from . import __version__, qpm, repeater
 from .errors import ConfigError, DomainError, QifsimError
 from .scenario import Scenario, load_reference_scenario, load_scenario, scenario_digest
 from .scenario import _parse_grid as scenario_grid
@@ -45,14 +46,31 @@ COMMANDS = (
 )
 
 
-def _parse_grid(raw: str, flag: str) -> np.ndarray:
+def _grid(start: float, stop: float, n: int) -> list[float]:
+    """``n`` evenly spaced values from ``start`` to ``stop``, both included.
+
+    ``start + i * step`` with the last value set to ``stop``: the same
+    arithmetic as ``np.linspace``, so the values equal it bit for bit
+    unless the step underflows to zero.
+    """
+    if n == 1:
+        return [start + 0.0]  # as in np.linspace, -0.0 becomes 0.0
+    step = (stop - start) / (n - 1)
+    values = [start + i * step for i in range(n)]
+    values[-1] = stop
+    return values
+
+
+def _parse_grid(raw: str, flag: str) -> list[float]:
     try:
         start, stop, n = scenario_grid(raw)
     except ValueError as exc:
-        raise ConfigError(f"{flag} must be start:stop:n, got {raw!r}") from exc
+        raise ConfigError(
+            f"{flag} must be start:stop:n with finite ends, got {raw!r}"
+        ) from exc
     if n < 1:
         raise ConfigError(f"{flag} needs n >= 1, got {n}")
-    return np.linspace(start, stop, n)
+    return _grid(start, stop, n)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -159,12 +177,14 @@ def _cmd_qpm_solve(s: Scenario, out: Path, args) -> list[Path]:
 
 
 def _cmd_efficiency(s: Scenario, out: Path, args) -> list[Path]:
+    from . import montecarlo
+
     if args.powers:
         powers = _parse_grid(args.powers, "--powers")
-        if np.any(powers < 0):
+        if any(p < 0 for p in powers):
             raise ConfigError("--powers must be >= 0")
     else:
-        powers = np.linspace(0.0, s.pump.power_w, 14)
+        powers = _grid(0.0, s.pump.power_w, 14)
     table = montecarlo.run_efficiency_sweep(s, powers)
     rows = [
         (repr(p.power_w), repr(p.eta_analytic), repr(p.eta_mc), repr(p.stat_error))
@@ -186,18 +206,20 @@ def _cmd_efficiency(s: Scenario, out: Path, args) -> list[Path]:
     return [path]
 
 
-def _scan_args(args) -> tuple[np.ndarray, int | None]:
+def _scan_args(args) -> tuple[list[float], int | None]:
     """The --phases grid (default 0:2pi:12) and the --pulses override."""
     if args.phases:
         phases = _parse_grid(args.phases, "--phases")
     else:
-        phases = np.linspace(0.0, 2.0 * math.pi, 12)
+        phases = _grid(0.0, 2.0 * math.pi, 12)
     if args.pulses is not None and args.pulses < 0:
         raise ConfigError(f"--pulses must be >= 0, got {args.pulses}")
     return phases, args.pulses
 
 
 def _cmd_fringe_scan(s: Scenario, out: Path, args) -> list[Path]:
+    from . import detection, montecarlo
+
     result = montecarlo.run_fringe_scan(s, *_scan_args(args))
     rows = [
         (repr(p.phase_rad), p.counts, repr(p.stat_error)) for p in result.fringe
@@ -215,7 +237,7 @@ def _cmd_fringe_scan(s: Scenario, out: Path, args) -> list[Path]:
         rows,
     )
     background = result.mean_background()
-    fit = extract_visibility(result.fringe_points(), background=background)
+    fit = detection.extract_visibility(result.fringe_points(), background=background)
     print(
         f"V_raw = {fit.v_raw:.4f}, V_net = {fit.v_net:.4f} "
         f"(estimated background {background:.1f} counts/point)"
@@ -225,6 +247,8 @@ def _cmd_fringe_scan(s: Scenario, out: Path, args) -> list[Path]:
 
 
 def _cmd_histogram(s: Scenario, out: Path, args) -> list[Path]:
+    from . import montecarlo
+
     result = montecarlo.run_fringe_scan(s, *_scan_args(args))
     hist = result.histogram
     edges = hist.bin_edges_ns()
@@ -245,11 +269,9 @@ def _cmd_histogram(s: Scenario, out: Path, args) -> list[Path]:
 
 
 def _cmd_repeater(s: Scenario, out: Path, args) -> list[Path]:
-    start, stop, n = s.repeater.length_grid_km
-    lengths = np.linspace(start, stop, n)
     rows = []
-    for length in lengths:
-        cfg = s.repeater_link(length_km=float(length))
+    for length in _grid(*s.repeater.length_grid_km):
+        cfg = s.repeater_link(length_km=length)
         p_with = repeater.link_success_probability(cfg, with_interface=True)
         p_without = repeater.link_success_probability(cfg, with_interface=False)
         rate_with = repeater.link_rate_hz(cfg, with_interface=True)
@@ -257,7 +279,7 @@ def _cmd_repeater(s: Scenario, out: Path, args) -> list[Path]:
         ratio = p_with / p_without if p_without > 0 else math.inf
         rows.append(
             (
-                repr(float(length)),
+                repr(length),
                 repr(p_with),
                 repr(p_without),
                 repr(rate_with),
@@ -321,6 +343,8 @@ def _cmd_budget(s: Scenario, out: Path, args) -> list[Path]:
 
 
 def _cmd_validate(s: Scenario, out: Path, args) -> list[Path]:
+    from . import montecarlo
+
     report = montecarlo.validate_against_oracle(s, *_scan_args(args))
     rows = [
         (repr(phase), repr(obs), repr(exp), repr(z))

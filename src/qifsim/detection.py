@@ -21,6 +21,9 @@ by the sequential rule, and re-gates the real chain after every accepted
 one. The output equals a sequential loop over the merged stream fed the
 same marks.
 
+The detector and window configuration (``DetectorModel``, ``ScaWindow``,
+``FWHM_TO_SIGMA``) is defined in ``scenario`` and re-exported here.
+
 Times are nanoseconds unless a suffix says otherwise; rates are hertz.
 """
 
@@ -35,6 +38,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .errors import DomainError, FitError
+from .scenario import FWHM_TO_SIGMA, DetectorModel, ScaWindow
 
 __all__ = [
     "DetectorModel",
@@ -49,53 +53,6 @@ __all__ = [
     "peak_fwhm",
     "extract_visibility",
 ]
-
-# FWHM of a Gaussian = 2 sqrt(2 ln 2) sigma.
-FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-
-
-@dataclass(frozen=True)
-class DetectorModel:
-    """Free-running single-photon avalanche detector.
-
-    Attributes:
-        quantum_efficiency: detection probability per arriving photon;
-            the Monte Carlo engine applies it when it thins the photons.
-        dark_count_rate_hz: observed-free-running dark rate before dead time.
-        dead_time_us: hold-off after each accepted event (non-paralyzable).
-        jitter_fwhm_ps: FWHM of the Gaussian timing jitter.
-        afterpulse_probability: chance an accepted event spawns one
-            afterpulse; the delay is dead time plus an exponential of the
-            same scale. Off by default; long hold-offs exist precisely to
-            suppress it.
-    """
-
-    quantum_efficiency: float
-    dark_count_rate_hz: float = 0.0
-    dead_time_us: float = 0.0
-    jitter_fwhm_ps: float = 0.0
-    afterpulse_probability: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.quantum_efficiency <= 1.0:
-            raise DomainError(
-                f"quantum efficiency must be in [0, 1], got {self.quantum_efficiency}"
-            )
-        if self.dark_count_rate_hz < 0:
-            raise DomainError(f"dark rate must be >= 0, got {self.dark_count_rate_hz}")
-        if self.dead_time_us < 0:
-            raise DomainError(f"dead time must be >= 0, got {self.dead_time_us}")
-        if self.jitter_fwhm_ps < 0:
-            raise DomainError(f"jitter must be >= 0, got {self.jitter_fwhm_ps}")
-        if not 0.0 <= self.afterpulse_probability <= 1.0:
-            raise DomainError(
-                f"afterpulse probability must be in [0, 1], got {self.afterpulse_probability}"
-            )
-        if self.afterpulse_probability > 0 and self.dead_time_us == 0:
-            raise DomainError("afterpulse model needs a positive dead time as its time scale")
-
-    def jitter_sigma_ns(self) -> float:
-        return self.jitter_fwhm_ps * 1e-3 * FWHM_TO_SIGMA
 
 
 @dataclass(frozen=True)
@@ -145,18 +102,6 @@ class TacHistogram:
             counts=self.counts + other.counts,
             sync_pulses=self.sync_pulses + other.sync_pulses,
         )
-
-
-@dataclass(frozen=True)
-class ScaWindow:
-    """Temporal selection window of a single-channel analyzer."""
-
-    center_ns: float
-    width_ns: float
-
-    def __post_init__(self) -> None:
-        if self.width_ns <= 0:
-            raise DomainError(f"window width must be > 0, got {self.width_ns}")
 
 
 def dead_time_observe(rate_true_hz: float, dead_time_us: float) -> float:

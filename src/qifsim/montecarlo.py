@@ -33,14 +33,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .detection import (
-    FWHM_TO_SIGMA,
     TacHistogram,
     _bin_folded,
     _gaussian_window_capture,
     simulate_detection,
 )
 from .errors import ConfigError, DomainError, QifsimError
-from .scenario import Scenario, scenario_digest
+from .scenario import FWHM_TO_SIGMA, Scenario, scenario_digest
 from .timebin import analyze, apply_conversion_phase, prepare_qubit
 
 __all__ = [

@@ -6,6 +6,10 @@ plus the run controls. Keys are named after the physical symbols they
 carry. Parsing is strict: unknown sections or keys, missing keys, and
 malformed values are config errors that name the file, section, and key.
 
+The detector, analyzer-window and repeater settings are defined here; the
+other components come from the analytic modules, so loading a scenario
+imports no numpy.
+
 The format has one definition, the key table ``_KEYS``: each row names a
 section, a key, the dotted ``Scenario`` attribute it sets and how its text
 is parsed and formatted. Parsing and serialization both walk the table;
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass
 from importlib import resources
 from itertools import groupby
@@ -27,13 +32,15 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple, get_type_hints
 
 from . import conversion, qpm
-from .detection import DetectorModel, ScaWindow
 from .errors import ConfigError, DomainError
 from .qpm import QpmConfig
 from .repeater import PROTOCOL_CLASSES, LinkConfig
 from .timebin import DELAY_MATCH_RTOL, Interferometer, PulseSource
 
 __all__ = [
+    "DetectorModel",
+    "ScaWindow",
+    "FWHM_TO_SIGMA",
     "RepeaterSettings",
     "Scenario",
     "load_scenario",
@@ -42,6 +49,66 @@ __all__ = [
     "serialize_scenario",
     "scenario_digest",
 ]
+
+
+# FWHM of a Gaussian = 2 sqrt(2 ln 2) sigma.
+FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+
+
+@dataclass(frozen=True)
+class DetectorModel:
+    """Free-running single-photon avalanche detector.
+
+    Attributes:
+        quantum_efficiency: detection probability per arriving photon;
+            the Monte Carlo engine applies it when it thins the photons.
+        dark_count_rate_hz: observed-free-running dark rate before dead time.
+        dead_time_us: hold-off after each accepted event (non-paralyzable).
+        jitter_fwhm_ps: FWHM of the Gaussian timing jitter.
+        afterpulse_probability: chance an accepted event spawns one
+            afterpulse; the delay is dead time plus an exponential of the
+            same scale. Off by default; long hold-offs exist precisely to
+            suppress it.
+    """
+
+    quantum_efficiency: float
+    dark_count_rate_hz: float = 0.0
+    dead_time_us: float = 0.0
+    jitter_fwhm_ps: float = 0.0
+    afterpulse_probability: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.quantum_efficiency <= 1.0:
+            raise DomainError(
+                f"quantum efficiency must be in [0, 1], got {self.quantum_efficiency}"
+            )
+        if self.dark_count_rate_hz < 0:
+            raise DomainError(f"dark rate must be >= 0, got {self.dark_count_rate_hz}")
+        if self.dead_time_us < 0:
+            raise DomainError(f"dead time must be >= 0, got {self.dead_time_us}")
+        if self.jitter_fwhm_ps < 0:
+            raise DomainError(f"jitter must be >= 0, got {self.jitter_fwhm_ps}")
+        if not 0.0 <= self.afterpulse_probability <= 1.0:
+            raise DomainError(
+                f"afterpulse probability must be in [0, 1], got {self.afterpulse_probability}"
+            )
+        if self.afterpulse_probability > 0 and self.dead_time_us == 0:
+            raise DomainError("afterpulse model needs a positive dead time as its time scale")
+
+    def jitter_sigma_ns(self) -> float:
+        return self.jitter_fwhm_ps * 1e-3 * FWHM_TO_SIGMA
+
+
+@dataclass(frozen=True)
+class ScaWindow:
+    """Temporal selection window of a single-channel analyzer."""
+
+    center_ns: float
+    width_ns: float
+
+    def __post_init__(self) -> None:
+        if self.width_ns <= 0:
+            raise DomainError(f"window width must be > 0, got {self.width_ns}")
 
 
 @dataclass(frozen=True)
@@ -63,7 +130,7 @@ class RepeaterSettings:
 
     def __post_init__(self) -> None:
         start, stop, n = self.length_grid_km
-        if n < 1 or stop < start or start < 0:
+        if n < 1 or not 0 <= start <= stop:
             raise DomainError(
                 f"length grid must be 0 <= start <= stop with n >= 1, got "
                 f"{start}:{stop}:{n}"
@@ -208,9 +275,12 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _parse_grid(raw: str) -> tuple[float, float, int]:
-    """``start:stop:n`` as (start, stop, n); ValueError when malformed."""
+    """``start:stop:n`` as (start, stop, n); ValueError when malformed or an end is not finite."""
     start, stop, n = raw.split(":")
-    return float(start), float(stop), int(n)
+    start, stop = float(start), float(stop)
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(raw)
+    return start, stop, int(n)
 
 
 def _parse_stage(raw: str) -> tuple[float, str]:
@@ -227,7 +297,9 @@ _FRACTION_OR_BUDGET = _Kind(
     lambda v: "from_budget" if v is None else repr(v),
     "a fraction or 'from_budget'",
 )
-_GRID = _Kind(_parse_grid, lambda g: f"{g[0]!r}:{g[1]!r}:{g[2]}", "start:stop:n")
+_GRID = _Kind(
+    _parse_grid, lambda g: f"{g[0]!r}:{g[1]!r}:{g[2]}", "start:stop:n with finite ends"
+)
 # One loss stage: parsed to (value, unit), formatted from a LossStage.
 _STAGE = _Kind(
     _parse_stage, lambda st: f"{st.value!r} {st.unit}", "'<value> fraction' or '<value> dB'"

@@ -171,11 +171,22 @@ def test_run_log_records_escaped_error_message(tmp_path):
     )
 
 
-def test_cli_runs_without_scipy(tmp_path, cli_env):
+@pytest.mark.parametrize(
+    "statement, csv_kind",
+    [
+        ("assert qifsim.cli.main(['budget', '--out', out]) == 0", "budget"),
+        ("assert qifsim.cli.main(['qpm-solve', '--out', out]) == 0", "qpm"),
+        ("assert qifsim.cli.main(['repeater-rates', '--out', out]) == 0", "repeater"),
+        ("qifsim.scenario.load_reference_scenario()", None),
+    ],
+    ids=["budget", "qpm-solve", "repeater-rates", "load-scenario"],
+)
+def test_analytic_paths_import_no_numpy_or_scipy(tmp_path, cli_env, statement, csv_kind):
     script = (
-        "import sys, qifsim.cli\n"
-        "assert qifsim.cli.main(['qpm-solve', '--out', sys.argv[1]]) == 0\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "import sys, qifsim\n"
+        "out = sys.argv[1]\n"
+        f"{statement}\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path)],
@@ -186,13 +197,54 @@ def test_cli_runs_without_scipy(tmp_path, cli_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
-    assert (tmp_path / f"{DIGEST}-qpm.csv").exists()
+    if csv_kind is not None:
+        assert (tmp_path / f"{DIGEST}-{csv_kind}.csv").exists()
+
+
+def test_module_run_warns_nothing(tmp_path, cli_env):
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "qifsim.cli", "budget"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=cli_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_bad_phase_grid_exits_2(tmp_path, run_cli):
     proc = run_cli("fringe-scan", "--phases", "0:6.28", cwd=tmp_path)
     assert proc.returncode == 2
     assert "start:stop:n" in proc.stderr
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("template", ["{}:1:3", "0:{}:3"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("repeater-rates", None),
+        ("efficiency-curve", "--powers"),
+        ("fringe-scan", "--phases"),
+        ("histogram", "--phases"),
+        ("validate", "--phases"),
+    ],
+)
+def test_non_finite_grid_end_exits_2(tmp_path, capsys, command, flag, template, bad):
+    grid = template.format(bad)
+    if flag is None:
+        text = serialize_scenario(load_reference_scenario())
+        path = tmp_path / "bad.scenario"
+        path.write_text(text.replace("length_grid_km = 2.0:100.0:50", f"length_grid_km = {grid}"))
+        args, named = ["--scenario", str(path)], "[repeater] length_grid_km"
+    else:
+        args, named = [f"{flag}={grid}"], flag
+    assert cli.main([command, "--out", str(tmp_path), *args]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "finite" in err
+    assert list(tmp_path.glob("*.csv")) == []
 
 
 def test_repeated_phases_exit_2_without_outputs(tmp_path, run_cli):

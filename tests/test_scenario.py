@@ -7,7 +7,7 @@ import re
 import pytest
 
 from qifsim.conversion import pump_coherence_visibility_factor
-from qifsim.errors import ConfigError
+from qifsim.errors import ConfigError, DomainError
 from qifsim.scenario import (
     load_reference_scenario,
     load_scenario,
@@ -166,6 +166,14 @@ def test_bad_length_grid(ref):
     )
     with pytest.raises(ConfigError, match="start:stop:n"):
         parse_scenario(text)
+
+
+@pytest.mark.parametrize(
+    "grid", [(math.nan, 100.0, 3), (2.0, math.nan, 3), (-1.0, 100.0, 3), (5.0, 2.0, 3), (2.0, 5.0, 0)]
+)
+def test_repeater_settings_reject_length_grid(ref, grid):
+    with pytest.raises(DomainError, match="length grid"):
+        dataclasses.replace(ref.repeater, length_grid_km=grid)
 
 
 def test_explicit_interface_efficiency_roundtrip(ref):
