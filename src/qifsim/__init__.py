@@ -8,9 +8,12 @@ reproducible Monte Carlo experiment engine, and repeater-link rate
 comparisons. The ``qifsim`` CLI drives all of it from scenario files.
 
 The analytic modules and ``scenario`` need only the standard library and
-load with the package. ``detection`` and ``montecarlo``, which need numpy,
-and ``cli`` load on first access (``qifsim.montecarlo``, ``from qifsim
-import detection``), so the analytic commands never import numpy.
+load with the package; ``conversion`` also holds the efficiency sweep,
+whose binomial draws come from the standard library. ``detection`` and
+``montecarlo``, which need numpy, and ``cli`` load on first access
+(``qifsim.montecarlo``, ``from qifsim import detection``). Only the
+fringe-scan, histogram and validate commands import numpy; qpm-solve,
+budget, repeater-rates and efficiency-curve never do.
 """
 
 __version__ = "0.1.0"

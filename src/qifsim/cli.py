@@ -6,9 +6,10 @@ into the output directory, and appends a provenance line to run.log there:
 scenario digest, seed, wall time since start-up and the status, with the
 error message when the command failed.
 
-Only the Monte Carlo commands (efficiency-curve, fringe-scan, histogram,
-validate) import numpy and the engine, inside their handlers; the
-analytic commands run on the standard library alone.
+Only the fringe-scan, histogram and validate commands import numpy and
+the engine, inside their handlers. qpm-solve, budget, repeater-rates and
+efficiency-curve, whose binomial sweep draws from a standard-library
+stream, run on the standard library alone.
 
 Exit codes: 0 success, 2 configuration problem (bad file, key, or
 invariant; the message names it), 3 numeric or solver failure.
@@ -26,7 +27,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from . import __version__, qpm, repeater
+from . import __version__, conversion, qpm, repeater
 from .errors import ConfigError, DomainError, QifsimError
 from .scenario import Scenario, load_reference_scenario, load_scenario, scenario_digest
 from .scenario import _parse_grid as scenario_grid
@@ -177,15 +178,13 @@ def _cmd_qpm_solve(s: Scenario, out: Path, args) -> list[Path]:
 
 
 def _cmd_efficiency(s: Scenario, out: Path, args) -> list[Path]:
-    from . import montecarlo
-
     if args.powers:
         powers = _parse_grid(args.powers, "--powers")
         if any(p < 0 for p in powers):
             raise ConfigError("--powers must be >= 0")
     else:
         powers = _grid(0.0, s.pump.power_w, 14)
-    table = montecarlo.run_efficiency_sweep(s, powers)
+    table = conversion.run_efficiency_sweep(s, powers)
     rows = [
         (repr(p.power_w), repr(p.eta_analytic), repr(p.eta_mc), repr(p.stat_error))
         for p in table
@@ -220,7 +219,15 @@ def _scan_args(args) -> tuple[list[float], int | None]:
 def _cmd_fringe_scan(s: Scenario, out: Path, args) -> list[Path]:
     from . import detection, montecarlo
 
-    result = montecarlo.run_fringe_scan(s, *_scan_args(args))
+    phases, pulses = _scan_args(args)
+    # Both grid rules before any draw; a repeat is named as such, not as
+    # too few distinct phases.
+    conversion._reject_repeats(phases, "phase")
+    try:
+        detection.check_fit_phases(phases)
+    except DomainError as exc:
+        raise ConfigError(f"--phases: {exc}") from exc
+    result = montecarlo.run_fringe_scan(s, phases, pulses)
     rows = [
         (repr(p.phase_rad), p.counts, repr(p.stat_error)) for p in result.fringe
     ]

@@ -2,16 +2,26 @@
 
 Couples pump-power-driven internal conversion to the passive loss chains
 before and after the crystal, and models the background channels that land
-in the target band. Powers are in watts, rates in hertz, times in
-nanoseconds unless suffixed otherwise.
+in the target band. ``run_efficiency_sweep`` samples that budget over a
+pump-power grid, one binomial thinning per loss stage, from a standard
+library stream keyed by the master seed and the power, so it needs no
+numpy. Powers are in watts, rates in hertz, times in nanoseconds unless
+suffixed otherwise.
 """
 
 from __future__ import annotations
 
 import math
+import random
+import struct
+import zlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 __all__ = [
     "PumpField",
@@ -23,6 +33,8 @@ __all__ = [
     "normalized_efficiency_from_measurement",
     "pump_coherence_visibility_factor",
     "noise_rate",
+    "EfficiencyPoint",
+    "run_efficiency_sweep",
 ]
 
 PLANCK_J_S = 6.62607015e-34
@@ -243,3 +255,160 @@ def noise_rate(pump: PumpField, output_um: float, noise: NoiseModel) -> float:
     if not noise.pump_prefiltered:
         rate += noise.target_band_coeff_hz_per_w * pump.power_w
     return rate
+
+
+@dataclass(frozen=True)
+class EfficiencyPoint:
+    """One pump power: analytic budget next to the Monte Carlo estimate."""
+
+    power_w: float
+    eta_analytic: float
+    eta_mc: float
+    stat_error: float
+
+
+def _reject_repeats(values: list[float], quantity: str) -> None:
+    """A grid value keys its point's stream, so a repeat would replay its draws."""
+    seen: set[float] = set()
+    for value in values:
+        if value in seen:
+            raise ConfigError(
+                f"{quantity} grid repeats the value {value!r}; each point draws "
+                f"from a stream keyed by its value, so grid values must be distinct"
+            )
+        seen.add(value)
+
+
+def _stream(master_seed: int, tag: str, value: float) -> random.Random:
+    """Independent standard-library stream for one grid point.
+
+    Seeded by the master seed, the CRC-32 of a role tag and the float64
+    bits of the grid value, each in its own bits of one integer, so two
+    keys never share a seed and permuting a grid never changes any point's
+    draws.
+    """
+    (bits,) = struct.unpack("<Q", struct.pack("<d", value))
+    return random.Random((master_seed << 96) | (zlib.crc32(tag.encode()) << 64) | bits)
+
+
+# Hormann shows BTRS's hat bounds the pmf for n p >= 10; below that mean
+# the geometric method needs about n p + 1 uniforms.
+_BTRS_MIN_MEAN = 10.0
+
+
+def _binomial(n: int, p: float, rng: random.Random) -> int:
+    """One Binomial(n, p) draw built from ``rng.random()`` alone.
+
+    ``Random.random`` is the one method whose sequence Python keeps from
+    version to version, so the draws are reproducible across versions too.
+    p > 1/2 counts the failures instead, so both branches below see
+    p <= 1/2.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"binomial probability must be in [0, 1], got {p}")
+    if p > 0.5:
+        return n - _binomial(n, 1.0 - p, rng)
+    if n == 0 or p == 0.0:
+        return 0
+    if n * p < _BTRS_MIN_MEAN:
+        return _binomial_geometric(n, p, rng)
+    return _binomial_btrs(n, p, rng)
+
+
+def _binomial_geometric(n: int, p: float, rng: random.Random) -> int:
+    """Successes among n trials, jumping from one success to the next.
+
+    The failures before each success are geometric, floor(log U / log(1 - p)).
+    """
+    log_q = math.log1p(-p)
+    successes = trials = 0
+    while True:
+        failures = math.log(1.0 - rng.random()) / log_q
+        if failures >= n - trials:
+            return successes
+        trials += int(failures) + 1
+        successes += 1
+
+
+def _binomial_btrs(n: int, p: float, rng: random.Random) -> int:
+    """BTRS transformed rejection for p <= 1/2 and n p >= 10.
+
+    W. Hormann, "The generation of binomial random variates", J. Stat.
+    Comput. Simul. 46, 101 (1993). Most draws fall in the box where the
+    hat is tight and cost two uniforms; the rest compare the hat with
+    pmf(k) / pmf(mode), from ``lgamma``.
+    """
+    q = 1.0 - p
+    spq = math.sqrt(n * p * q)
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    v_r = 0.92 - 4.2 / b
+    alpha = (2.83 + 5.1 / b) * spq
+    log_odds = math.log(p / q)
+    mode = math.floor((n + 1) * p)
+    log_pmf_mode = math.lgamma(mode + 1) + math.lgamma(n - mode + 1)
+    while True:
+        u = rng.random() - 0.5
+        v = rng.random()
+        us = 0.5 - abs(u)
+        if us == 0.0:  # u = -1/2 exactly: the hat has no mass there
+            continue
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        if us >= 0.07 and v <= v_r:
+            return k
+        log_ratio = (
+            log_pmf_mode
+            - math.lgamma(k + 1)
+            - math.lgamma(n - k + 1)
+            + (k - mode) * log_odds
+        )
+        if v * alpha / (a / (us * us) + b) <= math.exp(log_ratio):
+            return k
+
+
+def run_efficiency_sweep(
+    s: Scenario, powers_w, photons: int | None = None
+) -> tuple[EfficiencyPoint, ...]:
+    """Conversion budget versus pump power, analytic and Monte Carlo.
+
+    The Monte Carlo column sends ``photons`` (default: the scenario's
+    ``mc_photons_per_point``) through the three loss stages (pre chain,
+    internal conversion, post chain) as independent binomial thinnings,
+    so it checks the chain's composition, not only ``eta_qi``. This sweep
+    always measures the physical budget; the fringe-scan statistics
+    switch has no effect here. ``powers_w`` is any iterable of numbers,
+    a numpy array included; each power draws from its own stream.
+
+    Raises:
+        DomainError: a power is negative or not finite, or ``photons`` < 0.
+        ConfigError: a power appears twice in the grid.
+    """
+    n = s.mc_photons_per_point if photons is None else photons
+    if n < 0:
+        raise DomainError(f"photon count must be >= 0, got {n}")
+    powers = [float(power) for power in powers_w]
+    for power in powers:
+        if not math.isfinite(power):
+            raise DomainError(f"pump power must be finite, got {power} W")
+        if power < 0:
+            raise DomainError(f"pump power must be >= 0, got {power} W")
+    _reject_repeats(powers, "pump power")
+    pre_t = s.chain_pre.transmission()
+    post_t = s.chain_post.transmission()
+    results = []
+    for power in powers:
+        rng = _stream(s.master_seed, "efficiency-sweep", power)
+        converted = _binomial(_binomial(n, pre_t, rng), s.internal_efficiency(power), rng)
+        survived = _binomial(converted, post_t, rng)
+        results.append(
+            EfficiencyPoint(
+                power_w=power,
+                eta_analytic=s.eta_qi(power),
+                eta_mc=survived / n if n else 0.0,
+                stat_error=math.sqrt(survived) / n if n else 0.0,
+            )
+        )
+    return tuple(results)

@@ -51,6 +51,7 @@ __all__ = [
     "simulate_detection",
     "build_histogram",
     "peak_fwhm",
+    "check_fit_phases",
     "extract_visibility",
 ]
 
@@ -543,6 +544,23 @@ class VisibilityFit:
     residual_rms: float
 
 
+def check_fit_phases(phases) -> None:
+    """Refuse a phase grid that ``extract_visibility`` cannot fit.
+
+    Raises:
+        DomainError: fewer than 3 distinct phases, or a span below one
+            full fringe period.
+    """
+    phases = np.asarray(phases, dtype=float)
+    if np.unique(phases).size < 3:
+        raise DomainError("need at least 3 distinct phases to fit a sinusoid")
+    span = phases.max() - phases.min()
+    if span < 2.0 * math.pi * (1.0 - 1e-6):
+        raise DomainError(
+            f"phase span {span:.4f} rad covers less than one fringe period"
+        )
+
+
 def extract_visibility(
     points,
     background: float = 0.0,
@@ -568,13 +586,7 @@ def extract_visibility(
         raise DomainError("fringe counts must be >= 0")
     if background < 0:
         raise DomainError(f"background must be >= 0, got {background}")
-    if np.unique(phases).size < 3:
-        raise DomainError("need at least 3 distinct phases to fit a sinusoid")
-    span = phases.max() - phases.min()
-    if span < 2.0 * math.pi * (1.0 - 1e-6):
-        raise DomainError(
-            f"phase span {span:.4f} rad covers less than one fringe period"
-        )
+    check_fit_phases(phases)
     basis = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
     coef, *_ = np.linalg.lstsq(basis, counts, rcond=None)
     offset, p, q = coef

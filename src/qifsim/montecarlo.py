@@ -1,25 +1,30 @@
 """Stochastic end-to-end experiment engine.
 
 Generates weak coherent pulses through preparation, conversion and
-analysis, and produces the arrival-time histogram, the windowed fringe
-scan, and the efficiency sweep, with Poisson error bars. Only the photons
-that fire the detector are sampled: a Poisson photon stream thinned by
-slot, conversion survival and quantum efficiency is again a Poisson
-stream, so each point draws its fired events directly, in a number that
-grows with detections rather than with pulses, and hands them to the
-detector model for jitter, dark counts, dead time and afterpulsing. Each
-sampling stage is a helper whose temporaries are freed when it returns,
-and the detections are folded on the sync period once, for the histogram
-and both window counts. Every run is reproducible: all randomness flows
-from counter-based substreams derived from the scenario's master seed, a
-role tag, and the grid value of the point, so results are independent of
-the order in which points are simulated.
+analysis, and produces the arrival-time histogram and the windowed fringe
+scan, with Poisson error bars. Only the photons that fire the detector
+are sampled: a Poisson photon stream thinned by slot, conversion survival
+and quantum efficiency is again a Poisson stream, so each point draws its
+fired events directly, in a number that grows with detections rather than
+with pulses, and hands them to the detector model for jitter, dark
+counts, dead time and afterpulsing. Each sampling stage is a helper whose
+temporaries are freed when it returns, and the detections are folded on
+the sync period once, for the histogram and both window counts. Every
+run is reproducible: all randomness flows from counter-based substreams
+derived from the scenario's master seed, a role tag, and the grid value
+of the point, so results are independent of the order in which points
+are simulated.
 
 Each point is one intensity model, a few Poisson components with a mean
 count per pulse and a time profile: the engine samples it, and
 ``expected_fringe`` integrates it over the window by the engine's own
 window rule; ``validate_against_oracle`` checks the two against each
 other.
+
+This module needs numpy, and only the fringe-scan, histogram and validate
+commands import it. The efficiency sweep (``run_efficiency_sweep``,
+``EfficiencyPoint``) lives in the numpy-free ``conversion`` module and is
+re-exported here.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ from .detection import (
     _gaussian_window_capture,
     simulate_detection,
 )
-from .errors import ConfigError, DomainError, QifsimError
+from .conversion import EfficiencyPoint, _reject_repeats, run_efficiency_sweep
+from .errors import DomainError, QifsimError
 from .scenario import FWHM_TO_SIGMA, Scenario, scenario_digest
 from .timebin import analyze, apply_conversion_phase, prepare_qubit
 
@@ -74,16 +80,6 @@ class FringePoint:
 
     phase_rad: float
     counts: int
-    stat_error: float
-
-
-@dataclass(frozen=True)
-class EfficiencyPoint:
-    """One pump power: analytic budget next to the Monte Carlo estimate."""
-
-    power_w: float
-    eta_analytic: float
-    eta_mc: float
     stat_error: float
 
 
@@ -256,18 +252,6 @@ def _window_share(s: Scenario, center_ns: float, sigma_ns: float) -> float:
     )
 
 
-def _reject_repeats(values: np.ndarray, quantity: str) -> None:
-    """A grid value keys its point's substream, so a repeat would replay its draws."""
-    seen: set[float] = set()
-    for value in values.tolist():
-        if value in seen:
-            raise ConfigError(
-                f"{quantity} grid repeats the value {value!r}; each point draws "
-                f"from a stream keyed by its value, so grid values must be distinct"
-            )
-        seen.add(value)
-
-
 def _pulse_ranks(pulse: np.ndarray) -> tuple[np.ndarray, int]:
     """Rank of each entry among the distinct values, and how many there are.
 
@@ -412,7 +396,7 @@ def run_fringe_scan(s: Scenario, phases_rad, pulses: int | None = None) -> RunRe
     phases = np.asarray(phases_rad, dtype=float)
     if phases.size < 2:
         raise DomainError(f"need at least 2 phase points, got {phases.size}")
-    _reject_repeats(phases, "phase")
+    _reject_repeats(phases.tolist(), "phase")
     n_pulses = s.pulses_per_point if pulses is None else pulses
     if n_pulses < 0:
         raise DomainError(f"pulses must be >= 0, got {n_pulses}")
@@ -450,46 +434,6 @@ def run_fringe_scan(s: Scenario, phases_rad, pulses: int | None = None) -> RunRe
         },
         wall_clock_s=time.perf_counter() - started,
     )
-
-
-def run_efficiency_sweep(
-    s: Scenario, powers_w, photons: int | None = None
-) -> tuple[EfficiencyPoint, ...]:
-    """Conversion budget versus pump power, analytic and Monte Carlo.
-
-    The Monte Carlo column sends ``photons`` (default: the scenario's
-    ``mc_photons_per_point``) through the three loss stages as independent
-    binomial thinnings. This sweep always measures the physical budget; the
-    fringe-scan statistics switch has no effect here.
-
-    Raises:
-        ConfigError: a power appears twice in the grid.
-    """
-    results = []
-    n = s.mc_photons_per_point if photons is None else photons
-    if n < 0:
-        raise DomainError(f"photon count must be >= 0, got {n}")
-    powers = np.asarray(powers_w, dtype=float)
-    _reject_repeats(powers, "pump power")
-    pre_t = s.chain_pre.transmission()
-    post_t = s.chain_post.transmission()
-    for power in powers:
-        if power < 0:
-            raise DomainError(f"pump power must be >= 0, got {power} W")
-        rng = substream(s.master_seed, "efficiency-sweep", power)
-        eta_internal = s.internal_efficiency(float(power))
-        survived = rng.binomial(
-            rng.binomial(rng.binomial(n, pre_t), eta_internal), post_t
-        )
-        results.append(
-            EfficiencyPoint(
-                power_w=float(power),
-                eta_analytic=s.eta_qi(float(power)),
-                eta_mc=survived / n if n else 0.0,
-                stat_error=math.sqrt(survived) / n if n else 0.0,
-            )
-        )
-    return tuple(results)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from qifsim import cli
+from qifsim import cli, montecarlo
 from qifsim.scenario import load_reference_scenario, serialize_scenario
 
 DIGEST = "eb1952feeb4f"
@@ -177,9 +177,10 @@ def test_run_log_records_escaped_error_message(tmp_path):
         ("assert qifsim.cli.main(['budget', '--out', out]) == 0", "budget"),
         ("assert qifsim.cli.main(['qpm-solve', '--out', out]) == 0", "qpm"),
         ("assert qifsim.cli.main(['repeater-rates', '--out', out]) == 0", "repeater"),
+        ("assert qifsim.cli.main(['efficiency-curve', '--out', out]) == 0", "efficiency"),
         ("qifsim.scenario.load_reference_scenario()", None),
     ],
-    ids=["budget", "qpm-solve", "repeater-rates", "load-scenario"],
+    ids=["budget", "qpm-solve", "repeater-rates", "efficiency-curve", "load-scenario"],
 )
 def test_analytic_paths_import_no_numpy_or_scipy(tmp_path, cli_env, statement, csv_kind):
     script = (
@@ -252,6 +253,28 @@ def test_repeated_phases_exit_2_without_outputs(tmp_path, run_cli):
     assert proc.returncode == 2
     assert "repeats the value 1.0" in proc.stderr
     assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize(
+    "grid, reason",
+    [
+        ("-1:7:2", "need at least 3 distinct phases"),
+        ("0:3:5", "covers less than one fringe period"),
+    ],
+)
+def test_unfittable_phase_grid_exits_2_before_scanning(
+    tmp_path, capsys, monkeypatch, grid, reason
+):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned a grid the fit cannot use")
+
+    monkeypatch.setattr(montecarlo, "run_fringe_scan", no_scan)
+    assert cli.main(["fringe-scan", "--out", str(tmp_path), f"--phases={grid}"]) == 2
+    err = capsys.readouterr().err
+    assert "--phases" in err and reason in err
+    assert list(tmp_path.glob("*.csv")) == []
+    log = (tmp_path / "run.log").read_text()
+    assert "status=error:ConfigError" in log and reason in log
 
 
 def test_unknown_command_rejected(tmp_path, run_cli):

@@ -1,11 +1,12 @@
 """Conversion law, loss chains, pump coherence, and noise channels."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from qifsim import conversion
+from qifsim import conversion, montecarlo
 from qifsim.conversion import (
     LossChain,
     LossStage,
@@ -16,8 +17,10 @@ from qifsim.conversion import (
     noise_rate,
     normalized_efficiency_from_measurement,
     pump_coherence_visibility_factor,
+    run_efficiency_sweep,
 )
 from qifsim.errors import DomainError
+from qifsim.scenario import load_reference_scenario
 
 ETA_NORM = 0.13  # 1/(W cm^2)
 PUMP_POWER_W = 0.65
@@ -214,3 +217,126 @@ def test_noise_model_validation():
         NoiseModel(pump_extinction_db=-3.0)
     with pytest.raises(DomainError):
         noise_rate(PumpField(0.65, 1.552), 0.0, NoiseModel())
+
+
+# --- binomial sampler and efficiency sweep ---
+
+
+def chi2_against_pmf(draws, n, p):
+    """(chi-square, degrees of freedom) of the draws against the exact pmf.
+
+    Neighbouring values are pooled into cells until each expects at least
+    5 draws; a short last cell joins the one before it.
+    """
+    size = len(draws)
+    observed = [0] * (n + 1)
+    for k in draws:
+        observed[k] += 1
+    log_norm = math.lgamma(n + 1) + n * math.log1p(-p)
+    log_odds = math.log(p) - math.log1p(-p)
+    cells = []  # (observed, expected)
+    obs = exp = 0.0
+    for k in range(n + 1):
+        log_pmf = log_norm - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * log_odds
+        obs += observed[k]
+        exp += size * math.exp(log_pmf)
+        if exp >= 5.0:
+            cells.append((obs, exp))
+            obs = exp = 0.0
+    last_obs, last_exp = cells.pop()
+    cells.append((last_obs + obs, last_exp + exp))
+    chi2 = sum((o - e) ** 2 / e for o, e in cells)
+    return chi2, len(cells) - 1
+
+
+def chi2_critical(dof, z=3.0902):
+    """Upper 0.1 % point of chi-square (Wilson-Hilferty)."""
+    h = 2.0 / (9.0 * dof)
+    return dof * (1.0 - h + z * math.sqrt(h)) ** 3
+
+
+@pytest.mark.parametrize(
+    "n, p, branch",
+    [
+        (1000, 0.3, "btrs"),
+        (1000, 0.004, "geometric"),
+        (50, 0.7, "btrs"),  # p > 1/2: the failures, 50 x 0.3
+        (30, 0.9, "geometric"),  # p > 1/2: the failures, 30 x 0.1
+        (1000, 0.0101, "btrs"),  # n p just above 10
+        (1000, 0.0099, "geometric"),  # n p just below 10
+    ],
+)
+def test_binomial_matches_exact_pmf(n, p, branch, monkeypatch):
+    calls = []
+
+    def spy(name):
+        sampler = getattr(conversion, f"_binomial_{name}")
+
+        def counted(*args):
+            calls.append(name)
+            return sampler(*args)
+
+        monkeypatch.setattr(conversion, f"_binomial_{name}", counted)
+
+    spy("btrs")
+    spy("geometric")
+    rng = random.Random(20261018)
+    draws = [conversion._binomial(n, p, rng) for _ in range(20000)]
+    assert set(calls) == {branch}
+    chi2, dof = chi2_against_pmf(draws, n, p)
+    assert chi2 < chi2_critical(dof), (chi2, dof)
+
+
+def test_binomial_edges_draw_nothing():
+    rng = random.Random(1)
+    state = rng.getstate()
+    assert conversion._binomial(0, 0.3, rng) == 0
+    assert conversion._binomial(0, 0.8, rng) == 0
+    assert conversion._binomial(1000, 0.0, rng) == 0
+    assert conversion._binomial(1000, 1.0, rng) == 1000
+    assert rng.getstate() == state
+    for bad in (-0.1, 1.1, math.nan):
+        with pytest.raises(DomainError, match="binomial probability"):
+            conversion._binomial(10, bad, rng)
+
+
+def test_stream_keys_are_separate():
+    def draws(*key):
+        rng = conversion._stream(*key)
+        return [rng.random() for _ in range(4)]
+
+    base = draws(42, "efficiency-sweep", 0.3)
+    assert draws(42, "efficiency-sweep", 0.3) == base
+    assert draws(43, "efficiency-sweep", 0.3) != base
+    assert draws(42, "fringe-scan", 0.3) != base
+    assert draws(42, "efficiency-sweep", 0.30000000000000004) != base
+    assert draws(42, "efficiency-sweep", 0.0) != draws(42, "efficiency-sweep", -0.0)
+
+
+@pytest.fixture(scope="module")
+def ref():
+    return load_reference_scenario()
+
+
+def test_efficiency_sweep_takes_lists_and_arrays(ref):
+    powers = [0.0, 0.05, 0.3, 0.65]
+    swept = run_efficiency_sweep(ref, powers)
+    from_array = run_efficiency_sweep(ref, np.array(powers))
+    assert from_array == swept
+    assert all(type(p.power_w) is float for p in from_array)
+    assert run_efficiency_sweep(ref, tuple(powers)) == swept
+
+
+def test_efficiency_sweep_is_reexported_by_montecarlo():
+    assert montecarlo.run_efficiency_sweep is run_efficiency_sweep
+    assert montecarlo.EfficiencyPoint is conversion.EfficiencyPoint
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_efficiency_sweep_rejects_non_finite_power_before_drawing(ref, bad, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew before checking the grid")
+
+    monkeypatch.setattr(conversion, "_stream", no_draws)
+    with pytest.raises(DomainError, match=f"pump power must be finite, got {bad} W"):
+        run_efficiency_sweep(ref, [0.1, bad])
