@@ -9,8 +9,8 @@ visibility.
 The dead time is a vectorised gate: an event at least one dead time after
 its predecessor is always accepted, and inside each cluster between such
 events the acceptances follow "first event after the dead time ends", a
-step taken by every cluster at once until few clusters are left, which a
-scalar loop finishes. Afterpulses repair that gated stream: each real
+step taken by a block of clusters at once until few clusters are left,
+which a scalar loop finishes. Afterpulses repair that gated stream: each real
 event's afterpulse mark is drawn up front, and the candidates are settled
 in time order. An accepted candidate blocks the real events in its dead
 time, and the real chain is re-gated from there until it rejoins the old
@@ -19,7 +19,8 @@ a candidate whose backward window no re-gating has touched keeps that
 test. A scalar loop takes the rest and the afterpulses' own candidates
 by the sequential rule, and re-gates the real chain after every accepted
 one. The output equals a sequential loop over the merged stream fed the
-same marks.
+same marks. Steps over the whole stream go a block at a time, so none of
+them builds an event-sized float temporary.
 
 The detector and window configuration (``DetectorModel``, ``ScaWindow``,
 ``FWHM_TO_SIGMA``) is defined in ``scenario`` and re-exported here.
@@ -140,6 +141,41 @@ def dead_time_correct(rate_obs_hz: float, dead_time_us: float) -> float:
 # step costs about as much as scalar steps over a few dozen events, so a
 # narrow frontier of long clusters is the gate's worst case.
 _SCALAR_FRONTIER = 16
+# Elements per block where a whole-stream step would otherwise need an
+# event-sized temporary: 2**16 float64s are 512 kB.
+_BLOCK = 1 << 16
+
+
+def _uniform_below(rng: np.random.Generator, n: int, bound, scale: float = 1.0) -> np.ndarray:
+    """Mask of ``rng.random(n) * scale < bound``, drawn a block at a time.
+
+    The generator fills its uniforms in sequence, so the blocks draw the
+    same numbers as one call, without an n-sized float temporary.
+    ``bound`` is one value or n values.
+    """
+    mask = np.empty(n, dtype=bool)
+    bound = np.broadcast_to(bound, n)
+    for lo in range(0, n, _BLOCK):
+        u = rng.random(min(_BLOCK, n - lo))
+        u *= scale
+        np.less(u, bound[lo : lo + _BLOCK], out=mask[lo : lo + _BLOCK])
+    return mask
+
+
+def _compress(times_ns: np.ndarray, mask: np.ndarray, tail=()) -> np.ndarray:
+    """``times_ns.compress(mask)`` followed by ``tail``, a block at a time.
+
+    ``compress`` builds an index array as large as its result; block by
+    block that temporary stays small, and the output is allocated once.
+    """
+    out = np.empty(np.count_nonzero(mask) + len(tail))
+    filled = 0
+    for lo in range(0, mask.size, _BLOCK):
+        block = times_ns[lo : lo + _BLOCK].compress(mask[lo : lo + _BLOCK])
+        out[filled : filled + block.size] = block
+        filled += block.size
+    out[filled:] = tail
+    return out
 
 
 def _seek(times_ns: np.ndarray, x: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -165,35 +201,46 @@ def _gate(times_ns: np.ndarray, dead_ns: float) -> np.ndarray:
     bit for bit, and draws no random numbers. An event with
     t[i] >= t[i-1] + dead heads a cluster and is always accepted: every
     earlier acceptance ended its dead time by t[i-1] + dead, and rounding
-    is monotone. Inside a cluster the acceptances follow
-    nxt(i) = searchsorted(t, t[i] + dead), the first event at or after the
-    end of i's dead time. A frontier starts at the heads and steps along
-    nxt while it stays in its cluster, so numpy runs once per acceptance
-    in the longest cluster, and nxt is searched for frontier events only.
-    Once at most ``_SCALAR_FRONTIER`` clusters are left, each is finished
-    by the sequential rule over its own events as Python floats.
+    is monotone. The mask starts as the heads, tested a block at a time,
+    which settles every single-event cluster. Inside a longer cluster the
+    acceptances follow nxt(i) = searchsorted(t, t[i] + dead), the first
+    event at or after the end of i's dead time. A frontier starts at the
+    heads of those clusters only and steps along nxt while it stays in its
+    cluster, so numpy runs once per acceptance in the longest cluster, and
+    nxt is searched for frontier events only. Once at most
+    ``_SCALAR_FRONTIER`` clusters are left, each is finished by the
+    sequential rule over its own events, read one float at a time.
     """
     n = times_ns.size
-    keep = np.zeros(n, dtype=bool)
-    head = np.ones(n, dtype=bool)
-    head[1:] = times_ns[1:] >= times_ns[:-1] + dead_ns
-    frontier = np.flatnonzero(head)
-    end = np.append(frontier[1:], n)
-    while frontier.size > _SCALAR_FRONTIER:
-        keep[frontier] = True
-        more = frontier + 1 < end
-        frontier, end = frontier.compress(more), end.compress(more)
-        # frontier + 1 is not a head, so it falls in the frontier's dead time.
-        frontier = _seek(times_ns, times_ns[frontier] + dead_ns, frontier + 2)
-        inside = frontier < end
-        frontier, end = frontier.compress(inside), end.compress(inside)
+    keep = np.ones(n, dtype=bool)
+    for lo in range(1, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        np.greater_equal(times_ns[lo:hi], times_ns[lo - 1 : hi - 1] + dead_ns, out=keep[lo:hi])
+    # A longer cluster starts at a head followed by an event in its dead
+    # time, and ends at the next head after such an event, or at n.
+    starts = np.flatnonzero(keep[:-1] > keep[1:])
+    ends = np.flatnonzero(keep[:-1] < keep[1:]) + 1
+    if n and not keep[-1]:
+        ends = np.append(ends, n)
     accepted = []
-    for i, stop in zip(frontier.tolist(), end.tolist()):
-        blocked_until = -math.inf
-        for k, t in enumerate(times_ns[i:stop].tolist(), i):
-            if t >= blocked_until:
-                accepted.append(k)
-                blocked_until = t + dead_ns
+    # The longer clusters are stepped a block at a time, which bounds the
+    # frontier's temporaries.
+    for lo in range(0, starts.size, _BLOCK):
+        frontier, end = starts[lo : lo + _BLOCK], ends[lo : lo + _BLOCK]
+        while frontier.size > _SCALAR_FRONTIER:
+            # frontier + 1 is not a head, so it falls in the frontier's dead time.
+            frontier = _seek(times_ns, times_ns[frontier] + dead_ns, frontier + 2)
+            inside = frontier < end
+            frontier, end = frontier.compress(inside), end.compress(inside)
+            keep[frontier] = True
+            more = frontier + 1 < end
+            frontier, end = frontier.compress(more), end.compress(more)
+        for i, stop in zip(frontier.tolist(), end.tolist()):
+            blocked_until = -math.inf
+            for k, t in enumerate(memoryview(times_ns)[i:stop], i):
+                if t >= blocked_until:
+                    accepted.append(k)
+                    blocked_until = t + dead_ns
     keep[accepted] = True
     return keep
 
@@ -247,7 +294,9 @@ def _afterpulse_pass(
     comparison with the last accepted afterpulse, so a clean candidate
     that the real gate rejects is never visited. The loop visits the rest
     in time order, the afterpulses' own candidates on a heap, and re-walks
-    after each accepted one on a bytearray of acceptances.
+    after each accepted one on a bytearray of acceptances. It reads the
+    candidates through memoryviews, 8 bytes each, and the array steps'
+    temporaries are freed before it starts.
     """
     keep0 = _gate(times_ns, dead_ns)
     n = times_ns.size
@@ -257,6 +306,7 @@ def _afterpulse_pass(
     cand, parent = cand.compress(below), spawners.compress(below)
     order = np.argsort(cand, kind="stable")
     cand, parent = cand[order], parent[order]
+    del below, order
     m = cand.size
     # j0 is the first event at or after c, j1 the first after its dead time.
     j0 = np.searchsorted(times_ns, cand)
@@ -267,13 +317,17 @@ def _afterpulse_pass(
     kept = np.flatnonzero(keep0)
     before = np.searchsorted(kept, j0) - 1
     t_prev = times_ns[kept[np.maximum(before, 0)]]
+    del kept
     ok = (before < 0) | (t_prev < floor) | (cand >= t_prev + dead_ns)
+    del before, t_prev
     # Index of the next candidate at or after i that the real gate accepts.
-    next_ok = np.minimum.accumulate(np.where(ok, np.arange(m), m)[::-1])[::-1]
-
-    cs, parents, floors, j0s, j1s = (a.tolist() for a in (cand, parent, floor, j0, j1))
-    next_ok = next_ok.tolist() + [m]
+    next_ok = np.minimum.accumulate(np.append(np.where(ok, np.arange(m), m), m)[::-1])[::-1]
+    del ok
     keep = bytearray(keep0)
+    del keep0
+    cs, parents, floors, j0s, j1s, next_ok = map(
+        memoryview, (cand, parent, floor, j0, j1, np.ascontiguousarray(next_ok))
+    )
     tv = memoryview(times_ns)
 
     def seek(x: float, j: int) -> int:
@@ -354,10 +408,13 @@ def _afterpulse_pass(
             spawned = c + dead_ns + delay
             if spawned < horizon_ns:
                 heappush(children, spawned)
-    # Equal times are equal values, so a stable merge of the two sorted
-    # runs gives the same array as inserting each afterpulse.
-    real = times_ns.compress(np.frombuffer(keep, dtype=bool))
-    return np.sort(np.concatenate((real, afterpulses)), kind="stable")
+    del cs, parents, floors, j0s, j1s, next_ok, cand, parent, floor, j0, j1
+    # Equal times are equal values, so a stable sort of the two sorted runs,
+    # which merges them through a buffer the size of the shorter one, gives
+    # the same array as inserting each afterpulse.
+    out = _compress(times_ns, np.frombuffer(keep, dtype=bool), afterpulses)
+    out.sort(kind="stable")
+    return out
 
 
 def _dead_time_pass(
@@ -367,15 +424,16 @@ def _dead_time_pass(
 
     Without afterpulsing this is ``_gate`` alone and draws no random
     numbers. With it, every real event's afterpulse mark is drawn up front,
-    ``rng.random(n) < p`` and then one exponential delay of scale dead per
-    spawner; the afterpulses' own marks follow from the same ``rng`` as
-    they are needed, and ``_afterpulse_pass`` settles the candidates.
+    ``rng.random(n) < p`` a block at a time and then one exponential delay
+    of scale dead per spawner; the afterpulses' own marks follow from the
+    same ``rng`` as they are needed, and ``_afterpulse_pass`` settles the
+    candidates.
     """
     dead_ns = det.dead_time_us * 1e3
     p_after = det.afterpulse_probability
     if p_after == 0.0:
-        return times_ns.compress(_gate(times_ns, dead_ns))
-    spawners = np.flatnonzero(rng.random(times_ns.size) < p_after)
+        return _compress(times_ns, _gate(times_ns, dead_ns))
+    spawners = np.flatnonzero(_uniform_below(rng, times_ns.size, p_after))
     delays_ns = rng.exponential(dead_ns, spawners.size)
     marks = _afterpulse_marks(rng, p_after, dead_ns)
     return _afterpulse_pass(times_ns, dead_ns, spawners, delays_ns, horizon_ns, marks)
@@ -413,17 +471,19 @@ def simulate_detection(
         raise DomainError("arrival times must be sorted ascending")
 
     sigma = det.jitter_sigma_ns()
-    jitter = rng.normal(0.0, sigma, fired.size) if sigma > 0 and fired.size else None
-    n_dark = rng.poisson(det.dark_count_rate_hz * duration_s)
-
-    # The jittered arrivals and the darks share one buffer, sorted in place.
-    stream = np.empty(fired.size + n_dark)
-    if jitter is None:
-        stream[: fired.size] = fired
+    if sigma > 0 and fired.size:
+        # Normal(0, sigma) draws are sigma times standard normal ones, so
+        # the jitter is drawn as the stream buffer and shifted in place.
+        stream = rng.standard_normal(fired.size)
+        stream *= sigma
+        stream += fired
     else:
-        np.add(fired, jitter, out=stream[: fired.size])
-        del jitter
-    stream[fired.size :] = rng.uniform(0.0, duration_s * 1e9, n_dark)
+        stream = fired.copy()
+    # A caller that passes its arrivals as a temporary frees them here.
+    del arrivals, fired
+    n_dark = rng.poisson(det.dark_count_rate_hz * duration_s)
+    if n_dark:
+        stream = np.concatenate((stream, rng.uniform(0.0, duration_s * 1e9, n_dark)))
     stream.sort()
     if det.dead_time_us == 0.0 and det.afterpulse_probability == 0.0:
         return stream

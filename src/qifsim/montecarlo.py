@@ -41,6 +41,7 @@ from .detection import (
     TacHistogram,
     _bin_folded,
     _gaussian_window_capture,
+    _uniform_below,
     simulate_detection,
 )
 from .conversion import EfficiencyPoint, _reject_repeats, run_efficiency_sweep
@@ -256,7 +257,10 @@ def _pulse_ranks(pulse: np.ndarray) -> tuple[np.ndarray, int]:
     """Rank of each entry among the distinct values, and how many there are.
 
     The ranks are ``np.unique(pulse, return_inverse=True)[1]``: sort, mark
-    where each run of equal values starts, and count the run starts.
+    where each run of equal values starts, and count the run starts into
+    the buffer of the sorted values, which is then scattered to the ranks.
+    The run marks are freed before the ranks are allocated, so at most
+    three entry-sized integer arrays live at once besides ``pulse``.
     """
     if not pulse.size:
         return np.empty(0, dtype=np.intp), 0
@@ -266,6 +270,7 @@ def _pulse_ranks(pulse: np.ndarray) -> tuple[np.ndarray, int]:
     run_start[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=run_start[1:])
     np.cumsum(run_start, out=ordered)
+    del run_start
     ordered -= 1
     rank = np.empty_like(order)
     rank[order] = ordered
@@ -292,7 +297,9 @@ def _middle_times(m: _PointModel, beta_rad: float, pulses: int, period: float, r
     """Emission-free times of the fired middle-slot photons.
 
     Poisson(N f p_max) candidates at the largest slot probability p_max,
-    each kept with probability p_mid(drift) / p_max.
+    each kept with probability p_mid(drift) / p_max. With a drifting pump,
+    p_mid is computed once per occupied pulse and gathered by rank. The
+    acceptance uniforms are drawn a block at a time.
     """
     mid = m.middle
     p_max = mid.offset + abs(mid.amplitude)
@@ -303,19 +310,20 @@ def _middle_times(m: _PointModel, beta_rad: float, pulses: int, period: float, r
     # photon of a pulse sees the same drift.
     if mid.drift_rad > 0:
         rank, occupied = _pulse_ranks(pulse)
-        p_mid = rng.normal(0.0, mid.drift_rad, occupied)[rank]
-        del rank
+        p_pulse = rng.normal(0.0, mid.drift_rad, occupied)
         # offset + amplitude cos(alpha + drift - beta), term by term.
-        p_mid += mid.alpha_rad
-        p_mid -= beta_rad
-        np.cos(p_mid, out=p_mid)
-        p_mid *= mid.amplitude
-        p_mid += mid.offset
+        p_pulse += mid.alpha_rad
+        p_pulse -= beta_rad
+        np.cos(p_pulse, out=p_pulse)
+        p_pulse *= mid.amplitude
+        p_pulse += mid.offset
+        p_mid = p_pulse[rank]
+        del rank, p_pulse
     else:
         p_mid = mid.offset + mid.amplitude * np.cos(mid.alpha_rad - beta_rad)
-    u = rng.random(n)
-    u *= p_max
-    times = pulse.compress(u < p_mid) * period
+    kept = _uniform_below(rng, n, p_mid, p_max)
+    del p_mid
+    times = pulse.compress(kept) * period
     times += m.tac_offset_ns
     times += mid.delay_ns
     return times
@@ -379,6 +387,14 @@ def _simulate_point(
     return hist, window, background
 
 
+def _pulse_count(s: Scenario, pulses: int | None) -> int:
+    """Pulses per point: the override, else the scenario's; never negative."""
+    n_pulses = s.pulses_per_point if pulses is None else pulses
+    if n_pulses < 0:
+        raise DomainError(f"pulses must be >= 0, got {n_pulses}")
+    return n_pulses
+
+
 def run_fringe_scan(s: Scenario, phases_rad, pulses: int | None = None) -> RunResult:
     """Scan the analysis phase and count windowed arrivals at each point.
 
@@ -391,15 +407,19 @@ def run_fringe_scan(s: Scenario, phases_rad, pulses: int | None = None) -> RunRe
     draws from its own substream.
 
     Raises:
+        DomainError: fewer than 2 phases, a phase not finite, or pulses < 0.
         ConfigError: a phase appears twice in the grid.
     """
     phases = np.asarray(phases_rad, dtype=float)
     if phases.size < 2:
         raise DomainError(f"need at least 2 phase points, got {phases.size}")
+    # A non-finite phase keys a stream that no grid check can tell apart
+    # from another NaN, and its point would lose the middle slot.
+    for beta in phases.tolist():
+        if not math.isfinite(beta):
+            raise DomainError(f"phase must be finite, got {beta} rad")
     _reject_repeats(phases.tolist(), "phase")
-    n_pulses = s.pulses_per_point if pulses is None else pulses
-    if n_pulses < 0:
-        raise DomainError(f"pulses must be >= 0, got {n_pulses}")
+    n_pulses = _pulse_count(s, pulses)
 
     started = time.perf_counter()
     model = _point_model(s)
@@ -460,12 +480,12 @@ def expected_fringe(s: Scenario, phases_rad, pulses: int | None = None) -> Expec
     and an approximation otherwise.
 
     Raises:
-        DomainError: square pulse shape.
+        DomainError: square pulse shape, or pulses < 0.
     """
     if s.source.pulse_shape != "gaussian":
         raise DomainError("expected_fringe only covers gaussian pulse shapes")
     phases = np.asarray(phases_rad, dtype=float)
-    n_pulses = s.pulses_per_point if pulses is None else pulses
+    n_pulses = _pulse_count(s, pulses)
     m = _point_model(s)
     sigma = math.hypot(m.pulse_width_ns, s.detector.jitter_sigma_ns())
     early, middle, late = (
@@ -529,7 +549,7 @@ def validate_against_oracle(
     errors.
     """
     phases = np.asarray(phases_rad, dtype=float)
-    n_pulses = s.pulses_per_point if pulses is None else pulses
+    n_pulses = _pulse_count(s, pulses)
     run = run_fringe_scan(s, phases, pulses=n_pulses)
     if n_pulses == 0:
         return ValidationReport(

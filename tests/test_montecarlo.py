@@ -124,6 +124,16 @@ def test_fringe_scan_needs_two_phases(ref):
         run_fringe_scan(ref, PHASES_12, pulses=-1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fringe_scan_rejects_non_finite_phase_before_drawing(ref, bad, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew before checking the grid")
+
+    monkeypatch.setattr(montecarlo, "substream", no_draws)
+    with pytest.raises(DomainError, match=f"phase must be finite, got {bad} rad"):
+        run_fringe_scan(ref, [0.0, bad, 1.0], pulses=1_000)
+
+
 def test_fringe_scan_rejects_repeated_phases(ref):
     # Both points would draw from the same substream.
     with pytest.raises(ConfigError, match="repeats the value 0.5"):
@@ -157,19 +167,39 @@ def test_pump_drift_spans_the_preparation_delay(ref):
     assert math.exp(-0.5 * drift**2) == pytest.approx(factor, rel=1e-12)
 
 
-def test_fringe_scan_memory_grows_with_detections(ref):
-    # 2e7 pulses: sampling every photon would take gigabytes; the fired
-    # events take tens of megabytes.
+def traced_scan(s, pulses):
+    """A two-point scan and its traced peak allocation in bytes."""
     tracemalloc.start()
     try:
-        run = run_fringe_scan(ref, PHASES_12[:2], pulses=10_000_000)
+        run = run_fringe_scan(s, PHASES_12[:2], pulses=pulses)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return run, peak
+
+
+def test_fringe_scan_memory_grows_with_detections(ref):
+    # 2e7 pulses: sampling every photon would take gigabytes; the fired
+    # events take tens of megabytes.
+    run, peak = traced_scan(ref, 10_000_000)
     assert peak < 100e6
-    # About three event-sized float arrays at the point's peak.
+    # About two event-sized float arrays at the point's peak.
     detections_per_point = run.histogram.total_counts() / 2
-    assert peak < 40 * detections_per_point
+    assert peak < 30 * detections_per_point
+
+
+def test_dead_time_scan_memory_grows_with_detections(ref):
+    # A saturated detector: QE 0.9, 20 ns dead time and 5 % afterpulsing,
+    # about 7.5e5 detections per point. The gate, the afterpulse pass and
+    # the middle-slot ranks each peak below 50 bytes per detection.
+    s = dataclasses.replace(
+        ref,
+        detector=dataclasses.replace(
+            ref.detector, quantum_efficiency=0.9, dead_time_us=0.02, afterpulse_probability=0.05
+        ),
+    )
+    run, peak = traced_scan(s, 3_000_000)
+    assert peak < 50 * run.histogram.total_counts() / 2
 
 
 def test_quiet_scenario_reaches_unit_visibility(ref):
@@ -303,6 +333,14 @@ def test_expected_fringe_rejects_square_pulses(ref):
     )
     with pytest.raises(DomainError, match="gaussian"):
         expected_fringe(square, PHASES_12)
+
+
+def test_expected_fringe_rejects_negative_pulses(ref):
+    # The same error as the engine's, not a fringe of negative counts.
+    with pytest.raises(DomainError, match="pulses must be >= 0, got -5"):
+        expected_fringe(ref, [0.0, 1.0], pulses=-5)
+    with pytest.raises(DomainError, match="pulses must be >= 0, got -5"):
+        run_fringe_scan(ref, [0.0, 1.0], pulses=-5)
 
 
 def assert_oracle_agrees(s):
