@@ -209,6 +209,8 @@ def _scan_args(args) -> tuple[list[float], int | None]:
     """The --phases grid (default 0:2pi:12) and the --pulses override."""
     if args.phases:
         phases = _parse_grid(args.phases, "--phases")
+        if len(phases) < 2:
+            raise ConfigError(f"--phases needs at least 2 points, got {len(phases)}")
     else:
         phases = _grid(0.0, 2.0 * math.pi, 12)
     if args.pulses is not None and args.pulses < 0:
@@ -278,7 +280,7 @@ def _cmd_histogram(s: Scenario, out: Path, args) -> list[Path]:
 def _cmd_repeater(s: Scenario, out: Path, args) -> list[Path]:
     rows = []
     for length in _grid(*s.repeater.length_grid_km):
-        cfg = s.repeater_link(length_km=length)
+        cfg = s.repeater_link(length)
         p_with = repeater.link_success_probability(cfg, with_interface=True)
         p_without = repeater.link_success_probability(cfg, with_interface=False)
         rate_with = repeater.link_rate_hz(cfg, with_interface=True)
@@ -301,7 +303,7 @@ def _cmd_repeater(s: Scenario, out: Path, args) -> list[Path]:
         ["length_km", "p_with", "p_without", "rate_with_hz", "rate_without_hz", "ratio"],
         rows,
     )
-    cfg = s.repeater_link()
+    # Only the length varies along the grid, and nothing printed here reads it.
     print(
         f"illustrative {cfg.protocol} link model, interface efficiency "
         f"{cfg.interface_efficiency:.3e}"

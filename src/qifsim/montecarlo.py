@@ -535,21 +535,18 @@ class ValidationReport:
 
 
 def validate_against_oracle(
-    s: Scenario,
-    phases_rad,
-    pulses: int | None = None,
-    oracle_v_net: float | None = None,
+    s: Scenario, phases_rad, pulses: int | None = None
 ) -> ValidationReport:
     """Cross-check the stochastic engine against the analytic fringe.
 
     Any point off by more than 4 sigma is flagged; the summary statistic is
-    chi-square per point under Poisson errors. ``oracle_v_net`` substitutes
-    a foreign net visibility into the oracle, which is how the comparison's
-    sensitivity is itself tested. Discrepancies are report content, not
-    errors.
+    chi-square per point under Poisson errors. Discrepancies are report
+    content, not errors. A scenario outside the oracle's domain raises
+    before the engine draws anything.
     """
     phases = np.asarray(phases_rad, dtype=float)
     n_pulses = _pulse_count(s, pulses)
+    expected = expected_fringe(s, phases, pulses=n_pulses).counts
     run = run_fringe_scan(s, phases, pulses=n_pulses)
     if n_pulses == 0:
         return ValidationReport(
@@ -560,15 +557,6 @@ def validate_against_oracle(
             rows=tuple(
                 (p.phase_rad, float(p.counts), 0.0, 0.0) for p in run.fringe
             ),
-        )
-    exp = expected_fringe(s, phases, pulses=n_pulses)
-    expected = exp.counts
-    if oracle_v_net is not None:
-        amplitude = exp.signal_offset * oracle_v_net
-        expected = (
-            exp.background
-            + exp.signal_offset
-            + amplitude * np.cos(s.preparation.phase_rad - phases)
         )
     observed = np.array([p.counts for p in run.fringe], dtype=float)
     sigma = np.sqrt(np.maximum(expected, 1.0))

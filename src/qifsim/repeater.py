@@ -66,7 +66,7 @@ class LinkConfig:
                 f"protocol must be one of {PROTOCOL_CLASSES}, got {self.protocol!r}"
             )
         if self.attempt_rate_hz < 0:
-            raise DomainError(f"attempt rate must be >= 0, got {self.attempt_rate_hz}")
+            raise DomainError(f"attempt_rate_hz must be >= 0, got {self.attempt_rate_hz}")
 
 
 def fiber_transmission(length_km: float, attenuation_db_per_km: float) -> float:

@@ -34,7 +34,7 @@ from typing import Any, Callable, NamedTuple, get_type_hints
 from . import conversion, qpm
 from .errors import ConfigError, DomainError
 from .qpm import QpmConfig
-from .repeater import PROTOCOL_CLASSES, LinkConfig
+from .repeater import LinkConfig
 from .timebin import DELAY_MATCH_RTOL, Interferometer, PulseSource
 
 __all__ = [
@@ -116,10 +116,9 @@ class RepeaterSettings:
     """Repeater-link comparison inputs carried by a scenario.
 
     ``interface_efficiency`` of None means "use this scenario's own
-    conversion budget".
+    conversion budget". The settings hold to ``LinkConfig``'s own rule.
     """
 
-    link_length_km: float
     attenuation_native_db_per_km: float
     attenuation_telecom_db_per_km: float
     system_efficiency: float
@@ -135,10 +134,21 @@ class RepeaterSettings:
                 f"length grid must be 0 <= start <= stop with n >= 1, got "
                 f"{start}:{stop}:{n}"
             )
-        if self.protocol not in PROTOCOL_CLASSES:
-            raise DomainError(
-                f"protocol must be one of {PROTOCOL_CLASSES}, got {self.protocol!r}"
-            )
+        # A budget efficiency is checked where the budget is computed.
+        self.link(start, budget_efficiency=1.0)
+
+    def link(self, length_km: float, budget_efficiency: float) -> LinkConfig:
+        """The link of ``length_km``, converting at ``budget_efficiency`` when set from the budget."""
+        eta = self.interface_efficiency
+        return LinkConfig(
+            length_km=length_km,
+            attenuation_native_db_per_km=self.attenuation_native_db_per_km,
+            attenuation_telecom_db_per_km=self.attenuation_telecom_db_per_km,
+            interface_efficiency=budget_efficiency if eta is None else eta,
+            system_efficiency=self.system_efficiency,
+            protocol=self.protocol,
+            attempt_rate_hz=self.attempt_rate_hz,
+        )
 
 
 @dataclass(frozen=True)
@@ -172,6 +182,13 @@ class Scenario:
             raise ConfigError(
                 f"interferometer delays differ beyond {DELAY_MATCH_RTOL:.0%}: preparation "
                 f"{dt_p} ns vs analysis {dt_a} ns"
+            )
+        # Every scan sets the analysis phase, and the analyzer needs its
+        # physical two-port transfer, so the format carries neither.
+        if self.analysis.phase_rad != 0.0 or self.analysis.normalize_forward:
+            raise ConfigError(
+                "analysis interferometer must have zero phase and normalize_forward "
+                f"off, got {self.analysis.phase_rad} rad and {self.analysis.normalize_forward}"
             )
         if self.signal_wavelength_um <= 0:
             raise ConfigError(
@@ -238,18 +255,8 @@ class Scenario:
     def noise_rate_hz(self) -> float:
         return conversion.noise_rate(self.pump, self.output_wavelength_um(), self.noise)
 
-    def repeater_link(self, length_km: float | None = None) -> LinkConfig:
-        r = self.repeater
-        eta = r.interface_efficiency if r.interface_efficiency is not None else self.eta_qi()
-        return LinkConfig(
-            length_km=r.link_length_km if length_km is None else length_km,
-            attenuation_native_db_per_km=r.attenuation_native_db_per_km,
-            attenuation_telecom_db_per_km=r.attenuation_telecom_db_per_km,
-            interface_efficiency=eta,
-            system_efficiency=r.system_efficiency,
-            protocol=r.protocol,
-            attempt_rate_hz=r.attempt_rate_hz,
-        )
+    def repeater_link(self, length_km: float) -> LinkConfig:
+        return self.repeater.link(length_km, self.eta_qi())
 
     def warn_if_unresolved(self) -> None:
         self.source.warn_if_unresolved(self.preparation.delta_tau_ns)
@@ -328,10 +335,8 @@ _KEYS = (
     _Key("preparation_interferometer", "splitting_ratio", "preparation.splitting_ratio", _FLOAT),
     _Key("preparation_interferometer", "normalize_forward", "preparation.normalize_forward", _BOOL),
     _Key("analysis_interferometer", "delta_tau_ns", "analysis.delta_tau_ns", _FLOAT),
-    _Key("analysis_interferometer", "phase_rad", "analysis.phase_rad", _FLOAT),
     _Key("analysis_interferometer", "transmission", "analysis.transmission", _FLOAT),
     _Key("analysis_interferometer", "splitting_ratio", "analysis.splitting_ratio", _FLOAT),
-    _Key("analysis_interferometer", "normalize_forward", "analysis.normalize_forward", _BOOL),
     _Key("qpm", "poling_period_um", "qpm.poling_period_um", _FLOAT),
     _Key("qpm", "crystal_length_cm", "qpm.crystal_length_cm", _FLOAT),
     _Key("qpm", "temperature_k", "qpm.temperature_k", _FLOAT),
@@ -362,7 +367,6 @@ _KEYS = (
     _Key("acquisition", "pulses_per_point", "pulses_per_point", _INT),
     _Key("acquisition", "mc_photons_per_point", "mc_photons_per_point", _INT),
     _Key("acquisition", "master_seed", "master_seed", _INT),
-    _Key("repeater", "link_length_km", "repeater.link_length_km", _FLOAT),
     _Key("repeater", "attenuation_native_db_per_km", "repeater.attenuation_native_db_per_km", _FLOAT),
     _Key("repeater", "attenuation_telecom_db_per_km", "repeater.attenuation_telecom_db_per_km", _FLOAT),
     _Key("repeater", "system_efficiency", "repeater.system_efficiency", _FLOAT),

@@ -8,7 +8,7 @@ import pytest
 from qifsim import cli, montecarlo
 from qifsim.scenario import load_reference_scenario, serialize_scenario
 
-DIGEST = "eb1952feeb4f"
+DIGEST = "521b5b16a1f4"
 
 
 @pytest.fixture
@@ -275,6 +275,34 @@ def test_unfittable_phase_grid_exits_2_before_scanning(
     assert list(tmp_path.glob("*.csv")) == []
     log = (tmp_path / "run.log").read_text()
     assert "status=error:ConfigError" in log and reason in log
+
+
+@pytest.mark.parametrize("command", ["fringe-scan", "histogram", "validate"])
+def test_one_point_phase_grid_exits_2_before_scanning(tmp_path, capsys, monkeypatch, command):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned a one-point grid")
+
+    monkeypatch.setattr(montecarlo, "run_fringe_scan", no_scan)
+    monkeypatch.setattr(montecarlo, "validate_against_oracle", no_scan)
+    assert cli.main([command, "--out", str(tmp_path), "--phases=0:1:1"]) == 2
+    assert "--phases needs at least 2 points, got 1" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [("attenuation_native_db_per_km", "-1.0"), ("system_efficiency", "1.5")],
+)
+def test_bad_repeater_setting_exits_2_from_every_command(tmp_path, capsys, key, bad):
+    lines = serialize_scenario(load_reference_scenario()).splitlines(keepends=True)
+    index = next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))
+    lines[index] = f"{key} = {bad}\n"
+    path = tmp_path / "bad.scenario"
+    path.write_text("".join(lines))
+    for command in cli.COMMANDS:
+        assert cli.main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 2, command
+        assert f"[repeater]: {key} must be" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
 
 
 def test_unknown_command_rejected(tmp_path, run_cli):

@@ -382,10 +382,33 @@ def test_validation_agrees_off_reference_settings(ref, variant):
     assert_oracle_agrees(OFF_REFERENCE[variant](ref))
 
 
-def test_validation_flags_corrupted_oracle(ref):
-    report = validate_against_oracle(ref, PHASES_12, pulses=200_000, oracle_v_net=0.5)
+def test_validation_flags_corrupted_oracle(ref, monkeypatch):
+    honest = montecarlo.expected_fringe
+
+    def corrupted(s, phases, pulses=None):
+        # The oracle's own background and offset, at a foreign net visibility of 0.5.
+        exp = honest(s, phases, pulses)
+        amplitude = 0.5 * exp.signal_offset
+        fringe = amplitude * np.cos(s.preparation.phase_rad - exp.phases_rad)
+        counts = exp.background + exp.signal_offset + fringe
+        return dataclasses.replace(exp, counts=counts, signal_amplitude=amplitude, v_net=0.5)
+
+    monkeypatch.setattr(montecarlo, "expected_fringe", corrupted)
+    report = validate_against_oracle(ref, PHASES_12, pulses=200_000)
     assert report.chi2_per_dof > 4.0
     assert len(report.flagged_phases) >= 2
+
+
+def test_validation_checks_oracle_domain_before_scanning(ref, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("scanned a scenario the oracle does not cover")
+
+    monkeypatch.setattr(montecarlo, "substream", no_draw)
+    square = dataclasses.replace(
+        ref, source=dataclasses.replace(ref.source, pulse_shape="square")
+    )
+    with pytest.raises(DomainError, match="gaussian"):
+        validate_against_oracle(square, PHASES_12)
 
 
 def test_validation_zero_pulses_has_no_chi2(ref):

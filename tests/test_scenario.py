@@ -16,7 +16,7 @@ from qifsim.scenario import (
     serialize_scenario,
 )
 
-REFERENCE_DIGEST = "eb1952feeb4f"
+REFERENCE_DIGEST = "521b5b16a1f4"
 
 
 @pytest.fixture(scope="module")
@@ -60,11 +60,9 @@ def test_digest_tracks_content(ref):
 
 
 def test_repeater_link_uses_budget_by_default(ref):
-    link = ref.repeater_link()
+    link = ref.repeater_link(10.0)
     assert link.interface_efficiency == pytest.approx(ref.eta_qi(), rel=1e-12)
-    assert link.length_km == 50.0
-    shorter = ref.repeater_link(length_km=10.0)
-    assert shorter.length_km == 10.0
+    assert link.length_km == 10.0
 
 
 def test_load_missing_file_names_path(tmp_path):
@@ -152,6 +150,32 @@ def test_field_error_names_section_and_key(ref, section, key, bad):
         parse_scenario("".join(lines), origin="probe.scenario")
 
 
+@pytest.mark.parametrize(
+    "key, bad",
+    [
+        ("attenuation_native_db_per_km", "-1.0"),
+        ("attenuation_telecom_db_per_km", "-1.0"),
+        ("system_efficiency", "1.5"),
+        ("interface_efficiency", "1.5"),
+        ("attempt_rate_hz", "-1.0"),
+    ],
+)
+def test_repeater_settings_follow_link_rule(ref, key, bad):
+    lines = serialize_scenario(ref).splitlines(keepends=True)
+    index = next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))
+    lines[index] = f"{key} = {bad}\n"
+    with pytest.raises(ConfigError, match=rf"probe\.scenario: \[repeater\]: {key} must be"):
+        parse_scenario("".join(lines), origin="probe.scenario")
+
+
+@pytest.mark.parametrize(
+    "analysis", [{"phase_rad": 0.3}, {"normalize_forward": True}], ids=["phase", "normalize_forward"]
+)
+def test_analysis_interferometer_has_no_phase_or_normalization(ref, analysis):
+    with pytest.raises(ConfigError, match="analysis interferometer must have zero phase"):
+        dataclasses.replace(ref, analysis=dataclasses.replace(ref.analysis, **analysis))
+
+
 def test_bad_interface_efficiency_field(ref):
     text = serialize_scenario(ref).replace(
         "interface_efficiency = from_budget", "interface_efficiency = budget"
@@ -182,7 +206,7 @@ def test_explicit_interface_efficiency_roundtrip(ref):
     )
     s = parse_scenario(text)
     assert s.repeater.interface_efficiency == 0.25
-    assert s.repeater_link().interface_efficiency == 0.25
+    assert s.repeater_link(0.0).interface_efficiency == 0.25
     assert parse_scenario(serialize_scenario(s)) == s
 
 

@@ -35,14 +35,13 @@ def scenarios(draw):
     """The reference with generated valid values in every section."""
     delta_tau = draw(positive)
 
-    def interferometer(base):
+    def interferometer(base, **settable):
         return replace(
             base,
             delta_tau_ns=delta_tau,
-            phase_rad=draw(signed),
             transmission=draw(fractions),
             splitting_ratio=draw(st.floats(0.01, 0.99)),
-            normalize_forward=draw(st.booleans()),
+            **settable,
         )
 
     dead_time_us = draw(st.one_of(st.just(0.0), positive))
@@ -58,7 +57,10 @@ def scenarios(draw):
             coherence_time_ns=draw(nonnegative),
             cw_background_fraction=draw(fractions),
         ),
-        preparation=interferometer(REF.preparation),
+        preparation=interferometer(
+            REF.preparation, phase_rad=draw(signed), normalize_forward=draw(st.booleans())
+        ),
+        # The analysis phase and normalization are fixed, not scenario keys.
         analysis=interferometer(REF.analysis),
         qpm=replace(
             REF.qpm,
@@ -103,7 +105,6 @@ def scenarios(draw):
         master_seed=draw(st.integers(0, 2**64 - 1)),
         repeater=replace(
             REF.repeater,
-            link_length_km=draw(nonnegative),
             attenuation_native_db_per_km=draw(nonnegative),
             attenuation_telecom_db_per_km=draw(nonnegative),
             system_efficiency=draw(fractions),
