@@ -20,7 +20,9 @@ test. A scalar loop takes the rest and the afterpulses' own candidates
 by the sequential rule, and re-gates the real chain after every accepted
 one. The output equals a sequential loop over the merged stream fed the
 same marks. Steps over the whole stream go a block at a time, so none of
-them builds an event-sized float temporary.
+them builds an event-sized temporary, and the gated events are compacted
+in place. The Monte Carlo engine hands the detector its own event
+buffer; ``simulate_detection`` runs the same path on a copy.
 
 The detector and window configuration (``DetectorModel``, ``ScaWindow``,
 ``FWHM_TO_SIGMA``) is defined in ``scenario`` and re-exported here.
@@ -142,40 +144,68 @@ def dead_time_correct(rate_obs_hz: float, dead_time_us: float) -> float:
 # narrow frontier of long clusters is the gate's worst case.
 _SCALAR_FRONTIER = 16
 # Elements per block where a whole-stream step would otherwise need an
-# event-sized temporary: 2**16 float64s are 512 kB.
-_BLOCK = 1 << 16
+# event-sized temporary: 2**14 float64s are 128 kB. Two points run at once,
+# each with a few block temporaries live, and blocks this small keep those
+# within the CPU cache at no cost in speed.
+_BLOCK = 1 << 14
 
 
-def _uniform_below(rng: np.random.Generator, n: int, bound, scale: float = 1.0) -> np.ndarray:
+def _blocks(start: int, stop: int) -> Iterator[tuple[int, int]]:
+    """Bounds (lo, hi) of the blocks that tile range(start, stop), in order."""
+    for lo in range(start, stop, _BLOCK):
+        yield lo, min(lo + _BLOCK, stop)
+
+
+def _uniform_below(
+    rng: np.random.Generator, n: int, bound, scale: float = 1.0, rank=None
+) -> np.ndarray:
     """Mask of ``rng.random(n) * scale < bound``, drawn a block at a time.
 
     The generator fills its uniforms in sequence, so the blocks draw the
     same numbers as one call, without an n-sized float temporary.
-    ``bound`` is one value or n values.
+    ``bound`` is one value or n values; with ``rank``, entry i compares
+    with ``bound[rank[i]]``, gathered a block at a time.
     """
     mask = np.empty(n, dtype=bool)
-    bound = np.broadcast_to(bound, n)
-    for lo in range(0, n, _BLOCK):
-        u = rng.random(min(_BLOCK, n - lo))
+    if rank is None:
+        bound = np.broadcast_to(bound, n)
+    for lo, hi in _blocks(0, n):
+        u = rng.random(hi - lo)
         u *= scale
-        np.less(u, bound[lo : lo + _BLOCK], out=mask[lo : lo + _BLOCK])
+        np.less(u, bound[lo:hi] if rank is None else bound[rank[lo:hi]], out=mask[lo:hi])
     return mask
 
 
-def _compress(times_ns: np.ndarray, mask: np.ndarray, tail=()) -> np.ndarray:
-    """``times_ns.compress(mask)`` followed by ``tail``, a block at a time.
+def _reserve(buffer: np.ndarray, used: int, extra: int) -> np.ndarray:
+    """``buffer``, or a copy of its first ``used`` entries with room for ``extra`` more.
 
-    ``compress`` builds an index array as large as its result; block by
-    block that temporary stays small, and the output is allocated once.
+    An engine buffer sized with room for its later appends is returned as
+    it is, so an append costs no copy of the events already in it.
     """
-    out = np.empty(np.count_nonzero(mask) + len(tail))
+    if buffer.size >= used + extra:
+        return buffer
+    grown = np.empty(used + extra)
+    grown[:used] = buffer[:used]
+    return grown
+
+
+def _compress(times_ns: np.ndarray, mask: np.ndarray, tail=()) -> np.ndarray:
+    """``times_ns[mask]`` followed by ``tail``, compacted in place.
+
+    The kept events move to the front of ``times_ns`` a block at a time, so
+    the temporaries stay block-sized and no second event-sized buffer is
+    allocated. The tail goes after them when it fits in the events removed,
+    else into one new buffer. ``times_ns`` holds garbage afterwards.
+    """
     filled = 0
-    for lo in range(0, mask.size, _BLOCK):
-        block = times_ns[lo : lo + _BLOCK].compress(mask[lo : lo + _BLOCK])
-        out[filled : filled + block.size] = block
+    for lo, hi in _blocks(0, mask.size):
+        # Each block lands at or before its own place, over no unread event.
+        block = times_ns[lo:hi][mask[lo:hi]]
+        times_ns[filled : filled + block.size] = block
         filled += block.size
-    out[filled:] = tail
-    return out
+    out = _reserve(times_ns, filled, len(tail))
+    out[filled : filled + len(tail)] = tail
+    return out[: filled + len(tail)]
 
 
 def _seek(times_ns: np.ndarray, x: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -192,6 +222,16 @@ def _seek(times_ns: np.ndarray, x: np.ndarray, j: np.ndarray) -> np.ndarray:
     rest = np.flatnonzero(times_ns[np.minimum(j, n - 1)] < x)
     j[rest] = np.searchsorted(times_ns, x[rest])
     return j
+
+
+def _next_true(mask: np.ndarray, i: int) -> int:
+    """Index of the first True in ``mask[i:]``, or ``mask.size``; a block at a time."""
+    for lo, hi in _blocks(i, mask.size):
+        block = mask[lo:hi]
+        j = int(block.argmax())
+        if block[j]:
+            return lo + j
+    return mask.size
 
 
 def _gate(times_ns: np.ndarray, dead_ns: float) -> np.ndarray:
@@ -213,20 +253,27 @@ def _gate(times_ns: np.ndarray, dead_ns: float) -> np.ndarray:
     """
     n = times_ns.size
     keep = np.ones(n, dtype=bool)
-    for lo in range(1, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
+    for lo, hi in _blocks(1, n):
         np.greater_equal(times_ns[lo:hi], times_ns[lo - 1 : hi - 1] + dead_ns, out=keep[lo:hi])
     # A longer cluster starts at a head followed by an event in its dead
-    # time, and ends at the next head after such an event, or at n.
-    starts = np.flatnonzero(keep[:-1] > keep[1:])
-    ends = np.flatnonzero(keep[:-1] < keep[1:]) + 1
-    if n and not keep[-1]:
-        ends = np.append(ends, n)
+    # time, and ends at the next head after such an event, or at n. The
+    # clusters are found and stepped a block of the stream at a time, each
+    # block from the end of the last cluster stepped, so a head that a step
+    # marks is never read as a cluster start, and the index arrays and the
+    # frontier's temporaries stay block-sized.
     accepted = []
-    # The longer clusters are stepped a block at a time, which bounds the
-    # frontier's temporaries.
-    for lo in range(0, starts.size, _BLOCK):
-        frontier, end = starts[lo : lo + _BLOCK], ends[lo : lo + _BLOCK]
+    lo = 0
+    while lo < n - 1:
+        hi = min(lo + _BLOCK, n - 1)
+        frontier = np.flatnonzero(keep[lo:hi] > keep[lo + 1 : hi + 1]) + lo
+        if not frontier.size:
+            lo = hi
+            continue
+        first, stop = int(frontier[0]), _next_true(keep, int(frontier[-1]) + 1)
+        top = min(stop, n - 1)
+        end = np.flatnonzero(keep[first:top] < keep[first + 1 : top + 1]) + first + 1
+        if stop == n:
+            end = np.append(end, n)
         while frontier.size > _SCALAR_FRONTIER:
             # frontier + 1 is not a head, so it falls in the frontier's dead time.
             frontier = _seek(times_ns, times_ns[frontier] + dead_ns, frontier + 2)
@@ -235,12 +282,13 @@ def _gate(times_ns: np.ndarray, dead_ns: float) -> np.ndarray:
             keep[frontier] = True
             more = frontier + 1 < end
             frontier, end = frontier.compress(more), end.compress(more)
-        for i, stop in zip(frontier.tolist(), end.tolist()):
+        for i, stop_i in zip(frontier.tolist(), end.tolist()):
             blocked_until = -math.inf
-            for k, t in enumerate(memoryview(times_ns)[i:stop], i):
+            for k, t in enumerate(memoryview(times_ns)[i:stop_i], i):
                 if t >= blocked_until:
                     accepted.append(k)
                     blocked_until = t + dead_ns
+        lo = max(hi, stop)
     keep[accepted] = True
     return keep
 
@@ -259,6 +307,26 @@ def _afterpulse_marks(
         delays = iter(rng.exponential(dead_ns, sum(spawn)).tolist())
         for spawns in spawn:
             yield next(delays) if spawns else None
+
+
+def _last_kept_before(keep: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Index of the last True in ``keep[:j]`` for each of the ascending ``j``, -1 if none.
+
+    The running last-True index is built a block of ``keep`` at a time,
+    with the last one carried over, so no index array as large as
+    ``keep`` is allocated.
+    """
+    out = np.empty(j.size, dtype=np.intp)
+    carry = -1
+    for lo, hi in _blocks(0, keep.size):
+        last = np.where(keep[lo:hi], np.arange(lo, hi), carry)
+        np.maximum.accumulate(last, out=last)
+        # j - 1 falls in this block for j in (lo, hi].
+        a, b = np.searchsorted(j, (lo + 1, hi + 1))
+        out[a:b] = last[j[a:b] - 1 - lo]
+        carry = int(last[-1])
+    out[: np.searchsorted(j, 1)] = -1
+    return out
 
 
 def _afterpulse_pass(
@@ -296,7 +364,8 @@ def _afterpulse_pass(
     in time order, the afterpulses' own candidates on a heap, and re-walks
     after each accepted one on a bytearray of acceptances. It reads the
     candidates through memoryviews, 8 bytes each, and the array steps'
-    temporaries are freed before it starts.
+    temporaries are freed before it starts. The output is compacted over
+    ``times_ns``, which the caller gives up.
     """
     keep0 = _gate(times_ns, dead_ns)
     n = times_ns.size
@@ -314,10 +383,8 @@ def _afterpulse_pass(
     floor = cand - 2.0 * dead_ns
     # The real gate blocks c when its last acceptance before c lies at or
     # after the floor and c < t + dead.
-    kept = np.flatnonzero(keep0)
-    before = np.searchsorted(kept, j0) - 1
-    t_prev = times_ns[kept[np.maximum(before, 0)]]
-    del kept
+    before = _last_kept_before(keep0, j0)
+    t_prev = times_ns[np.maximum(before, 0)]
     ok = (before < 0) | (t_prev < floor) | (cand >= t_prev + dead_ns)
     del before, t_prev
     # Index of the next candidate at or after i that the real gate accepts.
@@ -427,7 +494,8 @@ def _dead_time_pass(
     ``rng.random(n) < p`` a block at a time and then one exponential delay
     of scale dead per spawner; the afterpulses' own marks follow from the
     same ``rng`` as they are needed, and ``_afterpulse_pass`` settles the
-    candidates.
+    candidates. The accepted events are compacted to the front of
+    ``times_ns``, which the caller gives up.
     """
     dead_ns = det.dead_time_us * 1e3
     p_after = det.afterpulse_probability
@@ -437,6 +505,37 @@ def _dead_time_pass(
     delays_ns = rng.exponential(dead_ns, spawners.size)
     marks = _afterpulse_marks(rng, p_after, dead_ns)
     return _afterpulse_pass(times_ns, dead_ns, spawners, delays_ns, horizon_ns, marks)
+
+
+def _detect(
+    stream: np.ndarray, n_fired: int, det: DetectorModel, duration_s: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Detector response, written over the caller's event buffer.
+
+    ``stream[:n_fired]`` holds the sorted times of the fired photons. The
+    jitter is added to them in place, a block at a time, and the dark
+    counts are drawn into the room after them, or into a grown copy when
+    ``stream`` has too little room. The events come back sorted and gated
+    when there is a dead time or afterpulsing, and in stream order
+    otherwise; their buffer is ``stream`` or that copy.
+    """
+    sigma = det.jitter_sigma_ns()
+    if sigma > 0:
+        # Normal(0, sigma) draws are sigma times standard normal ones; the
+        # blocks draw the same numbers as one call.
+        for lo, hi in _blocks(0, n_fired):
+            jitter = rng.standard_normal(hi - lo)
+            jitter *= sigma
+            stream[lo:hi] += jitter
+    n_dark = rng.poisson(det.dark_count_rate_hz * duration_s)
+    stream = _reserve(stream, n_fired, n_dark)[: n_fired + n_dark]
+    for lo, hi in _blocks(n_fired, stream.size):
+        stream[lo:hi] = rng.uniform(0.0, duration_s * 1e9, hi - lo)
+    if det.dead_time_us == 0.0 and det.afterpulse_probability == 0.0:
+        return stream
+    stream.sort()
+    horizon_ns = max(duration_s * 1e9, float(stream[-1]) if stream.size else 0.0)
+    return _dead_time_pass(stream, det, rng, horizon_ns)
 
 
 def simulate_detection(
@@ -464,31 +563,15 @@ def simulate_detection(
     """
     if duration_s < 0:
         raise DomainError(f"duration must be >= 0, got {duration_s} s")
-    fired = np.asarray(arrivals, dtype=float)
+    fired = np.array(arrivals, dtype=float)
     if fired.ndim != 1:
         raise DomainError(f"arrival times must be 1-D, got shape {fired.shape}")
     if fired.size and np.any(fired[1:] < fired[:-1]):
         raise DomainError("arrival times must be sorted ascending")
-
-    sigma = det.jitter_sigma_ns()
-    if sigma > 0 and fired.size:
-        # Normal(0, sigma) draws are sigma times standard normal ones, so
-        # the jitter is drawn as the stream buffer and shifted in place.
-        stream = rng.standard_normal(fired.size)
-        stream *= sigma
-        stream += fired
-    else:
-        stream = fired.copy()
-    # A caller that passes its arrivals as a temporary frees them here.
-    del arrivals, fired
-    n_dark = rng.poisson(det.dark_count_rate_hz * duration_s)
-    if n_dark:
-        stream = np.concatenate((stream, rng.uniform(0.0, duration_s * 1e9, n_dark)))
-    stream.sort()
+    detections = _detect(fired, fired.size, det, duration_s, rng)
     if det.dead_time_us == 0.0 and det.afterpulse_probability == 0.0:
-        return stream
-    horizon_ns = max(duration_s * 1e9, float(stream[-1]) if stream.size else 0.0)
-    return _dead_time_pass(stream, det, rng, horizon_ns)
+        detections.sort()
+    return detections
 
 
 def build_histogram(
@@ -527,11 +610,15 @@ def _bin_folded(
         raise DomainError(f"bin width must be > 0, got {bin_width_ps}")
     n_bins = max(1, math.ceil(sync_period_ns / width_ns - 1e-9))
     # Dividing straight into the integer buffer truncates as astype would,
-    # without a float temporary the size of the input.
-    idx = np.empty(folded_ns.size, dtype=np.int64)
-    np.divide(folded_ns, width_ns, out=idx, casting="unsafe")
-    np.minimum(idx, n_bins - 1, out=idx)
-    counts = np.bincount(idx, minlength=n_bins).astype(np.int64)
+    # without a float temporary; a block at a time, the index buffer stays
+    # block-sized too, and the blocks' counts add up to the whole count.
+    counts = np.zeros(n_bins, dtype=np.int64)
+    idx = np.empty(min(folded_ns.size, _BLOCK), dtype=np.int64)
+    for lo, hi in _blocks(0, folded_ns.size):
+        block = idx[: hi - lo]
+        np.divide(folded_ns[lo:hi], width_ns, out=block, casting="unsafe")
+        np.minimum(block, n_bins - 1, out=block)
+        counts += np.bincount(block, minlength=n_bins)
     return TacHistogram(
         bin_width_ps=bin_width_ps, origin_ns=origin_ns, counts=counts, sync_pulses=sync_pulses
     )

@@ -7,13 +7,15 @@ are sampled: a Poisson photon stream thinned by slot, conversion survival
 and quantum efficiency is again a Poisson stream, so each point draws its
 fired events directly, in a number that grows with detections rather than
 with pulses, and hands them to the detector model for jitter, dark
-counts, dead time and afterpulsing. Each sampling stage is a helper whose
-temporaries are freed when it returns, and the detections are folded on
-the sync period once, for the histogram and both window counts. Every
-run is reproducible: all randomness flows from counter-based substreams
-derived from the scenario's master seed, a role tag, and the grid value
-of the point, so results are independent of the order in which points
-are simulated.
+counts, dead time and afterpulsing. Each point owns one event buffer,
+sized once for its arrivals and dark counts, which the sampling stages
+fill and the detector model writes over a block at a time; the
+detections are folded on the sync period in it once, for the histogram
+and both window counts. Every run is reproducible: all randomness flows
+from counter-based substreams derived from the scenario's master seed,
+a role tag, and the grid value of the point, so results are independent
+of the order in which points are simulated, and a scan runs two points
+at once where the process may use two CPUs.
 
 Each point is one intensity model, a few Poisson components with a mean
 count per pulse and a time profile: the engine samples it, and
@@ -31,6 +33,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import threading
 import time
 import zlib
 from dataclasses import dataclass, replace
@@ -40,14 +44,22 @@ import numpy as np
 from .detection import (
     TacHistogram,
     _bin_folded,
+    _blocks,
+    _detect,
     _gaussian_window_capture,
+    _reserve,
     _uniform_below,
-    simulate_detection,
+    simulate_detection,  # noqa: F401  the engine calls _detect; kept importable from here
 )
 from .conversion import EfficiencyPoint, _reject_repeats, run_efficiency_sweep
-from .errors import DomainError, QifsimError
+from .errors import ConfigError, DomainError, QifsimError
 from .scenario import FWHM_TO_SIGMA, Scenario, scenario_digest
 from .timebin import analyze, apply_conversion_phase, prepare_qubit
+
+# Points in flight at once: the calling thread's and one helper's.
+_MAX_IN_FLIGHT = 2
+# Events of one point, and so every index into them, fit an int32.
+_MAX_POINT_EVENTS = 2**31 - 1
 
 __all__ = [
     "FringePoint",
@@ -154,6 +166,11 @@ class _MiddlePeak:
     drift_rad: float
     delay_ns: float
 
+    @property
+    def p_max(self) -> float:
+        """The largest weight, at which the engine draws its candidates."""
+        return self.offset + abs(self.amplitude)
+
 
 @dataclass(frozen=True)
 class _PointModel:
@@ -256,55 +273,87 @@ def _window_share(s: Scenario, center_ns: float, sigma_ns: float) -> float:
 def _pulse_ranks(pulse: np.ndarray) -> tuple[np.ndarray, int]:
     """Rank of each entry among the distinct values, and how many there are.
 
-    The ranks are ``np.unique(pulse, return_inverse=True)[1]``: sort, mark
-    where each run of equal values starts, and count the run starts into
-    the buffer of the sorted values, which is then scattered to the ranks.
-    The run marks are freed before the ranks are allocated, so at most
-    three entry-sized integer arrays live at once besides ``pulse``.
+    The ranks are ``np.unique(pulse, return_inverse=True)[1]``, as int32:
+    sort, mark where each run of equal values starts, count the run starts,
+    and scatter the counts to the ranks. The sort order is narrowed to
+    int32 as soon as it is found and the sorted values are freed before
+    the counts are taken, so besides ``pulse`` at most three int32 arrays
+    of its size live at once. The caller keeps ``pulse.size`` within
+    ``_MAX_POINT_EVENTS``.
     """
     if not pulse.size:
-        return np.empty(0, dtype=np.intp), 0
-    order = np.argsort(pulse)
+        return np.empty(0, dtype=np.int32), 0
+    order = np.argsort(pulse).astype(np.int32)
     ordered = pulse[order]
     run_start = np.empty(pulse.size, dtype=bool)
     run_start[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=run_start[1:])
-    np.cumsum(run_start, out=ordered)
+    del ordered
+    count = np.cumsum(run_start, dtype=np.int32)
     del run_start
-    ordered -= 1
-    rank = np.empty_like(order)
-    rank[order] = ordered
-    return rank, int(ordered[-1]) + 1
+    count -= 1
+    rank = np.empty(pulse.size, dtype=np.int32)
+    rank[order] = count
+    return rank, int(count[-1]) + 1
+
+
+def _check_events(n: float, what: str) -> None:
+    """Refuse a point whose event count would overflow an int32 index."""
+    if n > _MAX_POINT_EVENTS:
+        raise ConfigError(
+            f"a phase point has {n:.4g} {what}, above the {_MAX_POINT_EVENTS} "
+            f"its int32 indices hold; lower the pulses per point"
+        )
+
+
+def _poisson_room(mean: float) -> int:
+    """Entries to reserve for a Poisson count of this mean, 10 sigma above it.
+
+    A larger draw, at odds far below 1e-20, costs one copy of the events
+    already in the buffer, not a different result.
+    """
+    return int(mean + 10.0 * math.sqrt(mean)) + 16
 
 
 def _side_times(m: _PointModel, pulses: int, period: float, rng) -> np.ndarray:
     """Emission-free times of the fired early and late photons.
 
     Poisson(N f (p_early + p_late)) events on uniformly chosen pulses, each
-    early or late in proportion to p_early : p_late.
+    early or late in proportion to p_early : p_late. The pulse indices and
+    then the uniforms are drawn a block at a time.
     """
     p_early, p_sides = m.sides.p_early, m.sides.p_early + m.sides.p_late
     n = rng.poisson(pulses * m.fired_per_pulse * p_sides)
-    times = rng.integers(0, pulses, n) * period
-    u = rng.random(n)
-    u *= p_sides
-    times += m.tac_offset_ns
-    times += np.where(u < p_early, 0.0, m.sides.late_delay_ns)
+    times = np.empty(n)
+    for lo, hi in _blocks(0, n):
+        np.multiply(rng.integers(0, pulses, hi - lo), period, out=times[lo:hi])
+    for lo, hi in _blocks(0, n):
+        u = rng.random(hi - lo)
+        u *= p_sides
+        block = times[lo:hi]
+        block += m.tac_offset_ns
+        block += np.where(u < p_early, 0.0, m.sides.late_delay_ns)
     return times
 
 
-def _middle_times(m: _PointModel, beta_rad: float, pulses: int, period: float, rng) -> np.ndarray:
-    """Emission-free times of the fired middle-slot photons.
+def _middle_pulses(
+    m: _PointModel, beta_rad: float, pulses: int, rng
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pulses of the middle-slot candidates, and the mask of those kept.
 
     Poisson(N f p_max) candidates at the largest slot probability p_max,
     each kept with probability p_mid(drift) / p_max. With a drifting pump,
-    p_mid is computed once per occupied pulse and gathered by rank. The
-    acceptance uniforms are drawn a block at a time.
+    p_mid is computed once per occupied pulse and gathered by rank as the
+    acceptance uniforms are drawn, a block at a time. The pulse indices
+    are stored as int32 whenever the pulse count allows.
     """
     mid = m.middle
-    p_max = mid.offset + abs(mid.amplitude)
+    p_max = mid.p_max
     n = rng.poisson(pulses * m.fired_per_pulse * p_max)
-    pulse = rng.integers(0, pulses, n)
+    _check_events(n, "middle-slot candidates")
+    pulse = np.empty(n, dtype=np.int32 if pulses <= 2**31 else np.int64)
+    for lo, hi in _blocks(0, n):
+        pulse[lo:hi] = rng.integers(0, pulses, hi - lo)
     # The absolute pump phase is common to both bins and drops out, so only
     # the drift between them is realized, once per occupied pulse: every
     # photon of a pulse sees the same drift.
@@ -317,45 +366,59 @@ def _middle_times(m: _PointModel, beta_rad: float, pulses: int, period: float, r
         np.cos(p_pulse, out=p_pulse)
         p_pulse *= mid.amplitude
         p_pulse += mid.offset
-        p_mid = p_pulse[rank]
-        del rank, p_pulse
-    else:
-        p_mid = mid.offset + mid.amplitude * np.cos(mid.alpha_rad - beta_rad)
-    kept = _uniform_below(rng, n, p_mid, p_max)
-    del p_mid
-    times = pulse.compress(kept) * period
-    times += m.tac_offset_ns
-    times += mid.delay_ns
-    return times
+        return pulse, _uniform_below(rng, n, p_pulse, p_max, rank=rank)
+    p_mid = mid.offset + mid.amplitude * np.cos(mid.alpha_rad - beta_rad)
+    return pulse, _uniform_below(rng, n, p_mid, p_max)
 
 
 def _arrival_times(
-    s: Scenario, m: _PointModel, beta_rad: float, pulses: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Sorted arrival times of one point's fired signal photons and cw light.
+    s: Scenario, m: _PointModel, beta_rad: float, pulses: int, rng: np.random.Generator, room: int
+) -> tuple[np.ndarray, int]:
+    """One point's fired signal photons and cw light, sorted, in an engine buffer.
 
-    Each time is pulse index x period + TAC offset + slot delay + emission
-    offset, summed in that order.
+    Returns the buffer and the number n of arrivals at its start; at least
+    ``room`` entries are left free after them. Each time is pulse index x
+    period + TAC offset + slot delay + emission offset, summed in that
+    order. The buffer is allocated once the middle slot's kept count is
+    known, with room for the cw light, and filled a block at a time.
     """
     period = s.sync_period_ns()
-    times = np.concatenate(
-        (
-            _side_times(m, pulses, period, rng),
-            _middle_times(m, beta_rad, pulses, period, rng),
-        )
-    )
-    if m.pulse_shape == "gaussian":
-        if m.pulse_width_ns > 0:
-            times += rng.normal(0.0, m.pulse_width_ns, times.size)
-    else:
-        half = 0.5 * m.pulse_width_ns
-        if half > 0:
-            times += rng.uniform(-half, half, times.size)
+    sides = _side_times(m, pulses, period, rng)
+    pulse, kept = _middle_pulses(m, beta_rad, pulses, rng)
+    n_sides = sides.size
+    n_signal = n_sides + int(np.count_nonzero(kept))
+    cw_mean = pulses * m.fired_per_pulse * m.cw
+    times = np.empty(n_signal + _poisson_room(cw_mean) + room)
+    times[:n_sides] = sides
+    del sides
+    filled = n_sides
+    for lo, hi in _blocks(0, pulse.size):
+        # A boolean index builds no index array, unlike compress.
+        block = pulse[lo:hi][kept[lo:hi]]
+        np.multiply(block, period, out=times[filled : filled + block.size])
+        filled += block.size
+    del pulse, kept
+    middle = times[n_sides:n_signal]
+    middle += m.tac_offset_ns
+    middle += m.middle.delay_ns
 
-    n_cw = rng.poisson(pulses * m.fired_per_pulse * m.cw)
-    times = np.concatenate((times, rng.uniform(0.0, s.duration_s(pulses) * 1e9, n_cw)))
-    times.sort()
-    return times
+    # The emission offsets, a block at a time, as one call would draw them.
+    if m.pulse_width_ns > 0:
+        half = 0.5 * m.pulse_width_ns
+        for lo, hi in _blocks(0, n_signal):
+            if m.pulse_shape == "gaussian":
+                times[lo:hi] += rng.normal(0.0, m.pulse_width_ns, hi - lo)
+            else:
+                times[lo:hi] += rng.uniform(-half, half, hi - lo)
+
+    n_cw = rng.poisson(cw_mean)
+    times = _reserve(times, n_signal, n_cw + room)
+    n = n_signal + n_cw
+    end_ns = s.duration_s(pulses) * 1e9
+    for lo, hi in _blocks(n_signal, n):
+        times[lo:hi] = rng.uniform(0.0, end_ns, hi - lo)
+    times[:n].sort()
+    return times, n
 
 
 def _simulate_point(
@@ -371,15 +434,17 @@ def _simulate_point(
     candidates are drawn at its largest probability and thinned by the
     drift of their pulse.
 
-    Each stage is a helper whose temporaries die when it returns, so the
-    point holds about three event-sized arrays at its peak. The detections
-    are folded on the sync period once, in place, and that one folded array
-    feeds the histogram and both window counts.
+    The point owns one event buffer, sized for the arrivals and, 10 sigma
+    above their mean, the dark counts. The detector writes over it, and
+    the detections are folded on the sync period in it; that one folded
+    array feeds the histogram and both window counts, which need no order.
     """
     period = s.sync_period_ns()
-    detections = simulate_detection(
-        _arrival_times(s, m, beta_rad, pulses, rng), s.detector, s.duration_s(pulses), rng
-    )
+    duration_s = s.duration_s(pulses)
+    dark_room = _poisson_room(s.detector.dark_count_rate_hz * duration_s)
+    times, n_fired = _arrival_times(s, m, beta_rad, pulses, rng, dark_room)
+    detections = _detect(times, n_fired, s.detector, duration_s, rng)
+    del times
     folded = np.mod(detections, period, out=detections)
     window = _window_counts(folded, period, s.sca.center_ns, s.sca.width_ns)
     background = _window_counts(folded, period, s.sca.center_ns + 0.5 * period, s.sca.width_ns)
@@ -395,6 +460,62 @@ def _pulse_count(s: Scenario, pulses: int | None) -> int:
     return n_pulses
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_points(simulate, phases: list[float]) -> list:
+    """``simulate(beta)`` for each phase, at most two points at once, in grid order.
+
+    The points draw from their own substreams, so the order in which they
+    run changes no result. The calling thread runs points, and one helper
+    thread more runs points beside it when the process may use two CPUs and
+    the grid has two points; most of a point's time is numpy work that
+    releases the interpreter lock. Both take the next point in grid order.
+    Once a point fails no new point starts, the points in flight finish,
+    and the failure of the first failing point in grid order is raised.
+    The helper is joined before this returns or raises.
+    """
+    results: list = [None] * len(phases)
+    failures: dict[int, BaseException] = {}
+    pending = iter(range(len(phases)))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = None if stop.is_set() else next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = simulate(phases[i])
+            except BaseException as exc:  # re-raised below, in the caller's thread
+                with lock:
+                    failures[i] = exc
+                stop.set()
+                return
+
+    in_flight = min(_MAX_IN_FLIGHT, _usable_cpus(), len(phases))
+    helpers = [threading.Thread(target=work, name="qifsim-point") for _ in range(in_flight - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        # Also when the caller is interrupted: the helper starts no new point.
+        stop.set()
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
 def run_fringe_scan(s: Scenario, phases_rad, pulses: int | None = None) -> RunResult:
     """Scan the analysis phase and count windowed arrivals at each point.
 
@@ -404,11 +525,14 @@ def run_fringe_scan(s: Scenario, phases_rad, pulses: int | None = None) -> RunRe
         pulses: optional override of pulses per point.
 
     Deterministic for a given scenario and master seed; each phase point
-    draws from its own substream.
+    draws from its own substream, so up to two points run at once, one on
+    the calling thread and one on a helper, and the results are merged in
+    grid order.
 
     Raises:
         DomainError: fewer than 2 phases, a phase not finite, or pulses < 0.
-        ConfigError: a phase appears twice in the grid.
+        ConfigError: a phase appears twice in the grid, or a point's
+            projected events exceed the int32 indices of the engine.
     """
     phases = np.asarray(phases_rad, dtype=float)
     if phases.size < 2:
@@ -423,21 +547,30 @@ def run_fringe_scan(s: Scenario, phases_rad, pulses: int | None = None) -> RunRe
 
     started = time.perf_counter()
     model = _point_model(s)
+    # Mean events of a point, by arithmetic: signal, middle candidates at
+    # the largest slot probability, cw light and dark counts.
+    weight = model.sides.p_early + model.sides.p_late + model.middle.p_max + model.cw
+    _check_events(
+        n_pulses * model.fired_per_pulse * weight
+        + s.detector.dark_count_rate_hz * s.duration_s(n_pulses),
+        "projected events",
+    )
+
+    def point(beta: float) -> tuple[TacHistogram, int, int]:
+        rng = substream(s.master_seed, "fringe-scan", beta)
+        try:
+            return _simulate_point(s, model, beta, n_pulses, rng)
+        except QifsimError as exc:
+            raise type(exc)(f"phase point beta = {beta:.6g} rad: {exc}") from exc
+
     merged: TacHistogram | None = None
     fringe: list[FringePoint] = []
     backgrounds: list[int] = []
-    for beta in phases:
-        rng = substream(s.master_seed, "fringe-scan", beta)
-        try:
-            hist, window, background = _simulate_point(s, model, float(beta), n_pulses, rng)
-        except QifsimError as exc:
-            raise type(exc)(f"phase point beta = {beta:.6g} rad: {exc}") from exc
+    for beta, (hist, window, background) in zip(
+        phases.tolist(), _run_points(point, phases.tolist())
+    ):
         merged = hist if merged is None else merged.merged_with(hist)
-        fringe.append(
-            FringePoint(
-                phase_rad=float(beta), counts=window, stat_error=math.sqrt(window)
-            )
-        )
+        fringe.append(FringePoint(phase_rad=beta, counts=window, stat_error=math.sqrt(window)))
         backgrounds.append(background)
 
     assert merged is not None

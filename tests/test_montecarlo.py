@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from qifsim import montecarlo
 from qifsim.conversion import pump_coherence_visibility_factor
 from qifsim.detection import extract_visibility
-from qifsim.errors import ConfigError, DomainError
+from qifsim.errors import ConfigError, DomainError, FitError
 from qifsim.montecarlo import (
     expected_fringe,
     run_efficiency_sweep,
@@ -18,7 +20,7 @@ from qifsim.montecarlo import (
     substream,
     validate_against_oracle,
 )
-from qifsim.scenario import load_reference_scenario
+from qifsim.scenario import load_reference_scenario, scenario_digest
 
 PHASES_12 = np.linspace(0.0, 2.0 * math.pi, 12)
 
@@ -200,6 +202,171 @@ def test_dead_time_scan_memory_grows_with_detections(ref):
     )
     run, peak = traced_scan(s, 3_000_000)
     assert peak < 50 * run.histogram.total_counts() / 2
+
+
+def saturated(ref):
+    """QE 0.9, 20 ns dead time and 5 % afterpulsing."""
+    return dataclasses.replace(
+        ref,
+        detector=dataclasses.replace(
+            ref.detector, quantum_efficiency=0.9, dead_time_us=0.02, afterpulse_probability=0.05
+        ),
+    )
+
+
+@pytest.mark.parametrize("settings, pulses", [("reference", 10_000_000), ("saturated", 3_000_000)])
+def test_one_point_memory_grows_with_detections(ref, settings, pulses):
+    # One point's working set, whatever the number in flight: under 14
+    # bytes per detection on the reference path and 23 on the dead-time
+    # path, so two points in flight stay under the scan bounds above.
+    s = ref if settings == "reference" else saturated(ref)
+    model = montecarlo._point_model(s)
+    rng = substream(s.master_seed, "fringe-scan", 0.0)
+    tracemalloc.start()
+    try:
+        hist, _, _ = montecarlo._simulate_point(s, model, 0.0, pulses, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = 14 if settings == "reference" else 23
+    assert peak < bound * hist.total_counts()
+
+
+def grid_order_scan(s, phases, pulses):
+    """The scan as a plain loop over the grid, one point at a time."""
+    model = montecarlo._point_model(s)
+    merged, fringe, backgrounds = None, [], []
+    for beta in phases:
+        rng = substream(s.master_seed, "fringe-scan", float(beta))
+        hist, window, background = montecarlo._simulate_point(s, model, float(beta), pulses, rng)
+        merged = hist if merged is None else merged.merged_with(hist)
+        fringe.append(montecarlo.FringePoint(float(beta), window, math.sqrt(window)))
+        backgrounds.append(background)
+    return montecarlo.RunResult(
+        histogram=merged,
+        fringe=tuple(fringe),
+        background_estimates=tuple(backgrounds),
+        eta_realized=s.conversion_survival(),
+        metadata={
+            "master_seed": s.master_seed,
+            "scenario_digest": scenario_digest(s),
+            "pulses_per_point": pulses,
+            "phase_points": len(phases),
+        },
+        wall_clock_s=0.0,
+    )
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("settings", ["reference", "saturated"])
+def test_points_in_flight_change_no_result(ref, settings, seed, monkeypatch):
+    s = dataclasses.replace(ref if settings == "reference" else saturated(ref), master_seed=seed)
+    expected = grid_order_scan(s, PHASES_12, 50_000).content_digest()
+
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+    threads = set()
+    simulate = montecarlo._simulate_point
+
+    def recorded(*args):
+        threads.add(threading.get_ident())
+        return simulate(*args)
+
+    monkeypatch.setattr(montecarlo, "_simulate_point", recorded)
+    assert run_fringe_scan(s, PHASES_12, pulses=50_000).content_digest() == expected
+    assert threads == {threading.get_ident()}
+
+    # Two in flight, even on one CPU: the first two points wait for each other.
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    threads.clear()
+    both = threading.Barrier(2, timeout=30)
+    calls = []
+
+    def paired(*args):
+        calls.append(args[2])
+        if len(calls) <= 2:
+            both.wait()
+        return recorded(*args)
+
+    monkeypatch.setattr(montecarlo, "_simulate_point", paired)
+    assert run_fringe_scan(s, PHASES_12, pulses=50_000).content_digest() == expected
+    assert len(threads) == 2
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_first_failing_point_in_grid_order_surfaces(ref, cpus, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    phases = PHASES_12[:8]
+    ran = []
+    lock = threading.Lock()
+
+    def failing(s, model, beta, pulses, rng):
+        with lock:
+            ran.append(beta)
+        index = int(np.flatnonzero(phases == beta)[0])
+        if index == 2:
+            # Fails after point 3 has, if point 3 runs beside it.
+            threading.Event().wait(0.2)
+            raise FitError("no fit here")
+        if index == 3:
+            raise DomainError("nor here")
+        threading.Event().wait(0.05)
+        return montecarlo.TacHistogram(10.0, 0.0, np.zeros(3, dtype=np.int64)), 0, 0
+
+    monkeypatch.setattr(montecarlo, "_simulate_point", failing)
+    before = set(threading.enumerate())
+    with pytest.raises(FitError, match=rf"^phase point beta = {phases[2]:.6g} rad: no fit here$"):
+        run_fringe_scan(ref, phases, pulses=1_000)
+    assert set(threading.enumerate()) == before
+    # Points 0 to 2 ran; with two in flight point 3 may have started beside
+    # point 2, and no later point started.
+    assert set(phases[:3].tolist()) <= set(ran) <= set(phases[: 3 if cpus == 1 else 4].tolist())
+
+
+def test_point_runner_takes_each_point_once_under_fast_switching(monkeypatch):
+    # Both workers take points from one shared iterator; with the
+    # interpreter switching threads every microsecond, a lost or repeated
+    # take would show as a missing, repeated or misplaced result.
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    phases = [0.001 * k for k in range(3000)]
+    taken = []
+    threads = set()
+
+    def simulate(beta):
+        taken.append(beta)
+        threads.add(threading.get_ident())
+        return -beta
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = montecarlo._run_points(simulate, phases)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [-beta for beta in phases]
+    assert sorted(taken) == phases
+    assert len(threads) == 2
+
+
+def test_projected_events_beyond_int32_indices_fail_before_drawing(ref, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew before checking the event count")
+
+    monkeypatch.setattr(montecarlo, "substream", no_draws)
+    with pytest.raises(ConfigError, match="projected events, above the 2147483647"):
+        run_fringe_scan(ref, PHASES_12[:2], pulses=10**13)
+
+
+def test_drawn_candidates_beyond_int32_indices_fail_before_narrowing(ref):
+    class HugeDraw:
+        def poisson(self, mean):
+            return 2**31
+
+        def integers(self, *args):
+            raise AssertionError("drew pulses before checking the count")
+
+    model = montecarlo._point_model(ref)
+    with pytest.raises(ConfigError, match="2.147e\\+09 middle-slot candidates"):
+        montecarlo._middle_pulses(model, 0.0, 10**9, HugeDraw())
 
 
 def test_quiet_scenario_reaches_unit_visibility(ref):
