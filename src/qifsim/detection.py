@@ -21,8 +21,8 @@ by the sequential rule, and re-gates the real chain after every accepted
 one. The output equals a sequential loop over the merged stream fed the
 same marks. Steps over the whole stream go a block at a time, so none of
 them builds an event-sized temporary, and the gated events are compacted
-in place. The Monte Carlo engine hands the detector its own event
-buffer; ``simulate_detection`` runs the same path on a copy.
+in place. The Monte Carlo engine lends ``simulate_detection`` its own
+event buffer to work in; other callers' arrivals are copied.
 
 The detector and window configuration (``DetectorModel``, ``ScaWindow``,
 ``FWHM_TO_SIGMA``) is defined in ``scenario`` and re-exported here.
@@ -507,18 +507,70 @@ def _dead_time_pass(
     return _afterpulse_pass(times_ns, dead_ns, spawners, delays_ns, horizon_ns, marks)
 
 
-def _detect(
-    stream: np.ndarray, n_fired: int, det: DetectorModel, duration_s: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Detector response, written over the caller's event buffer.
+def _is_sorted(x: np.ndarray) -> bool:
+    """Whether ``x`` is ascending, compared a block at a time."""
+    for lo, hi in _blocks(1, x.size):
+        if np.any(x[lo:hi] < x[lo - 1 : hi - 1]):
+            return False
+    return True
 
-    ``stream[:n_fired]`` holds the sorted times of the fired photons. The
-    jitter is added to them in place, a block at a time, and the dark
-    counts are drawn into the room after them, or into a grown copy when
-    ``stream`` has too little room. The events come back sorted and gated
-    when there is a dead time or afterpulsing, and in stream order
-    otherwise; their buffer is ``stream`` or that copy.
+
+def simulate_detection(
+    arrivals,
+    det: DetectorModel,
+    duration_s: float,
+    rng: np.random.Generator,
+    *,
+    buffer: np.ndarray | None = None,
+) -> np.ndarray:
+    """Stochastic detector response to a stream of firing photons.
+
+    Args:
+        arrivals: sorted times of the photons that fire the detector; the
+            caller has already thinned them by the quantum efficiency.
+        det: detector parameters.
+        duration_s: observation window for dark-count generation, seconds.
+        rng: random generator (caller owns the substream).
+        buffer: optional 1-D float64 array that the detector works in and
+            the caller gives up. The arrivals are copied to its start
+            unless they are already there (``arrivals`` is
+            ``buffer[:n]``), and the entries after them are room for the
+            dark counts. Without one, the detector works on a copy.
+
+    Returns:
+        Sorted detection timestamps in ns. The arrivals are smeared by the
+        Gaussian jitter, homogeneous Poisson dark counts are merged in, and
+        a non-paralyzable dead time gates the combined stream. With
+        ``buffer`` they are a view of it, or of a grown copy when it had
+        too little room; without, an array of their own.
+
+    Raises:
+        DomainError: arrival times not 1-D or not sorted, negative
+            duration, or a buffer that is not 1-D float64 or is shorter
+            than the arrivals.
     """
+    if duration_s < 0:
+        raise DomainError(f"duration must be >= 0, got {duration_s} s")
+    fired = np.array(arrivals, dtype=float) if buffer is None else np.asarray(arrivals, dtype=float)
+    if fired.ndim != 1:
+        raise DomainError(f"arrival times must be 1-D, got shape {fired.shape}")
+    if not _is_sorted(fired):
+        raise DomainError("arrival times must be sorted ascending")
+    n_fired = fired.size
+    if buffer is None:
+        stream = fired
+    else:
+        if buffer.dtype != np.float64 or buffer.ndim != 1 or buffer.size < n_fired:
+            raise DomainError(
+                f"buffer must be 1-D float64 with room for {n_fired} arrivals, "
+                f"got {buffer.dtype} of shape {buffer.shape}"
+            )
+        if n_fired and (fired.ctypes.data, fired.strides) != (buffer.ctypes.data, buffer.strides):
+            buffer[:n_fired] = fired
+        stream = buffer
+    # A caller that passes its arrivals as a temporary frees them here.
+    del arrivals, fired
+
     sigma = det.jitter_sigma_ns()
     if sigma > 0:
         # Normal(0, sigma) draws are sigma times standard normal ones; the
@@ -531,46 +583,15 @@ def _detect(
     stream = _reserve(stream, n_fired, n_dark)[: n_fired + n_dark]
     for lo, hi in _blocks(n_fired, stream.size):
         stream[lo:hi] = rng.uniform(0.0, duration_s * 1e9, hi - lo)
-    if det.dead_time_us == 0.0 and det.afterpulse_probability == 0.0:
-        return stream
     stream.sort()
-    horizon_ns = max(duration_s * 1e9, float(stream[-1]) if stream.size else 0.0)
-    return _dead_time_pass(stream, det, rng, horizon_ns)
-
-
-def simulate_detection(
-    arrivals,
-    det: DetectorModel,
-    duration_s: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Stochastic detector response to a stream of firing photons.
-
-    Args:
-        arrivals: sorted times of the photons that fire the detector; the
-            caller has already thinned them by the quantum efficiency.
-        det: detector parameters.
-        duration_s: observation window for dark-count generation, seconds.
-        rng: random generator (caller owns the substream).
-
-    Returns:
-        Sorted detection timestamps in ns. The arrivals are smeared by the
-        Gaussian jitter, homogeneous Poisson dark counts are merged in, and
-        a non-paralyzable dead time gates the combined stream.
-
-    Raises:
-        DomainError: arrival times not 1-D or not sorted, or negative duration.
-    """
-    if duration_s < 0:
-        raise DomainError(f"duration must be >= 0, got {duration_s} s")
-    fired = np.array(arrivals, dtype=float)
-    if fired.ndim != 1:
-        raise DomainError(f"arrival times must be 1-D, got shape {fired.shape}")
-    if fired.size and np.any(fired[1:] < fired[:-1]):
-        raise DomainError("arrival times must be sorted ascending")
-    detections = _detect(fired, fired.size, det, duration_s, rng)
     if det.dead_time_us == 0.0 and det.afterpulse_probability == 0.0:
-        detections.sort()
+        detections = stream
+    else:
+        horizon_ns = max(duration_s * 1e9, float(stream[-1]) if stream.size else 0.0)
+        detections = _dead_time_pass(stream, det, rng, horizon_ns)
+    if buffer is None and detections.base is not None and detections.base.size > detections.size:
+        # A view would keep the whole pre-gate stream alive.
+        detections = detections.copy()
     return detections
 
 

@@ -45,11 +45,10 @@ from .detection import (
     TacHistogram,
     _bin_folded,
     _blocks,
-    _detect,
     _gaussian_window_capture,
     _reserve,
     _uniform_below,
-    simulate_detection,  # noqa: F401  the engine calls _detect; kept importable from here
+    simulate_detection,
 )
 from .conversion import EfficiencyPoint, _reject_repeats, run_efficiency_sweep
 from .errors import ConfigError, DomainError, QifsimError
@@ -435,15 +434,16 @@ def _simulate_point(
     drift of their pulse.
 
     The point owns one event buffer, sized for the arrivals and, 10 sigma
-    above their mean, the dark counts. The detector writes over it, and
-    the detections are folded on the sync period in it; that one folded
-    array feeds the histogram and both window counts, which need no order.
+    above their mean, the dark counts. ``simulate_detection`` works in it,
+    and the detections are folded on the sync period in it; that one
+    folded array feeds the histogram and both window counts.
     """
     period = s.sync_period_ns()
     duration_s = s.duration_s(pulses)
     dark_room = _poisson_room(s.detector.dark_count_rate_hz * duration_s)
     times, n_fired = _arrival_times(s, m, beta_rad, pulses, rng, dark_room)
-    detections = _detect(times, n_fired, s.detector, duration_s, rng)
+    # The public name, looked up here, so a wrapper around it sees every point.
+    detections = simulate_detection(times[:n_fired], s.detector, duration_s, rng, buffer=times)
     del times
     folded = np.mod(detections, period, out=detections)
     window = _window_counts(folded, period, s.sca.center_ns, s.sca.width_ns)

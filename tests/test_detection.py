@@ -310,6 +310,46 @@ def test_simulate_detection_input_validation():
         simulate_detection(np.zeros((3, 4)), det, 1e-6, rng_of(1))
 
 
+@pytest.mark.parametrize("dead_time_us, p_after", [(0.0, 0.0), (0.02, 0.05)])
+def test_lent_buffer_gives_the_same_detections_as_a_copy(dead_time_us, p_after):
+    det = DetectorModel(
+        quantum_efficiency=1.0,
+        jitter_fwhm_ps=300.0,
+        dark_count_rate_hz=2e7,
+        dead_time_us=dead_time_us,
+        afterpulse_probability=p_after,
+    )
+    arrivals = np.sort(rng_of(30).uniform(0.0, 1e5, 40000))
+    duration_s = 1e-4
+    expected = simulate_detection(arrivals, det, duration_s, rng_of(31))
+    # Room for the dark counts; too little room; and arrivals copied in.
+    for room in (5000, 10):
+        buffer = np.empty(arrivals.size + room)
+        buffer[: arrivals.size] = arrivals
+        out = simulate_detection(buffer[: arrivals.size], det, duration_s, rng_of(31), buffer=buffer)
+        assert np.array_equal(out, expected)
+        assert np.shares_memory(out, buffer) == (room == 5000)
+    buffer = np.full(arrivals.size + 5000, np.nan)
+    out = simulate_detection(arrivals, det, duration_s, rng_of(31), buffer=buffer)
+    assert np.array_equal(out, expected)
+    assert np.array_equal(arrivals, np.sort(rng_of(30).uniform(0.0, 1e5, 40000)))
+
+
+def test_detections_keep_no_pre_gate_stream_alive():
+    det = DetectorModel(quantum_efficiency=1.0, dead_time_us=0.02)
+    out = simulate_detection(np.full(100000, 5000.0), det, 0.0, rng_of(9))
+    assert out.size == 1
+    assert out.base is None or out.base.size == out.size
+
+
+def test_simulate_detection_buffer_validation():
+    det = DetectorModel(quantum_efficiency=1.0)
+    arrivals = np.arange(4.0)
+    for buffer in (np.empty(3), np.empty(4, dtype=np.float32), np.empty((2, 4))):
+        with pytest.raises(DomainError, match="buffer"):
+            simulate_detection(arrivals, det, 0.0, rng_of(1), buffer=buffer)
+
+
 # --- folding and histogramming ---
 
 

@@ -232,6 +232,33 @@ def test_one_point_memory_grows_with_detections(ref, settings, pulses):
     assert peak < bound * hist.total_counts()
 
 
+def test_each_point_detects_through_simulate_detection(ref, monkeypatch):
+    # The engine calls the module's public name at every point, so a
+    # wrapper around it, such as a tracer's, sees each point's arrivals and
+    # detections, from either thread.
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    s = saturated(ref)
+    calls = []
+    lock = threading.Lock()
+    detect = montecarlo.simulate_detection
+
+    def watched(arrivals, *args, **kwargs):
+        detections = detect(arrivals, *args, **kwargs)
+        gaps = detections[1:] - detections[:-1]
+        with lock:
+            calls.append((arrivals.size, detections.size, float(gaps.min())))
+        return detections
+
+    expected = run_fringe_scan(s, PHASES_12, pulses=50_000)
+    monkeypatch.setattr(montecarlo, "simulate_detection", watched)
+    run = run_fringe_scan(s, PHASES_12, pulses=50_000)
+    assert run.content_digest() == expected.content_digest()
+    assert len(calls) == PHASES_12.size
+    assert sum(n for _, n, _ in calls) == run.histogram.total_counts()
+    assert all(arrivals > 0 for arrivals, _, _ in calls)
+    assert min(gap for _, _, gap in calls) >= 20.0 - 1e-6
+
+
 def grid_order_scan(s, phases, pulses):
     """The scan as a plain loop over the grid, one point at a time."""
     model = montecarlo._point_model(s)
@@ -330,10 +357,14 @@ def test_point_runner_takes_each_point_once_under_fast_switching(monkeypatch):
     phases = [0.001 * k for k in range(3000)]
     taken = []
     threads = set()
+    # The first two points wait for each other, so each worker takes one.
+    both = threading.Barrier(2, timeout=30)
 
     def simulate(beta):
         taken.append(beta)
         threads.add(threading.get_ident())
+        if beta in phases[:2]:
+            both.wait()
         return -beta
 
     interval = sys.getswitchinterval()
