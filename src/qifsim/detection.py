@@ -25,7 +25,7 @@ in place. The Monte Carlo engine lends ``simulate_detection`` its own
 event buffer to work in; other callers' arrivals are copied.
 
 The detector and window configuration (``DetectorModel``, ``ScaWindow``,
-``FWHM_TO_SIGMA``) is defined in ``scenario`` and re-exported here.
+``FWHM_TO_SIGMA``) is defined in ``scenario``; import it from there.
 
 Times are nanoseconds unless a suffix says otherwise; rates are hertz.
 """
@@ -37,22 +37,21 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, FitError
-from .scenario import FWHM_TO_SIGMA, DetectorModel, ScaWindow
+
+if TYPE_CHECKING:
+    from .scenario import DetectorModel
 
 __all__ = [
-    "DetectorModel",
     "TacHistogram",
-    "ScaWindow",
     "VisibilityFit",
-    "FWHM_TO_SIGMA",
     "dead_time_observe",
     "dead_time_correct",
     "simulate_detection",
-    "build_histogram",
     "peak_fwhm",
     "check_fit_phases",
     "extract_visibility",
@@ -63,17 +62,17 @@ __all__ = [
 class TacHistogram:
     """Arrival-time histogram folded on the sync period.
 
+    Bin 0 starts at the sync, and bin i covers [i, i + 1) bin widths after it.
+
     Attributes:
         bin_width_ps: bin width.
-        origin_ns: time of the left edge of bin 0 within the folded period.
         counts: per-bin event counts.
-        sync_pulses: sync (laser) pulses integrated over, 0 if unknown.
+        sync_pulses: sync (laser) pulses integrated over.
     """
 
     bin_width_ps: float
-    origin_ns: float
     counts: np.ndarray
-    sync_pulses: int = 0
+    sync_pulses: int
 
     def __post_init__(self) -> None:
         if self.bin_width_ps <= 0:
@@ -86,23 +85,18 @@ class TacHistogram:
 
     def bin_centers_ns(self) -> np.ndarray:
         width_ns = self.bin_width_ps * 1e-3
-        return self.origin_ns + (np.arange(self.counts.size) + 0.5) * width_ns
+        return (np.arange(self.counts.size) + 0.5) * width_ns
 
     def bin_edges_ns(self) -> np.ndarray:
         width_ns = self.bin_width_ps * 1e-3
-        return self.origin_ns + np.arange(self.counts.size + 1) * width_ns
+        return np.arange(self.counts.size + 1) * width_ns
 
     def merged_with(self, other: "TacHistogram") -> "TacHistogram":
         """Combine two histograms of identical layout (associative)."""
-        if (
-            self.bin_width_ps != other.bin_width_ps
-            or self.origin_ns != other.origin_ns
-            or self.counts.size != other.counts.size
-        ):
+        if self.bin_width_ps != other.bin_width_ps or self.counts.size != other.counts.size:
             raise DomainError("histogram layouts differ; cannot merge")
         return TacHistogram(
             bin_width_ps=self.bin_width_ps,
-            origin_ns=self.origin_ns,
             counts=self.counts + other.counts,
             sync_pulses=self.sync_pulses + other.sync_pulses,
         )
@@ -595,31 +589,11 @@ def simulate_detection(
     return detections
 
 
-def build_histogram(
-    detections_ns,
-    sync_period_ns: float,
-    bin_width_ps: float,
-    origin_ns: float = 0.0,
-    sync_pulses: int = 0,
-) -> TacHistogram:
-    """Fold detection timestamps on the sync period and bin them.
-
-    The folded coordinate is (t - origin) mod period; total counts are
-    conserved for every bin width.
-    """
-    if sync_period_ns <= 0:
-        raise DomainError(f"sync period must be > 0, got {sync_period_ns}")
-    t = np.asarray(detections_ns, dtype=float)
-    folded = np.mod(t - origin_ns, sync_period_ns)
-    return _bin_folded(folded, sync_period_ns, bin_width_ps, origin_ns, sync_pulses)
-
-
 def _bin_folded(
     folded_ns: np.ndarray,
     sync_period_ns: float,
     bin_width_ps: float,
-    origin_ns: float = 0.0,
-    sync_pulses: int = 0,
+    sync_pulses: int,
 ) -> TacHistogram:
     """Bin times already folded on the sync period, the one binning rule.
 
@@ -640,9 +614,7 @@ def _bin_folded(
         np.divide(folded_ns[lo:hi], width_ns, out=block, casting="unsafe")
         np.minimum(block, n_bins - 1, out=block)
         counts += np.bincount(block, minlength=n_bins)
-    return TacHistogram(
-        bin_width_ps=bin_width_ps, origin_ns=origin_ns, counts=counts, sync_pulses=sync_pulses
-    )
+    return TacHistogram(bin_width_ps=bin_width_ps, counts=counts, sync_pulses=sync_pulses)
 
 
 def peak_fwhm(hist: TacHistogram, peak_seed_ns: float, search_half_width_ns: float = 1.5) -> float:
@@ -690,14 +662,6 @@ def peak_fwhm(hist: TacHistogram, peak_seed_ns: float, search_half_width_ns: flo
         return centers[i] + frac * (centers[j] - centers[i])
 
     return crossing(+1) - crossing(-1)
-
-
-def _gaussian_window_capture(mu_ns: float, sigma_ns: float, lo: float, hi: float) -> float:
-    """P(lo <= X < hi) for X ~ Normal(mu, sigma); tolerates sigma = 0."""
-    if sigma_ns == 0:
-        return 1.0 if lo <= mu_ns < hi else 0.0
-    z = 1.0 / (sigma_ns * math.sqrt(2.0))
-    return 0.5 * (math.erf((hi - mu_ns) * z) - math.erf((lo - mu_ns) * z))
 
 
 @dataclass(frozen=True)

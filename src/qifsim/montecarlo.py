@@ -45,7 +45,6 @@ from .detection import (
     TacHistogram,
     _bin_folded,
     _blocks,
-    _gaussian_window_capture,
     _reserve,
     _uniform_below,
     simulate_detection,
@@ -233,17 +232,25 @@ def _point_model(s: Scenario) -> _PointModel:
     )
 
 
-def _window_counts(folded_ns: np.ndarray, period_ns: float, center_ns: float, width_ns: float) -> int:
-    """Folded arrival times inside a window, half-open and wrap-safe.
+def _window(period_ns: float, center_ns: float, width_ns: float) -> tuple[float, float] | None:
+    """The SCA window on the folded period, the one rule for "inside".
 
     The window is [lo, lo + width) with lo the left edge folded on the
-    period; the part past the period end wraps to the start, and a window
-    at least one period wide counts every event once.
+    period; the part past the period end reaches into the next period. A
+    window at least one period wide counts every event once: None.
     """
     if width_ns >= period_ns:
-        return int(folded_ns.size)
+        return None
     lo = (center_ns - 0.5 * width_ns) % period_ns
-    hi = lo + width_ns
+    return lo, lo + width_ns
+
+
+def _window_counts(folded_ns: np.ndarray, period_ns: float, center_ns: float, width_ns: float) -> int:
+    """Folded arrival times inside the window; the part past the period end wraps."""
+    window = _window(period_ns, center_ns, width_ns)
+    if window is None:
+        return int(folded_ns.size)
+    lo, hi = window
     below_lo = int(np.count_nonzero(folded_ns < lo))
     if hi <= period_ns:
         return int(np.count_nonzero(folded_ns < hi)) - below_lo
@@ -253,19 +260,28 @@ def _window_counts(folded_ns: np.ndarray, period_ns: float, center_ns: float, wi
 def _window_share(s: Scenario, center_ns: float, sigma_ns: float) -> float:
     """Share of a Gaussian peak's events that ``_window_counts`` counts.
 
-    The same rule on the peak folded on the period: the window is [lo,
-    lo + width) with lo folded on the period, reaching past the period end
-    into the next copy of the peak, and a window at least one period wide
-    counts every event once.
+    The peak repeats every period, so the share sums P(lo <= X < hi) over
+    the copies X ~ Normal(center + k period, sigma) that can reach the
+    window. Past 9 sigma, erf is 1.0 in double precision, so a farther
+    copy adds exactly 0. Copies -1 to 2 are always in the sum.
     """
-    period, width = s.sync_period_ns(), s.sca.width_ns
-    if width >= period:
+    period = s.sync_period_ns()
+    window = _window(period, s.sca.center_ns, s.sca.width_ns)
+    if window is None:
         return 1.0
-    lo = (s.sca.center_ns - 0.5 * width) % period
+    lo, hi = window
     center = center_ns % period
+    reach = 9.0 * sigma_ns
+    copies = range(
+        min(-1, math.floor((lo - reach - center) / period)),
+        max(2, math.ceil((hi + reach - center) / period)) + 1,
+    )
+    if sigma_ns == 0:
+        return sum(1.0 if lo <= center + k * period < hi else 0.0 for k in copies)
+    z = 1.0 / (sigma_ns * math.sqrt(2.0))
     return sum(
-        _gaussian_window_capture(center + k * period, sigma_ns, lo, lo + width)
-        for k in (-1, 0, 1, 2)
+        0.5 * (math.erf((hi - mu) * z) - math.erf((lo - mu) * z))
+        for mu in (center + k * period for k in copies)
     )
 
 
@@ -448,7 +464,7 @@ def _simulate_point(
     folded = np.mod(detections, period, out=detections)
     window = _window_counts(folded, period, s.sca.center_ns, s.sca.width_ns)
     background = _window_counts(folded, period, s.sca.center_ns + 0.5 * period, s.sca.width_ns)
-    hist = _bin_folded(folded, period, s.histogram_bin_width_ps, sync_pulses=pulses)
+    hist = _bin_folded(folded, period, s.histogram_bin_width_ps, pulses)
     return hist, window, background
 
 
@@ -633,7 +649,8 @@ def expected_fringe(s: Scenario, phases_rad, pulses: int | None = None) -> Expec
     signal_amplitude = scale * m.middle.amplitude * math.exp(-0.5 * m.middle.drift_rad**2) * middle
 
     period = s.sync_period_ns()
-    flat = min(s.sca.width_ns, period) / period
+    window = _window(period, s.sca.center_ns, s.sca.width_ns)
+    flat = 1.0 if window is None else s.sca.width_ns / period
     dark = s.detector.dark_count_rate_hz * s.duration_s(n_pulses)
     background = (dark + scale * m.cw) * flat
 

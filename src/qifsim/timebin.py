@@ -132,8 +132,10 @@ class PulseSource:
     pulse_shape: str = "gaussian"
 
     def __post_init__(self) -> None:
+        # The sync period is its inverse, and every Monte Carlo time follows.
+        if not self.repetition_rate_mhz > 0:
+            raise DomainError(f"repetition_rate_mhz must be > 0, got {self.repetition_rate_mhz}")
         for label in (
-            "repetition_rate_mhz",
             "pulse_fwhm_ns",
             "mean_photon_number",
             "coherence_time_ns",
@@ -204,13 +206,6 @@ class AnalysisResult:
     slots: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
     back_slots: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
     absorbed: float
-
-    def forward_total(self) -> float:
-        return sum(p for _, p in self.slots)
-
-    def budget_total(self) -> float:
-        """Forward + back + absorbed; equals the input norm."""
-        return self.forward_total() + sum(p for _, p in self.back_slots) + self.absorbed
 
 
 def analyze(qubit: TimeBinQubit, ifo: Interferometer) -> AnalysisResult:

@@ -16,15 +16,9 @@ import numpy as np
 import pytest
 
 from qifsim import conversion, montecarlo, qpm, repeater
-from qifsim.detection import (
-    ScaWindow,
-    dead_time_correct,
-    dead_time_observe,
-    extract_visibility,
-    peak_fwhm,
-)
+from qifsim.detection import dead_time_correct, dead_time_observe, extract_visibility, peak_fwhm
 from qifsim.timebin import Interferometer, analyze, apply_conversion_phase, prepare_qubit
-from qifsim.scenario import load_reference_scenario
+from qifsim.scenario import ScaWindow, load_reference_scenario
 
 PHASES_12 = np.linspace(0.0, 2.0 * math.pi, 12)
 

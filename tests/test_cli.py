@@ -305,6 +305,19 @@ def test_bad_repeater_setting_exits_2_from_every_command(tmp_path, capsys, key, 
     assert list(tmp_path.glob("*.csv")) == []
 
 
+@pytest.mark.parametrize("command", ["fringe-scan", "histogram", "validate"])
+def test_zero_repetition_rate_exits_2_at_parse(tmp_path, capsys, command):
+    text = serialize_scenario(load_reference_scenario())
+    path = tmp_path / "zero-rate.scenario"
+    path.write_text(text.replace("repetition_rate_mhz = 60.0\n", "repetition_rate_mhz = 0.0\n"))
+    assert cli.main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert "[source]: repetition_rate_mhz must be > 0, got 0.0" in capsys.readouterr().err
+    fields = run_log_fields(tmp_path / "run.log")
+    assert fields["status"] == "error:ConfigError"
+    assert fields["error"].endswith("[source]: repetition_rate_mhz must be > 0, got 0.0")
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_unknown_command_rejected(tmp_path, run_cli):
     proc = run_cli("melt-crystal", cwd=tmp_path)
     assert proc.returncode == 2

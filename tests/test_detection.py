@@ -8,11 +8,7 @@ import pytest
 
 from qifsim import detection
 from qifsim.detection import (
-    FWHM_TO_SIGMA,
-    DetectorModel,
-    ScaWindow,
     TacHistogram,
-    build_histogram,
     dead_time_correct,
     dead_time_observe,
     extract_visibility,
@@ -20,6 +16,7 @@ from qifsim.detection import (
     simulate_detection,
 )
 from qifsim.errors import DomainError, FitError
+from qifsim.scenario import FWHM_TO_SIGMA, DetectorModel, ScaWindow
 
 SYNC_PERIOD_NS = 1e3 / 60.0
 
@@ -353,18 +350,23 @@ def test_simulate_detection_buffer_validation():
 # --- folding and histogramming ---
 
 
+def bin_times(times, width_ps: float, period_ns: float = SYNC_PERIOD_NS, sync_pulses: int = 0):
+    """Fold times on the period with np.mod, as the engine does, and bin them."""
+    return detection._bin_folded(np.mod(times, period_ns), period_ns, width_ps, sync_pulses)
+
+
 def test_histogram_conserves_counts_across_bin_widths():
     rng = np.random.default_rng(10)
     times = rng.uniform(0.0, 1e7, 20000)
     for width_ps in (7.0, 50.0, 333.0):
-        hist = build_histogram(times, SYNC_PERIOD_NS, width_ps)
+        hist = bin_times(times, width_ps)
         assert hist.total_counts() == times.size
 
 
 def test_histogram_bin_count_and_layout():
-    hist = build_histogram(np.empty(0), SYNC_PERIOD_NS, 50.0)
+    hist = bin_times(np.empty(0), 50.0)
     assert hist.counts.size == 334
-    exact = build_histogram(np.empty(0), 10.0, 50.0)
+    exact = bin_times(np.empty(0), 50.0, period_ns=10.0)
     assert exact.counts.size == 200
     edges = exact.bin_edges_ns()
     assert edges[0] == 0.0
@@ -374,37 +376,29 @@ def test_histogram_bin_count_and_layout():
 def test_histogram_folds_onto_origin():
     # One event per period, all at the same mid-bin phase: a single hot bin.
     times = 3.71 + SYNC_PERIOD_NS * np.arange(1000, dtype=float)
-    hist = build_histogram(times, SYNC_PERIOD_NS, 50.0, origin_ns=0.0)
+    hist = bin_times(times, 50.0)
     assert hist.counts.max() == 1000
     center = hist.bin_centers_ns()[np.argmax(hist.counts)]
     assert abs(center - 3.71) <= 0.05
 
 
-def test_histogram_origin_shift():
-    times = 3.71 + SYNC_PERIOD_NS * np.arange(100, dtype=float)
-    hist = build_histogram(times, SYNC_PERIOD_NS, 50.0, origin_ns=3.48)
-    assert hist.counts[4] == 100  # folded phase 0.23 ns, bin 4
-
-
 def test_histogram_merge():
     rng = np.random.default_rng(12)
-    a = build_histogram(rng.uniform(0, 1e5, 400), SYNC_PERIOD_NS, 50.0, sync_pulses=10)
-    b = build_histogram(rng.uniform(0, 1e5, 300), SYNC_PERIOD_NS, 50.0, sync_pulses=20)
+    a = bin_times(rng.uniform(0, 1e5, 400), 50.0, sync_pulses=10)
+    b = bin_times(rng.uniform(0, 1e5, 300), 50.0, sync_pulses=20)
     merged = a.merged_with(b)
     assert merged.total_counts() == 700
     assert merged.sync_pulses == 30
-    mismatched = build_histogram(np.empty(0), SYNC_PERIOD_NS, 25.0)
+    mismatched = bin_times(np.empty(0), 25.0)
     with pytest.raises(DomainError, match="layouts"):
         a.merged_with(mismatched)
 
 
 def test_histogram_validation():
     with pytest.raises(DomainError):
-        build_histogram(np.empty(0), 0.0, 50.0)
+        bin_times(np.empty(0), 0.0)
     with pytest.raises(DomainError):
-        build_histogram(np.empty(0), SYNC_PERIOD_NS, 0.0)
-    with pytest.raises(DomainError):
-        TacHistogram(50.0, 0.0, np.array([-1]))
+        TacHistogram(50.0, np.array([-1]), 0)
 
 
 # --- peak width ---
@@ -416,7 +410,7 @@ def gaussian_histogram(mu_ns: float, sigma_ns: float, amplitude: float) -> TacHi
     nbins = 334
     centers = (np.arange(nbins) + 0.5) * width_ps * 1e-3
     counts = np.rint(amplitude * np.exp(-0.5 * ((centers - mu_ns) / sigma_ns) ** 2))
-    return TacHistogram(width_ps, 0.0, counts.astype(np.int64))
+    return TacHistogram(width_ps, counts.astype(np.int64), 0)
 
 
 def test_peak_fwhm_on_analytic_gaussian():
@@ -456,7 +450,7 @@ def test_delta_pulse_occupies_at_most_two_bins():
     det = DetectorModel(quantum_efficiency=1.0)
     times = 5.2 + SYNC_PERIOD_NS * np.arange(3000, dtype=float)
     out = simulate_detection(times, det, 0.0, rng_of(13))
-    hist = build_histogram(out, SYNC_PERIOD_NS, 50.0)
+    hist = bin_times(out, 50.0)
     assert np.count_nonzero(hist.counts) <= 2
 
 

@@ -61,12 +61,11 @@ def test_afterpulse_pass_equals_marked_reference(stream, p_after, seed, horizon_
 def histogram_triples(draw):
     """Three histograms of one drawn layout, with counts up to 1e12 per bin."""
     width_ps = draw(st.floats(1.0, 1e3))
-    origin_ns = draw(st.floats(-10.0, 10.0))
     n_bins = draw(st.integers(1, 50))
     bins = st.lists(st.integers(0, 10**12), min_size=n_bins, max_size=n_bins)
     return tuple(
         detection.TacHistogram(
-            width_ps, origin_ns, np.array(draw(bins), dtype=np.int64), draw(st.integers(0, 10**12))
+            width_ps, np.array(draw(bins), dtype=np.int64), draw(st.integers(0, 10**12))
         )
         for _ in range(3)
     )
@@ -79,7 +78,7 @@ def test_merged_with_is_associative_and_conserves_totals(triple):
     left = a.merged_with(b).merged_with(c)
     right = a.merged_with(b.merged_with(c))
     assert np.array_equal(left.counts, right.counts)
-    assert (left.bin_width_ps, left.origin_ns) == (right.bin_width_ps, right.origin_ns)
+    assert left.bin_width_ps == right.bin_width_ps
     assert left.total_counts() == right.total_counts() == sum(h.total_counts() for h in triple)
     assert left.sync_pulses == right.sync_pulses == sum(h.sync_pulses for h in triple)
 

@@ -337,7 +337,7 @@ def test_first_failing_point_in_grid_order_surfaces(ref, cpus, monkeypatch):
         if index == 3:
             raise DomainError("nor here")
         threading.Event().wait(0.05)
-        return montecarlo.TacHistogram(10.0, 0.0, np.zeros(3, dtype=np.int64)), 0, 0
+        return montecarlo.TacHistogram(10.0, np.zeros(3, dtype=np.int64), 0), 0, 0
 
     monkeypatch.setattr(montecarlo, "_simulate_point", failing)
     before = set(threading.enumerate())
@@ -455,6 +455,15 @@ def test_window_counts_agrees_with_unfolded_formula(seed):
         away = (np.minimum(d, PERIOD_NS - d) > 1e-6) & (np.abs(d - width) > 1e-6)
         expected = int(np.count_nonzero(d[away] < width))
         assert montecarlo._window_counts(folded[away], PERIOD_NS, center, width) == expected
+
+
+@pytest.mark.parametrize("center_ns", [0.0, 3.3, 5.2, PERIOD_NS - 0.01])
+def test_window_share_of_a_peak_much_wider_than_the_period(ref, center_ns):
+    # Folded on the period, a Gaussian of sigma 10 T is flat, once every
+    # copy of it that reaches the window is counted.
+    period = ref.sync_period_ns()
+    share = montecarlo._window_share(ref, center_ns, 10.0 * period)
+    assert share == pytest.approx(ref.sca.width_ns / period, abs=1e-9)
 
 
 def test_pulse_ranks_match_unique_inverse():

@@ -114,7 +114,8 @@ def test_budget_closes_for_all_inputs():
             coherence=coherence,
         )
         result = analyze(qubit, Interferometer(DT, phi * 0.7, eta, s))
-        assert result.budget_total() == pytest.approx(qubit.norm(), rel=1e-12)
+        total = sum(p for _, p in result.slots + result.back_slots) + result.absorbed
+        assert total == pytest.approx(qubit.norm(), rel=1e-12)
 
 
 def test_slot_times_are_spaced_by_delay():
@@ -208,4 +209,7 @@ def test_source_validation():
         PulseSource(60.0, -1.0, 1.0, 0.3)
     with pytest.raises(DomainError):
         PulseSource(60.0, 1.0, 1.0, 0.3, pulse_shape="sech")
+    for rate_mhz in (0.0, -60.0, math.nan):
+        with pytest.raises(DomainError, match="repetition_rate_mhz must be > 0"):
+            PulseSource(rate_mhz, 1.0, 1.0, 0.3)
 
