@@ -501,14 +501,6 @@ def _dead_time_pass(
     return _afterpulse_pass(times_ns, dead_ns, spawners, delays_ns, horizon_ns, marks)
 
 
-def _is_sorted(x: np.ndarray) -> bool:
-    """Whether ``x`` is ascending, compared a block at a time."""
-    for lo, hi in _blocks(1, x.size):
-        if np.any(x[lo:hi] < x[lo - 1 : hi - 1]):
-            return False
-    return True
-
-
 def simulate_detection(
     arrivals,
     det: DetectorModel,
@@ -520,8 +512,11 @@ def simulate_detection(
     """Stochastic detector response to a stream of firing photons.
 
     Args:
-        arrivals: sorted times of the photons that fire the detector; the
-            caller has already thinned them by the quantum efficiency.
+        arrivals: times of the photons that fire the detector, in any
+            order; the caller has already thinned them by the quantum
+            efficiency. They are sorted once, after the jitter and with
+            the dark counts, so their order only decides which jitter
+            draw each one takes.
         det: detector parameters.
         duration_s: observation window for dark-count generation, seconds.
         rng: random generator (caller owns the substream).
@@ -539,17 +534,14 @@ def simulate_detection(
         too little room; without, an array of their own.
 
     Raises:
-        DomainError: arrival times not 1-D or not sorted, negative
-            duration, or a buffer that is not 1-D float64 or is shorter
-            than the arrivals.
+        DomainError: arrival times not 1-D, negative duration, or a
+            buffer that is not 1-D float64 or is shorter than the arrivals.
     """
     if duration_s < 0:
         raise DomainError(f"duration must be >= 0, got {duration_s} s")
     fired = np.array(arrivals, dtype=float) if buffer is None else np.asarray(arrivals, dtype=float)
     if fired.ndim != 1:
         raise DomainError(f"arrival times must be 1-D, got shape {fired.shape}")
-    if not _is_sorted(fired):
-        raise DomainError("arrival times must be sorted ascending")
     n_fired = fired.size
     if buffer is None:
         stream = fired

@@ -12,7 +12,7 @@ sized once for its arrivals and dark counts, which the sampling stages
 fill and the detector model writes over a block at a time; the
 detections are folded on the sync period in it once, for the histogram
 and both window counts. Every run is reproducible: all randomness flows
-from counter-based substreams derived from the scenario's master seed,
+from PCG64DXSM substreams derived from the scenario's master seed,
 a role tag, and the grid value of the point, so results are independent
 of the order in which points are simulated, and a scan runs two points
 at once where the process may use two CPUs.
@@ -74,7 +74,7 @@ __all__ = [
 
 
 def substream(master_seed: int, tag: str, value: float = 0.0) -> np.random.Generator:
-    """Independent Philox stream for one grid point.
+    """Independent PCG64DXSM stream for one grid point.
 
     Keyed by the master seed, a role tag, and the bit pattern of the grid
     value (phase, power, ...), not by the point's position in the sweep, so
@@ -82,7 +82,7 @@ def substream(master_seed: int, tag: str, value: float = 0.0) -> np.random.Gener
     """
     bits = int(np.float64(value).view(np.uint64))
     seq = np.random.SeedSequence((master_seed, zlib.crc32(tag.encode()), bits))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.PCG64DXSM(seq))
 
 
 @dataclass(frozen=True)
@@ -286,30 +286,23 @@ def _window_share(s: Scenario, center_ns: float, sigma_ns: float) -> float:
 
 
 def _pulse_ranks(pulse: np.ndarray) -> tuple[np.ndarray, int]:
-    """Rank of each entry among the distinct values, and how many there are.
+    """Rank of each entry of an ascending array among its distinct values, and their count.
 
     The ranks are ``np.unique(pulse, return_inverse=True)[1]``, as int32:
-    sort, mark where each run of equal values starts, count the run starts,
-    and scatter the counts to the ranks. The sort order is narrowed to
-    int32 as soon as it is found and the sorted values are freed before
-    the counts are taken, so besides ``pulse`` at most three int32 arrays
-    of its size live at once. The caller keeps ``pulse.size`` within
+    mark where each run of equal values starts and count the run starts
+    up to each entry. Besides ``pulse``, one bool and one int32 array of
+    its size live at once. The caller keeps ``pulse.size`` within
     ``_MAX_POINT_EVENTS``.
     """
     if not pulse.size:
         return np.empty(0, dtype=np.int32), 0
-    order = np.argsort(pulse).astype(np.int32)
-    ordered = pulse[order]
     run_start = np.empty(pulse.size, dtype=bool)
     run_start[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=run_start[1:])
-    del ordered
-    count = np.cumsum(run_start, dtype=np.int32)
+    np.not_equal(pulse[1:], pulse[:-1], out=run_start[1:])
+    rank = np.cumsum(run_start, dtype=np.int32)
     del run_start
-    count -= 1
-    rank = np.empty(pulse.size, dtype=np.int32)
-    rank[order] = count
-    return rank, int(count[-1]) + 1
+    rank -= 1
+    return rank, int(rank[-1]) + 1
 
 
 def _check_events(n: float, what: str) -> None:
@@ -358,9 +351,10 @@ def _middle_pulses(
 
     Poisson(N f p_max) candidates at the largest slot probability p_max,
     each kept with probability p_mid(drift) / p_max. With a drifting pump,
-    p_mid is computed once per occupied pulse and gathered by rank as the
-    acceptance uniforms are drawn, a block at a time. The pulse indices
-    are stored as int32 whenever the pulse count allows.
+    the pulse indices are sorted in place, so the candidates come in pulse
+    order, and p_mid is computed once per occupied pulse and gathered by
+    rank as the acceptance uniforms are drawn, a block at a time. The
+    pulse indices are stored as int32 whenever the pulse count allows.
     """
     mid = m.middle
     p_max = mid.p_max
@@ -373,6 +367,7 @@ def _middle_pulses(
     # the drift between them is realized, once per occupied pulse: every
     # photon of a pulse sees the same drift.
     if mid.drift_rad > 0:
+        pulse.sort()
         rank, occupied = _pulse_ranks(pulse)
         p_pulse = rng.normal(0.0, mid.drift_rad, occupied)
         # offset + amplitude cos(alpha + drift - beta), term by term.
@@ -389,10 +384,12 @@ def _middle_pulses(
 def _arrival_times(
     s: Scenario, m: _PointModel, beta_rad: float, pulses: int, rng: np.random.Generator, room: int
 ) -> tuple[np.ndarray, int]:
-    """One point's fired signal photons and cw light, sorted, in an engine buffer.
+    """One point's fired signal photons and cw light, in an engine buffer.
 
     Returns the buffer and the number n of arrivals at its start; at least
-    ``room`` entries are left free after them. Each time is pulse index x
+    ``room`` entries are left free after them. The arrivals are in draw
+    order, early and late, then middle, then cw, not in time order:
+    ``simulate_detection`` sorts the stream once. Each time is pulse index x
     period + TAC offset + slot delay + emission offset, summed in that
     order. The buffer is allocated once the middle slot's kept count is
     known, with room for the cw light, and filled a block at a time.
@@ -432,7 +429,6 @@ def _arrival_times(
     end_ns = s.duration_s(pulses) * 1e9
     for lo, hi in _blocks(n_signal, n):
         times[lo:hi] = rng.uniform(0.0, end_ns, hi - lo)
-    times[:n].sort()
     return times, n
 
 

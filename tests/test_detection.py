@@ -299,12 +299,36 @@ def test_jitter_spreads_arrivals():
 
 def test_simulate_detection_input_validation():
     det = DetectorModel(quantum_efficiency=1.0)
-    with pytest.raises(DomainError, match="sorted"):
-        simulate_detection(np.array([2.0, 1.0]), det, 0.0, rng_of(1))
     with pytest.raises(DomainError):
         simulate_detection(np.empty(0), det, -1.0, rng_of(1))
     with pytest.raises(DomainError, match="1-D"):
         simulate_detection(np.zeros((3, 4)), det, 1e-6, rng_of(1))
+
+
+@pytest.mark.parametrize("dead_time_us, p_after", [(0.0, 0.0), (0.02, 0.05)])
+def test_arrival_order_does_not_matter_without_jitter(dead_time_us, p_after):
+    # Without jitter the arrivals take no draws before the one sort.
+    det = DetectorModel(
+        quantum_efficiency=1.0,
+        dark_count_rate_hz=2e7,
+        dead_time_us=dead_time_us,
+        afterpulse_probability=p_after,
+    )
+    arrivals = np.sort(rng_of(32).uniform(0.0, 1e5, 40000))
+    shuffled = rng_of(33).permutation(arrivals)
+    expected = simulate_detection(arrivals, det, 1e-4, rng_of(34))
+    out = simulate_detection(shuffled, det, 1e-4, rng_of(34))
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_shuffled_arrivals_with_jitter_come_out_sorted():
+    det = DetectorModel(quantum_efficiency=1.0, jitter_fwhm_ps=300.0, dark_count_rate_hz=2e7)
+    arrivals = np.sort(rng_of(35).uniform(0.0, 1e5, 40000))
+    shuffled = rng_of(36).permutation(arrivals)
+    expected = simulate_detection(arrivals, det, 1e-4, rng_of(37))
+    out = simulate_detection(shuffled, det, 1e-4, rng_of(37))
+    assert out.size == expected.size
+    assert np.all(out[1:] >= out[:-1])
 
 
 @pytest.mark.parametrize("dead_time_us, p_after", [(0.0, 0.0), (0.02, 0.05)])

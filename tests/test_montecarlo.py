@@ -47,6 +47,8 @@ def test_substream_reproducible():
     a = substream(42, "fringe-scan", 1.25).random(8)
     b = substream(42, "fringe-scan", 1.25).random(8)
     assert np.array_equal(a, b)
+    # A change of generator changes every output: it must show up here.
+    assert isinstance(substream(42, "fringe-scan", 1.25).bit_generator, np.random.PCG64DXSM)
 
 
 def test_substream_separates_tags_seeds_and_values():
@@ -468,7 +470,8 @@ def test_window_share_of_a_peak_much_wider_than_the_period(ref, center_ns):
 
 def test_pulse_ranks_match_unique_inverse():
     rng = substream(4, "ranks")
-    for pulse in (rng.integers(0, 50, 400), rng.integers(0, 10**9, 400), np.zeros(3, dtype=np.int64)):
+    for draws in (rng.integers(0, 50, 400), rng.integers(0, 10**9, 400), np.zeros(3, dtype=np.int64)):
+        pulse = np.sort(draws)
         occupied, inverse = np.unique(pulse, return_inverse=True)
         rank, n_occupied = montecarlo._pulse_ranks(pulse)
         assert n_occupied == occupied.size
