@@ -306,20 +306,28 @@ def _afterpulse_marks(
 def _last_kept_before(keep: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Index of the last True in ``keep[:j]`` for each of the ascending ``j``, -1 if none.
 
-    The running last-True index is built a block of ``keep`` at a time,
-    with the last one carried over, so no index array as large as
-    ``keep`` is allocated.
+    A block of ``keep`` at a time, the entries whose j - 1 falls in it
+    search the block's True indices, and the last True index is carried
+    over to the next block, so no index array as large as ``keep`` is
+    allocated.
     """
     out = np.empty(j.size, dtype=np.intp)
     carry = -1
+    a = int(np.searchsorted(j, 1))
+    out[:a] = -1
     for lo, hi in _blocks(0, keep.size):
-        last = np.where(keep[lo:hi], np.arange(lo, hi), carry)
-        np.maximum.accumulate(last, out=last)
+        kept = np.flatnonzero(keep[lo:hi])
         # j - 1 falls in this block for j in (lo, hi].
-        a, b = np.searchsorted(j, (lo + 1, hi + 1))
-        out[a:b] = last[j[a:b] - 1 - lo]
-        carry = int(last[-1])
-    out[: np.searchsorted(j, 1)] = -1
+        b = int(np.searchsorted(j, hi + 1))
+        if b > a and kept.size:
+            # at counts the block's True entries up to j - 1; kept[-1] at 0 is unused.
+            at = np.searchsorted(kept, j[a:b] - (lo + 1), side="right")
+            out[a:b] = np.where(at > 0, kept[at - 1] + lo, carry)
+        elif b > a:
+            out[a:b] = carry
+        a = b
+        if kept.size:
+            carry = int(kept[-1]) + lo
     return out
 
 
@@ -672,13 +680,15 @@ def check_fit_phases(phases) -> None:
     """Refuse a phase grid that ``extract_visibility`` cannot fit.
 
     Raises:
-        DomainError: fewer than 3 distinct phases, or a span below one
-            full fringe period.
+        DomainError: a phase not finite, fewer than 3 distinct phases, or
+            a span below one full fringe period.
     """
-    phases = np.asarray(phases, dtype=float)
-    if np.unique(phases).size < 3:
+    phases = np.sort(np.asarray(phases, dtype=float).ravel())
+    if not np.isfinite(phases).all():
+        raise DomainError(f"phases must be finite, got {phases[~np.isfinite(phases)][0]} rad")
+    if phases.size < 3 or np.count_nonzero(phases[1:] != phases[:-1]) < 2:
         raise DomainError("need at least 3 distinct phases to fit a sinusoid")
-    span = phases.max() - phases.min()
+    span = phases[-1] - phases[0]
     if span < 2.0 * math.pi * (1.0 - 1e-6):
         raise DomainError(
             f"phase span {span:.4f} rad covers less than one fringe period"
@@ -697,8 +707,9 @@ def extract_visibility(
     per-point background B.
 
     Raises:
-        DomainError: fewer than 3 distinct phases, span below one full
-            period, negative counts, or background >= fitted offset.
+        DomainError: a phase not finite, fewer than 3 distinct phases,
+            span below one full period, negative counts, or background >=
+            fitted offset.
         FitError: relative residual above ``max_relative_residual`` (the
             data is not a sinusoid of the assumed period).
     """

@@ -42,6 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .detection import (
+    _BLOCK,
     TacHistogram,
     _bin_folded,
     _blocks,
@@ -243,6 +244,43 @@ def _window(period_ns: float, center_ns: float, width_ns: float) -> tuple[float,
         return None
     lo = (center_ns - 0.5 * width_ns) % period_ns
     return lo, lo + width_ns
+
+
+def _fold(times_ns: np.ndarray, period_ns: float) -> np.ndarray:
+    """``np.mod(times_ns, period_ns, out=times_ns)``, bit for bit, without fmod.
+
+    The period splits as T = T_hi + T_lo, T_hi holding its top 26
+    significant bits. For |t| < 2**26 T, q = trunc(t / T) by a multiply
+    makes q T_hi, q T_lo and t - q T_hi exact, so r = (t - q T_hi) - q T_lo
+    rounds once, to the exact t - q T. Where q is one off, or t is negative
+    (``np.mod`` then rounds t - q T + T), r falls outside (0, T), and the
+    entry is redone by ``np.mod``; so is an exact zero, which ``np.mod``
+    signs positive. An array with a time at or past 2**26 T, or a NaN, goes
+    to ``np.mod`` whole. Works a block at a time.
+    """
+    inv = 1.0 / period_ns
+    if not (times_ns.size and times_ns.max() * inv < 2.0**26 and times_ns.min() * inv > -(2.0**26)):
+        return np.mod(times_ns, period_ns, out=times_ns)
+    t_hi = float((np.float64(period_ns).view(np.uint64) & ~np.uint64(2**27 - 1)).view(np.float64))
+    t_lo = period_ns - t_hi
+    q = np.empty(min(times_ns.size, _BLOCK))
+    r = np.empty_like(q)
+    for lo, hi in _blocks(0, times_ns.size):
+        t = times_ns[lo:hi]
+        qb, rb = q[: hi - lo], r[: hi - lo]
+        np.multiply(t, inv, out=qb)
+        np.trunc(qb, out=qb)
+        np.multiply(qb, t_hi, out=rb)
+        np.subtract(t, rb, out=rb)
+        qb *= t_lo
+        rb -= qb
+        outside = rb <= 0.0
+        outside |= rb >= period_ns
+        if outside.any():
+            outside = np.flatnonzero(outside)
+            rb[outside] = np.mod(t[outside], period_ns)
+        t[:] = rb
+    return times_ns
 
 
 def _window_counts(folded_ns: np.ndarray, period_ns: float, center_ns: float, width_ns: float) -> int:
@@ -457,7 +495,7 @@ def _simulate_point(
     # The public name, looked up here, so a wrapper around it sees every point.
     detections = simulate_detection(times[:n_fired], s.detector, duration_s, rng, buffer=times)
     del times
-    folded = np.mod(detections, period, out=detections)
+    folded = _fold(detections, period)
     window = _window_counts(folded, period, s.sca.center_ns, s.sca.width_ns)
     background = _window_counts(folded, period, s.sca.center_ns + 0.5 * period, s.sca.width_ns)
     hist = _bin_folded(folded, period, s.histogram_bin_width_ps, pulses)

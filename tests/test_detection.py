@@ -535,6 +535,19 @@ def test_visibility_fit_requirements():
         extract_visibility(synth_fringe(100.0, 0.5, 0.0), background=1000.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_visibility_fit_refuses_a_phase_that_is_not_finite(bad, capfd):
+    # A NaN span compares False with the one-period bound, so this phase
+    # used to reach the least-squares solve, which failed inside LAPACK.
+    pts = synth_fringe(100.0, 0.5, 0.0)
+    pts[3, 0] = bad
+    with pytest.raises(DomainError, match=f"phases must be finite, got {bad} rad"):
+        extract_visibility(pts)
+    with pytest.raises(DomainError, match="finite"):
+        detection.check_fit_phases(pts[:, 0])
+    assert capfd.readouterr().err == ""
+
+
 def test_visibility_fit_rejects_non_sinusoid():
     phases = np.linspace(0.0, 2.0 * math.pi, 24)
     sawtooth = 100.0 + 200.0 * (phases % (math.pi / 2.0))
