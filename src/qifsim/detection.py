@@ -150,26 +150,6 @@ def _blocks(start: int, stop: int) -> Iterator[tuple[int, int]]:
         yield lo, min(lo + _BLOCK, stop)
 
 
-def _uniform_below(
-    rng: np.random.Generator, n: int, bound, scale: float = 1.0, rank=None
-) -> np.ndarray:
-    """Mask of ``rng.random(n) * scale < bound``, drawn a block at a time.
-
-    The generator fills its uniforms in sequence, so the blocks draw the
-    same numbers as one call, without an n-sized float temporary.
-    ``bound`` is one value or n values; with ``rank``, entry i compares
-    with ``bound[rank[i]]``, gathered a block at a time.
-    """
-    mask = np.empty(n, dtype=bool)
-    if rank is None:
-        bound = np.broadcast_to(bound, n)
-    for lo, hi in _blocks(0, n):
-        u = rng.random(hi - lo)
-        u *= scale
-        np.less(u, bound[lo:hi] if rank is None else bound[rank[lo:hi]], out=mask[lo:hi])
-    return mask
-
-
 def _reserve(buffer: np.ndarray, used: int, extra: int) -> np.ndarray:
     """``buffer``, or a copy of its first ``used`` entries with room for ``extra`` more.
 
@@ -306,28 +286,19 @@ def _afterpulse_marks(
 def _last_kept_before(keep: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Index of the last True in ``keep[:j]`` for each of the ascending ``j``, -1 if none.
 
-    A block of ``keep`` at a time, the entries whose j - 1 falls in it
-    search the block's True indices, and the last True index is carried
-    over to the next block, so no index array as large as ``keep`` is
-    allocated.
+    A block of ``keep`` at a time, the j whose j - 1 falls in it search
+    the block's True indices, behind the last True index before the block,
+    so no index array as large as ``keep`` is allocated.
     """
-    out = np.empty(j.size, dtype=np.intp)
-    carry = -1
-    a = int(np.searchsorted(j, 1))
-    out[:a] = -1
+    out = np.full(j.size, -1, dtype=np.intp)
+    carry, a = -1, 0
     for lo, hi in _blocks(0, keep.size):
-        kept = np.flatnonzero(keep[lo:hi])
-        # j - 1 falls in this block for j in (lo, hi].
-        b = int(np.searchsorted(j, hi + 1))
-        if b > a and kept.size:
-            # at counts the block's True entries up to j - 1; kept[-1] at 0 is unused.
-            at = np.searchsorted(kept, j[a:b] - (lo + 1), side="right")
-            out[a:b] = np.where(at > 0, kept[at - 1] + lo, carry)
-        elif b > a:
-            out[a:b] = carry
-        a = b
-        if kept.size:
-            carry = int(kept[-1]) + lo
+        known = np.concatenate(((carry,), np.flatnonzero(keep[lo:hi]) + lo))
+        # j - 1 falls in this block, or before it, for j up to hi; the
+        # count of the block's True indices up to j - 1 picks the answer.
+        b = int(np.searchsorted(j, hi, side="right"))
+        out[a:b] = known[np.searchsorted(known[1:], j[a:b] - 1, side="right")]
+        carry, a = int(known[-1]), b
     return out
 
 
@@ -486,24 +457,44 @@ def _afterpulse_pass(
     return out
 
 
+def _spawners(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
+    """Ascending indices below n, each one present with probability p > 0.
+
+    The gaps between them are geometric, so there is one draw per index, a
+    chunk of 10 sigma above the mean count at a time until they pass n. A
+    gap is cut to n + 1, which passes n all the same, so no sum overflows.
+    """
+    size = int(n * p + 10.0 * math.sqrt(n * p)) + 16
+    found = np.empty(0, dtype=np.int64)
+    last = -1
+    while last < n:
+        gaps = rng.geometric(p, size)
+        np.minimum(gaps, n + 1, out=gaps)
+        gaps[0] += last
+        np.cumsum(gaps, out=gaps)
+        found = np.concatenate((found, gaps)) if found.size else gaps
+        last = int(gaps[-1])
+    return found[: np.searchsorted(found, n)]
+
+
 def _dead_time_pass(
     times_ns: np.ndarray, det: DetectorModel, rng: np.random.Generator, horizon_ns: float
 ) -> np.ndarray:
     """Non-paralyzable gating of a sorted stream, optionally with afterpulses.
 
     Without afterpulsing this is ``_gate`` alone and draws no random
-    numbers. With it, every real event's afterpulse mark is drawn up front,
-    ``rng.random(n) < p`` a block at a time and then one exponential delay
-    of scale dead per spawner; the afterpulses' own marks follow from the
-    same ``rng`` as they are needed, and ``_afterpulse_pass`` settles the
-    candidates. The accepted events are compacted to the front of
-    ``times_ns``, which the caller gives up.
+    numbers. With it, every real event's afterpulse mark is drawn up front:
+    the spawners by ``_spawners``, then one exponential delay of scale dead
+    per spawner; the afterpulses' own marks follow from the same ``rng`` as
+    they are needed, and ``_afterpulse_pass`` settles the candidates. The
+    accepted events are compacted to the front of ``times_ns``, which the
+    caller gives up.
     """
     dead_ns = det.dead_time_us * 1e3
     p_after = det.afterpulse_probability
     if p_after == 0.0:
         return _compress(times_ns, _gate(times_ns, dead_ns))
-    spawners = np.flatnonzero(_uniform_below(rng, times_ns.size, p_after))
+    spawners = _spawners(rng, times_ns.size, p_after)
     delays_ns = rng.exponential(dead_ns, spawners.size)
     marks = _afterpulse_marks(rng, p_after, dead_ns)
     return _afterpulse_pass(times_ns, dead_ns, spawners, delays_ns, horizon_ns, marks)

@@ -6,10 +6,11 @@ scan, with Poisson error bars. Only the photons that fire the detector
 are sampled: a Poisson photon stream thinned by slot, conversion survival
 and quantum efficiency is again a Poisson stream, so each point draws its
 fired events directly, in a number that grows with detections rather than
-with pulses, and hands them to the detector model for jitter, dark
-counts, dead time and afterpulsing. Each point owns one event buffer,
-sized once for its arrivals and dark counts, which the sampling stages
-fill and the detector model writes over a block at a time; the
+with pulses, and hands them to the detector model for dark counts, dead
+time and afterpulsing, and for jitter where the pulses are square. Each
+point owns one event buffer, sized once for its arrivals and dark
+counts, which the sampling stages fill and the detector model writes
+over a block at a time; the
 detections are folded on the sync period in it once, for the histogram
 and both window counts. Every run is reproducible: all randomness flows
 from PCG64DXSM substreams derived from the scenario's master seed,
@@ -21,7 +22,13 @@ Each point is one intensity model, a few Poisson components with a mean
 count per pulse and a time profile: the engine samples it, and
 ``expected_fringe`` integrates it over the window by the engine's own
 window rule; ``validate_against_oracle`` checks the two against each
-other.
+other. A Gaussian pulse's width in the model already holds the detector
+jitter, so each of its photons takes one Gaussian draw and the detector
+model adds none. The candidates of one middle-slot pulse share its pump
+drift, which is drawn only for a pulse with two or more of them; a lone
+candidate is kept with the drift's mean effect, its exact probability.
+The fold on the sync period equals ``np.mod`` bit for bit, by a split
+of the period that makes the remainder exact, without fmod.
 
 This module needs numpy, and only the fringe-scan, histogram and validate
 commands import it. The efficiency sweep (``run_efficiency_sweep``,
@@ -47,12 +54,11 @@ from .detection import (
     _bin_folded,
     _blocks,
     _reserve,
-    _uniform_below,
     simulate_detection,
 )
 from .conversion import EfficiencyPoint, _reject_repeats, run_efficiency_sweep
 from .errors import ConfigError, DomainError, QifsimError
-from .scenario import FWHM_TO_SIGMA, Scenario, scenario_digest
+from .scenario import FWHM_TO_SIGMA, DetectorModel, Scenario, scenario_digest
 from .timebin import analyze, apply_conversion_phase, prepare_qubit
 
 # Points in flight at once: the calling thread's and one helper's.
@@ -156,7 +162,8 @@ class _MiddlePeak:
     """The interfering slot, of weight offset + amplitude cos(alpha + drift - beta).
 
     ``drift_rad`` is the rms pump-phase drift across the qubit's bin
-    separation, one Gaussian draw per pulse; 0 for a coherent pump.
+    separation, one Gaussian draw per pulse that holds two or more
+    candidates; 0 for a coherent pump.
     """
 
     offset: float
@@ -180,9 +187,13 @@ class _PointModel:
     the early/late pair and the middle peak, centred at pulse x period +
     ``tac_offset_ns`` + slot delay and spread by the pulse shape, and cw
     light flat over the run, of weight ``cw``. ``pulse_width_ns`` is the
-    Gaussian sigma, or the full width of a square pulse. The engine samples
-    these components and ``expected_fringe`` integrates them; the
-    detector's jitter, darks and dead time are not part of the model.
+    Gaussian sigma, or the full width of a square pulse. A Gaussian pulse
+    spread by Gaussian jitter is one Gaussian, so its sigma is
+    hypot(pulse sigma, jitter sigma), one draw per photon, and
+    ``detector`` is the scenario's detector with no jitter; a square pulse
+    keeps its width, and ``detector`` the jitter. The engine samples these
+    components and hands its events to ``detector``; ``expected_fringe``
+    integrates them. The darks and the dead time are not part of the model.
     """
 
     fired_per_pulse: float
@@ -192,6 +203,7 @@ class _PointModel:
     sides: _SidePeaks
     middle: _MiddlePeak
     cw: float
+    detector: DetectorModel
 
 
 def _point_model(s: Scenario) -> _PointModel:
@@ -216,6 +228,10 @@ def _point_model(s: Scenario) -> _PointModel:
     # A cw photon is not split into bins: it passes both forward ports.
     passage = 2.0 * s.preparation.forward_path_amplitude() ** 2
     passage *= 2.0 * s.analysis.forward_path_amplitude() ** 2
+    detector, width = s.detector, fwhm
+    if s.source.pulse_shape == "gaussian":
+        width = math.hypot(fwhm * FWHM_TO_SIGMA, detector.jitter_sigma_ns())
+        detector = replace(detector, jitter_fwhm_ps=0.0)
     return _PointModel(
         fired_per_pulse=(
             s.source.mean_photon_number
@@ -224,12 +240,13 @@ def _point_model(s: Scenario) -> _PointModel:
         ),
         tac_offset_ns=s.tac_offset_ns,
         pulse_shape=s.source.pulse_shape,
-        pulse_width_ns=fwhm * FWHM_TO_SIGMA if s.source.pulse_shape == "gaussian" else fwhm,
+        pulse_width_ns=width,
         sides=_SidePeaks(aligned[0][1], aligned[2][1], 2.0 * delta_tau),
         middle=_MiddlePeak(
             0.5 * (mid_hi + mid_lo), 0.5 * (mid_hi - mid_lo), alpha, drift, delta_tau
         ),
         cw=s.source.cw_background_fraction * passage,
+        detector=detector,
     )
 
 
@@ -323,24 +340,51 @@ def _window_share(s: Scenario, center_ns: float, sigma_ns: float) -> float:
     )
 
 
-def _pulse_ranks(pulse: np.ndarray) -> tuple[np.ndarray, int]:
-    """Rank of each entry of an ascending array among its distinct values, and their count.
+def _uniform_below(
+    rng: np.random.Generator, n: int, bound, scale: float, rank=None
+) -> np.ndarray:
+    """Mask of ``rng.random(n) * scale < bound``, drawn a block at a time.
 
-    The ranks are ``np.unique(pulse, return_inverse=True)[1]``, as int32:
-    mark where each run of equal values starts and count the run starts
-    up to each entry. Besides ``pulse``, one bool and one int32 array of
-    its size live at once. The caller keeps ``pulse.size`` within
-    ``_MAX_POINT_EVENTS``.
+    The generator fills its uniforms in sequence, so the blocks draw the
+    same numbers as one call, without an n-sized float temporary.
+    ``bound`` is one value; with ``rank``, entry i compares with
+    ``bound[rank[i]]``, gathered a block at a time.
     """
-    if not pulse.size:
-        return np.empty(0, dtype=np.int32), 0
-    run_start = np.empty(pulse.size, dtype=bool)
-    run_start[0] = True
-    np.not_equal(pulse[1:], pulse[:-1], out=run_start[1:])
-    rank = np.cumsum(run_start, dtype=np.int32)
-    del run_start
-    rank -= 1
-    return rank, int(rank[-1]) + 1
+    mask = np.empty(n, dtype=bool)
+    if rank is None:
+        bound = np.broadcast_to(bound, n)
+    for lo, hi in _blocks(0, n):
+        u = rng.random(hi - lo)
+        u *= scale
+        np.less(u, bound[lo:hi] if rank is None else bound[rank[lo:hi]], out=mask[lo:hi])
+    return mask
+
+
+def _shared_ranks(pulse: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rank of each entry of an ascending array among the values that repeat, and their count.
+
+    An entry whose value occurs once has rank 0, and one whose value
+    repeats 1 + that value's rank among the values that repeat. A run
+    start followed by a run start is a run of one, and one followed by
+    none heads a longer run. A block at a time, each entry counts the
+    longer runs started up to it, the count carried over from block to
+    block, and the entries of runs of one are set to 0. Besides ``pulse``,
+    one bool and one int32 array of its size live at once. The caller keeps
+    ``pulse.size`` within ``_MAX_POINT_EVENTS``.
+    """
+    n = pulse.size
+    run_start = np.ones(n + 1, dtype=bool)
+    np.not_equal(pulse[1:], pulse[:-1], out=run_start[1:n])
+    rank = np.empty(n, dtype=np.int32)
+    shared = 0
+    for lo, hi in _blocks(0, n):
+        starts, nexts = run_start[lo:hi], run_start[lo + 1 : hi + 1]
+        block = rank[lo:hi]
+        np.cumsum(starts > nexts, dtype=np.int32, out=block)
+        block += shared
+        shared = int(block[-1])
+        np.copyto(block, 0, where=starts & nexts)
+    return rank, shared
 
 
 def _check_events(n: float, what: str) -> None:
@@ -390,9 +434,13 @@ def _middle_pulses(
     Poisson(N f p_max) candidates at the largest slot probability p_max,
     each kept with probability p_mid(drift) / p_max. With a drifting pump,
     the pulse indices are sorted in place, so the candidates come in pulse
-    order, and p_mid is computed once per occupied pulse and gathered by
-    rank as the acceptance uniforms are drawn, a block at a time. The
-    pulse indices are stored as int32 whenever the pulse count allows.
+    order. A pulse with one candidate keeps it with the mean of p_mid over
+    the drift, offset + amplitude exp(-drift_rad^2 / 2) cos(alpha - beta),
+    and draws no drift. The candidates of a pulse with two or more share
+    one drift, drawn for each such pulse in pulse order; the acceptance
+    uniforms follow, a block at a time, each compared with its pulse's
+    p_mid gathered by ``_shared_ranks``. The pulse indices are stored as
+    int32 whenever the pulse count allows.
     """
     mid = m.middle
     p_max = mid.p_max
@@ -406,14 +454,20 @@ def _middle_pulses(
     # photon of a pulse sees the same drift.
     if mid.drift_rad > 0:
         pulse.sort()
-        rank, occupied = _pulse_ranks(pulse)
-        p_pulse = rng.normal(0.0, mid.drift_rad, occupied)
+        rank, shared = _shared_ranks(pulse)
+        # p_mid by rank: the mean over the drift, then each shared drift's.
+        p_pulse = np.empty(shared + 1)
+        p_pulse[0] = mid.offset + mid.amplitude * math.exp(-0.5 * mid.drift_rad**2) * math.cos(
+            mid.alpha_rad - beta_rad
+        )
+        drifted = p_pulse[1:]
+        drifted[:] = rng.normal(0.0, mid.drift_rad, shared)
         # offset + amplitude cos(alpha + drift - beta), term by term.
-        p_pulse += mid.alpha_rad
-        p_pulse -= beta_rad
-        np.cos(p_pulse, out=p_pulse)
-        p_pulse *= mid.amplitude
-        p_pulse += mid.offset
+        drifted += mid.alpha_rad
+        drifted -= beta_rad
+        np.cos(drifted, out=drifted)
+        drifted *= mid.amplitude
+        drifted += mid.offset
         return pulse, _uniform_below(rng, n, p_pulse, p_max, rank=rank)
     p_mid = mid.offset + mid.amplitude * np.cos(mid.alpha_rad - beta_rad)
     return pulse, _uniform_below(rng, n, p_mid, p_max)
@@ -493,7 +547,7 @@ def _simulate_point(
     dark_room = _poisson_room(s.detector.dark_count_rate_hz * duration_s)
     times, n_fired = _arrival_times(s, m, beta_rad, pulses, rng, dark_room)
     # The public name, looked up here, so a wrapper around it sees every point.
-    detections = simulate_detection(times[:n_fired], s.detector, duration_s, rng, buffer=times)
+    detections = simulate_detection(times[:n_fired], m.detector, duration_s, rng, buffer=times)
     del times
     folded = _fold(detections, period)
     window = _window_counts(folded, period, s.sca.center_ns, s.sca.width_ns)
@@ -656,11 +710,11 @@ def expected_fringe(s: Scenario, phases_rad, pulses: int | None = None) -> Expec
     """Closed-form expectation of ``run_fringe_scan``'s window counts.
 
     Integrates the engine's own per-point model over the SCA window, by the
-    engine's window rule, with each peak widened by the detector jitter,
-    and adds the detector's flat darks. Assumes Gaussian pulses (the square
-    shape has no closed-form window capture here) and a dead-time-free
-    detector; the scenario's dead time is ignored, which is exact at zero
-    and an approximation otherwise.
+    engine's window rule, each peak the model's one Gaussian of pulse and
+    jitter, and adds the detector's flat darks. Assumes Gaussian pulses
+    (the square shape has no closed-form window capture here) and a
+    dead-time-free detector; the scenario's dead time is ignored, which is
+    exact at zero and an approximation otherwise.
 
     Raises:
         DomainError: square pulse shape, or pulses < 0.
@@ -670,9 +724,8 @@ def expected_fringe(s: Scenario, phases_rad, pulses: int | None = None) -> Expec
     phases = np.asarray(phases_rad, dtype=float)
     n_pulses = _pulse_count(s, pulses)
     m = _point_model(s)
-    sigma = math.hypot(m.pulse_width_ns, s.detector.jitter_sigma_ns())
     early, middle, late = (
-        _window_share(s, m.tac_offset_ns + delay, sigma)
+        _window_share(s, m.tac_offset_ns + delay, m.pulse_width_ns)
         for delay in (0.0, m.middle.delay_ns, m.sides.late_delay_ns)
     )
     scale = n_pulses * m.fired_per_pulse

@@ -290,6 +290,25 @@ def test_afterpulse_rate_delay_and_gap():
     assert np.all(out[1:] >= out[:-1] + dead_ns)
 
 
+@pytest.mark.parametrize("p", [0.05, 0.6])
+def test_spawners_mark_each_index_independently(p):
+    # Geometric gaps mark each index with probability p, independently of
+    # its neighbour; each share is held to 6 sigma.
+    n = 200_000
+    spawners = detection._spawners(rng_of(31), n, p)
+    assert np.all(np.diff(spawners) > 0) and 0 <= spawners[0] and spawners[-1] < n
+    assert abs(spawners.size - n * p) < 6.0 * math.sqrt(n * p * (1.0 - p))
+    pairs = np.count_nonzero(np.diff(spawners) == 1)
+    assert abs(pairs - n * p * p) < 6.0 * math.sqrt(n * p * p * (1.0 - p * p))
+
+
+def test_spawners_at_the_ends_of_the_probability_range():
+    assert np.array_equal(detection._spawners(rng_of(1), 1000, 1.0), np.arange(1000))
+    # Gaps beyond the int64 range neither overflow nor mark anything.
+    assert detection._spawners(rng_of(1), 1000, 1e-300).size == 0
+    assert detection._spawners(rng_of(1), 0, 0.5).size == 0
+
+
 def test_jitter_spreads_arrivals():
     det = DetectorModel(quantum_efficiency=1.0, jitter_fwhm_ps=800.0)
     out = simulate_detection(np.full(100000, 5000.0), det, 0.0, rng_of(9))

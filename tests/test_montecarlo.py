@@ -161,6 +161,38 @@ def test_pump_drift_is_shared_by_the_photons_of_a_pulse(ref):
     assert counts.var() / counts.mean() > 1.3
 
 
+def test_pump_drift_is_drawn_once_per_pulse_of_two_or_more(ref):
+    # One middle-slot candidate per pulse on average, 2 rad^2 of drift. A
+    # pulse with one candidate keeps it with the mean acceptance and draws
+    # no drift, so the kept count follows the closed form; the candidates
+    # of a pulse with two share one drift, so both are kept with
+    # E[p^2] / p_max^2, not (E p)^2 / p_max^2. Each is held to 6 sigma.
+    s = dataclasses.replace(
+        ref, pump=dataclasses.replace(ref.pump, coherence_time_ns=ref.preparation.delta_tau_ns)
+    )
+    m = montecarlo._point_model(s)
+    m = dataclasses.replace(m, fired_per_pulse=1.0 / m.middle.p_max)
+    mid, pulses = m.middle, 200_000
+    a, b, d2, phi = mid.offset, mid.amplitude, mid.drift_rad**2, 0.3
+    mean_p = a + b * math.exp(-0.5 * d2) * math.cos(phi)
+    mean_p2 = a * a + 2 * a * b * math.exp(-0.5 * d2) * math.cos(phi)
+    mean_p2 += 0.5 * b * b * (1.0 + math.exp(-2.0 * d2) * math.cos(2.0 * phi))
+
+    pulse, kept = montecarlo._middle_pulses(m, mid.alpha_rad - phi, pulses, substream(5, "drift"))
+    f = m.fired_per_pulse
+    expected = pulses * f * mean_p
+    sigma = math.sqrt(pulses * (f * mean_p + f * f * (mean_p2 - mean_p**2)))
+    assert abs(np.count_nonzero(kept) - expected) < 6.0 * sigma
+
+    _, first, counts = np.unique(pulse, return_index=True, return_counts=True)
+    pairs = first[counts == 2]
+    share = np.mean(kept[pairs] & kept[pairs + 1])
+    both, independent = mean_p2 / mid.p_max**2, (mean_p / mid.p_max) ** 2
+    sigma_share = math.sqrt(both * (1.0 - both) / pairs.size)
+    assert abs(share - both) < 6.0 * sigma_share
+    assert abs(independent - both) > 12.0 * sigma_share  # the test tells them apart
+
+
 def test_pump_drift_spans_the_preparation_delay(ref):
     # The drift is the pump phase across the qubit's bin separation, which
     # the preparation delay sets; the analysis delay may differ by up to 1 %,
@@ -468,16 +500,29 @@ def test_window_share_of_a_peak_much_wider_than_the_period(ref, center_ns):
     assert share == pytest.approx(ref.sca.width_ns / period, abs=1e-9)
 
 
-def test_pulse_ranks_match_unique_inverse():
+def shared_ranks_by_unique(pulse):
+    """``_shared_ranks`` by ``np.unique``: 0 for a value seen once, else 1 + its rank among the repeats."""
+    _, inverse, counts = np.unique(pulse, return_inverse=True, return_counts=True)
+    repeats = counts >= 2
+    rank_of_value = np.where(repeats, np.cumsum(repeats), 0)
+    return rank_of_value[inverse], int(repeats.sum())
+
+
+def test_shared_ranks_match_unique_counts():
     rng = substream(4, "ranks")
-    for draws in (rng.integers(0, 50, 400), rng.integers(0, 10**9, 400), np.zeros(3, dtype=np.int64)):
+    for draws in (
+        rng.integers(0, 50, 400),
+        rng.integers(0, 10**9, 400),
+        rng.integers(0, 60_000, 70_000),  # several blocks
+        np.zeros(3, dtype=np.int64),
+    ):
         pulse = np.sort(draws)
-        occupied, inverse = np.unique(pulse, return_inverse=True)
-        rank, n_occupied = montecarlo._pulse_ranks(pulse)
-        assert n_occupied == occupied.size
-        np.testing.assert_array_equal(rank, inverse)
-    rank, n_occupied = montecarlo._pulse_ranks(np.empty(0, dtype=np.int64))
-    assert rank.size == 0 and n_occupied == 0
+        expected, n_shared = shared_ranks_by_unique(pulse)
+        rank, shared = montecarlo._shared_ranks(pulse)
+        assert shared == n_shared
+        np.testing.assert_array_equal(rank, expected)
+    rank, shared = montecarlo._shared_ranks(np.empty(0, dtype=np.int64))
+    assert rank.size == 0 and shared == 0
 
 
 # --- efficiency sweep ---

@@ -2,10 +2,10 @@
 
 Each phase point draws from a stream keyed by its phase value, so any
 permutation of a grid gives every point the same counts and background,
-and the same merged histogram, with and without a dead time. The pulse
-ranks that the drifting pump is gathered by equal ``np.unique``'s inverse
-for any ascending int32 array. The fold of the detections on the sync
-period equals ``np.mod`` bit for bit.
+and the same merged histogram, with and without a dead time. The ranks
+that a drifting pump's shared drifts are gathered by follow from
+``np.unique``'s inverse and counts for any ascending int32 array. The
+fold of the detections on the sync period equals ``np.mod`` bit for bit.
 """
 
 import dataclasses
@@ -69,13 +69,14 @@ INT32 = st.integers(-(2**31), 2**31 - 1)
 @example(values=[7])
 @example(values=[3] * 10)
 @example(values=[0, 2**31 - 1, 2**31 - 1, 2**31 - 2])
-def test_pulse_ranks_of_ascending_input_match_unique_inverse(values):
+def test_shared_ranks_of_ascending_input_match_unique_counts(values):
     pulse = np.sort(np.asarray(values, dtype=np.int32))
-    occupied, inverse = np.unique(pulse, return_inverse=True)
-    rank, n_occupied = montecarlo._pulse_ranks(pulse)
-    assert n_occupied == occupied.size
+    _, inverse, counts = np.unique(pulse, return_inverse=True, return_counts=True)
+    repeats = counts >= 2
+    rank, shared = montecarlo._shared_ranks(pulse)
+    assert shared == int(repeats.sum())
     assert rank.dtype == np.int32
-    np.testing.assert_array_equal(rank, inverse)
+    np.testing.assert_array_equal(rank, np.where(repeats, np.cumsum(repeats), 0)[inverse])
 
 
 # The reference's 16.67 ns sync period, periods with few significant bits
