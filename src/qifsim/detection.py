@@ -465,15 +465,15 @@ def _spawners(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
     gap is cut to n + 1, which passes n all the same, so no sum overflows.
     """
     size = int(n * p + 10.0 * math.sqrt(n * p)) + 16
-    found = np.empty(0, dtype=np.int64)
-    last = -1
+    chunks, last = [], -1
     while last < n:
         gaps = rng.geometric(p, size)
         np.minimum(gaps, n + 1, out=gaps)
         gaps[0] += last
         np.cumsum(gaps, out=gaps)
-        found = np.concatenate((found, gaps)) if found.size else gaps
+        chunks.append(gaps)
         last = int(gaps[-1])
+    found = np.concatenate(chunks)
     return found[: np.searchsorted(found, n)]
 
 

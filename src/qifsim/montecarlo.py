@@ -450,8 +450,8 @@ def _middle_pulses(
     for lo, hi in _blocks(0, n):
         pulse[lo:hi] = rng.integers(0, pulses, hi - lo)
     # The absolute pump phase is common to both bins and drops out, so only
-    # the drift between them is realized, once per occupied pulse: every
-    # photon of a pulse sees the same drift.
+    # the drift between them is realized, once per pulse that holds two or
+    # more candidates: every photon of a pulse sees the same drift.
     if mid.drift_rad > 0:
         pulse.sort()
         rank, shared = _shared_ranks(pulse)

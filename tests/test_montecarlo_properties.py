@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from qifsim import montecarlo
 from qifsim.montecarlo import run_fringe_scan
 from qifsim.scenario import load_reference_scenario
+from test_montecarlo import shared_ranks_by_unique
 
 REF = load_reference_scenario()
 # 20 ns of dead time and 5 % afterpulsing: the gate and the afterpulse pass run.
@@ -71,12 +72,11 @@ INT32 = st.integers(-(2**31), 2**31 - 1)
 @example(values=[0, 2**31 - 1, 2**31 - 1, 2**31 - 2])
 def test_shared_ranks_of_ascending_input_match_unique_counts(values):
     pulse = np.sort(np.asarray(values, dtype=np.int32))
-    _, inverse, counts = np.unique(pulse, return_inverse=True, return_counts=True)
-    repeats = counts >= 2
+    expected, n_shared = shared_ranks_by_unique(pulse)
     rank, shared = montecarlo._shared_ranks(pulse)
-    assert shared == int(repeats.sum())
+    assert shared == n_shared
     assert rank.dtype == np.int32
-    np.testing.assert_array_equal(rank, np.where(repeats, np.cumsum(repeats), 0)[inverse])
+    np.testing.assert_array_equal(rank, expected)
 
 
 # The reference's 16.67 ns sync period, periods with few significant bits
@@ -92,6 +92,11 @@ def near_multiple(k: int, period: float, steps: int) -> float:
     for _ in range(abs(steps)):
         t = np.nextafter(t, np.inf if steps > 0 else -np.inf)
     return float(t)
+
+
+def assert_folds_as_np_mod(times, period):
+    folded = montecarlo._fold(times.copy(), period)
+    np.testing.assert_array_equal(folded.view(np.uint64), np.mod(times, period).view(np.uint64))
 
 
 @st.composite
@@ -115,9 +120,7 @@ def test_fold_equals_np_mod_bit_for_bit(inputs, across_blocks):
     times = np.asarray(values, dtype=np.float64)
     if across_blocks:
         times = np.resize(times, 2 * montecarlo._BLOCK + 7)
-    expected = np.mod(times, period)
-    folded = montecarlo._fold(times.copy(), period)
-    np.testing.assert_array_equal(folded.view(np.uint64), expected.view(np.uint64))
+    assert_folds_as_np_mod(times, period)
 
 
 @pytest.mark.parametrize("period", [1e3 / 60.0, 12.5, 1000.123456789])
@@ -137,6 +140,4 @@ def test_fold_equals_np_mod_on_dense_draws(period):
             np.nextafter(k, -np.inf),
         ]
     )
-    expected = np.mod(times, period)
-    folded = montecarlo._fold(times.copy(), period)
-    np.testing.assert_array_equal(folded.view(np.uint64), expected.view(np.uint64))
+    assert_folds_as_np_mod(times, period)
