@@ -6,6 +6,10 @@ histogram folded on the laser sync, windowed peak selection, and the
 estimators used on top: dead-time correction, peak FWHM, and fringe
 visibility.
 
+Only the dead time reads events in time order, so the merged stream of
+arrivals and dark counts is sorted once, and only when a dead time will
+gate it; a detector without one returns its events unsorted.
+
 The dead time is a vectorised gate: an event at least one dead time after
 its predecessor is always accepted, and inside each cluster between such
 events the acceptances follow "first event after the dead time ends", a
@@ -161,6 +165,29 @@ def _reserve(buffer: np.ndarray, used: int, extra: int) -> np.ndarray:
     grown = np.empty(used + extra)
     grown[:used] = buffer[:used]
     return grown
+
+
+def _add_normal(rng: np.random.Generator, times_ns: np.ndarray, sigma_ns: float) -> None:
+    """Add Normal(0, sigma) draws to ``times_ns`` in place, as one ``rng.normal`` call draws them.
+
+    Normal(0, sigma) draws are sigma times standard normal ones, drawn a
+    block at a time into one reused block-sized buffer.
+    """
+    buffer = np.empty(min(times_ns.size, _BLOCK))
+    for lo, hi in _blocks(0, times_ns.size):
+        block = buffer[: hi - lo]
+        rng.standard_normal(out=block)
+        block *= sigma_ns
+        times_ns[lo:hi] += block
+
+
+def _fill_uniform(rng: np.random.Generator, out: np.ndarray, high: float) -> None:
+    """Fill ``out`` with Uniform(0, high) draws, as one ``rng.uniform`` call draws them.
+
+    Uniform(0, high) draws are high times standard uniforms, drawn in place.
+    """
+    rng.random(out=out)
+    out *= high
 
 
 def _compress(times_ns: np.ndarray, mask: np.ndarray, tail=()) -> np.ndarray:
@@ -513,9 +540,8 @@ def simulate_detection(
     Args:
         arrivals: times of the photons that fire the detector, in any
             order; the caller has already thinned them by the quantum
-            efficiency. They are sorted once, after the jitter and with
-            the dark counts, so their order only decides which jitter
-            draw each one takes.
+            efficiency. Their order only decides which jitter draw each
+            one takes, and, without a dead time, the order of the output.
         det: detector parameters.
         duration_s: observation window for dark-count generation, seconds.
         rng: random generator (caller owns the substream).
@@ -526,11 +552,14 @@ def simulate_detection(
             dark counts. Without one, the detector works on a copy.
 
     Returns:
-        Sorted detection timestamps in ns. The arrivals are smeared by the
-        Gaussian jitter, homogeneous Poisson dark counts are merged in, and
-        a non-paralyzable dead time gates the combined stream. With
-        ``buffer`` they are a view of it, or of a grown copy when it had
-        too little room; without, an array of their own.
+        Detection timestamps in ns. The arrivals are smeared by the
+        Gaussian jitter and homogeneous Poisson dark counts are appended.
+        With a dead time the combined stream is sorted once and gated by
+        it, and the detections come in time order. Without one nothing
+        reads the order, so nothing sorts: the detections are the
+        jittered arrivals, in their given order, then the dark counts.
+        With ``buffer`` they are a view of it, or of a grown copy when it
+        had too little room; without, an array of their own.
 
     Raises:
         DomainError: arrival times not 1-D, negative duration, or a
@@ -558,22 +587,18 @@ def simulate_detection(
 
     sigma = det.jitter_sigma_ns()
     if sigma > 0:
-        # Normal(0, sigma) draws are sigma times standard normal ones; the
-        # blocks draw the same numbers as one call.
-        for lo, hi in _blocks(0, n_fired):
-            jitter = rng.standard_normal(hi - lo)
-            jitter *= sigma
-            stream[lo:hi] += jitter
+        _add_normal(rng, stream[:n_fired], sigma)
     n_dark = rng.poisson(det.dark_count_rate_hz * duration_s)
     stream = _reserve(stream, n_fired, n_dark)[: n_fired + n_dark]
-    for lo, hi in _blocks(n_fired, stream.size):
-        stream[lo:hi] = rng.uniform(0.0, duration_s * 1e9, hi - lo)
-    stream.sort()
-    if det.dead_time_us == 0.0 and det.afterpulse_probability == 0.0:
-        detections = stream
-    else:
+    _fill_uniform(rng, stream[n_fired:], duration_s * 1e9)
+    # Only the dead time reads the events in time order; without one (and so
+    # without afterpulses, which need it) the stream stays unsorted.
+    if det.dead_time_us > 0:
+        stream.sort()
         horizon_ns = max(duration_s * 1e9, float(stream[-1]) if stream.size else 0.0)
         detections = _dead_time_pass(stream, det, rng, horizon_ns)
+    else:
+        detections = stream
     if buffer is None and detections.base is not None and detections.base.size > detections.size:
         # A view would keep the whole pre-gate stream alive.
         detections = detections.copy()

@@ -51,8 +51,10 @@ import numpy as np
 from .detection import (
     _BLOCK,
     TacHistogram,
+    _add_normal,
     _bin_folded,
     _blocks,
+    _fill_uniform,
     _reserve,
     simulate_detection,
 )
@@ -315,15 +317,29 @@ def _window_counts(folded_ns: np.ndarray, period_ns: float, center_ns: float, wi
 def _window_share(s: Scenario, center_ns: float, sigma_ns: float) -> float:
     """Share of a Gaussian peak's events that ``_window_counts`` counts.
 
-    The peak repeats every period, so the share sums P(lo <= X < hi) over
-    the copies X ~ Normal(center + k period, sigma) that can reach the
-    window. Past 9 sigma, erf is 1.0 in double precision, so a farther
-    copy adds exactly 0. Copies -1 to 2 are always in the sum.
+    The peak repeats every period T, so the share sums P(lo <= X < hi) over
+    the copies X ~ Normal(center + k T, sigma) that can reach the window.
+    Past 9 sigma, erf is 1.0 in double precision, so a farther copy adds
+    exactly 0. Copies -1 to 2 are always in the sum. From sigma = T / 2 on,
+    where that sum would take more than a dozen erf pairs, the share is the
+    folded Gaussian's Fourier series instead, integrated over the window
+    of width w and centre c: w / T + sum over k >= 1 of (2 / (pi k))
+    sin(pi k w / T) cos(2 pi k (c - center) / T) exp(-2 pi^2 k^2 sigma^2 / T^2).
+    Its terms fall below 1e-17 within three, so the cost no longer grows
+    with sigma.
     """
     period = s.sync_period_ns()
     window = _window(period, s.sca.center_ns, s.sca.width_ns)
     if window is None:
         return 1.0
+    if sigma_ns >= 0.5 * period:
+        flat = s.sca.width_ns / period
+        share, k = flat, 1
+        while (damping := math.exp(-2.0 * (math.pi * k * sigma_ns / period) ** 2)) > 1e-17:
+            cos = math.cos(2.0 * math.pi * k * (s.sca.center_ns - center_ns) / period)
+            share += 2.0 / (math.pi * k) * math.sin(math.pi * k * flat) * cos * damping
+            k += 1
+        return share
     lo, hi = window
     center = center_ns % period
     reach = 9.0 * sigma_ns
@@ -346,15 +362,17 @@ def _uniform_below(
     """Mask of ``rng.random(n) * scale < bound``, drawn a block at a time.
 
     The generator fills its uniforms in sequence, so the blocks draw the
-    same numbers as one call, without an n-sized float temporary.
+    same numbers as one call, into one reused block-sized buffer.
     ``bound`` is one value; with ``rank``, entry i compares with
     ``bound[rank[i]]``, gathered a block at a time.
     """
     mask = np.empty(n, dtype=bool)
     if rank is None:
         bound = np.broadcast_to(bound, n)
+    block = np.empty(min(n, _BLOCK))
     for lo, hi in _blocks(0, n):
-        u = rng.random(hi - lo)
+        u = block[: hi - lo]
+        rng.random(out=u)
         u *= scale
         np.less(u, bound[lo:hi] if rank is None else bound[rank[lo:hi]], out=mask[lo:hi])
     return mask
@@ -410,19 +428,25 @@ def _side_times(m: _PointModel, pulses: int, period: float, rng) -> np.ndarray:
 
     Poisson(N f (p_early + p_late)) events on uniformly chosen pulses, each
     early or late in proportion to p_early : p_late. The pulse indices and
-    then the uniforms are drawn a block at a time.
+    then the uniforms are drawn a block at a time, the uniforms into one
+    reused block that then holds each event's slot delay.
     """
     p_early, p_sides = m.sides.p_early, m.sides.p_early + m.sides.p_late
     n = rng.poisson(pulses * m.fired_per_pulse * p_sides)
     times = np.empty(n)
     for lo, hi in _blocks(0, n):
         np.multiply(rng.integers(0, pulses, hi - lo), period, out=times[lo:hi])
+    u = np.empty(min(n, _BLOCK))
+    late = np.empty(u.size, dtype=bool)
     for lo, hi in _blocks(0, n):
-        u = rng.random(hi - lo)
-        u *= p_sides
+        ub, lb = u[: hi - lo], late[: hi - lo]
+        rng.random(out=ub)
+        ub *= p_sides
+        np.greater_equal(ub, p_early, out=lb)
+        np.multiply(lb, m.sides.late_delay_ns, out=ub)
         block = times[lo:hi]
         block += m.tac_offset_ns
-        block += np.where(u < p_early, 0.0, m.sides.late_delay_ns)
+        block += ub
     return times
 
 
@@ -481,10 +505,13 @@ def _arrival_times(
     Returns the buffer and the number n of arrivals at its start; at least
     ``room`` entries are left free after them. The arrivals are in draw
     order, early and late, then middle, then cw, not in time order:
-    ``simulate_detection`` sorts the stream once. Each time is pulse index x
-    period + TAC offset + slot delay + emission offset, summed in that
-    order. The buffer is allocated once the middle slot's kept count is
-    known, with room for the cw light, and filled a block at a time.
+    ``simulate_detection`` sorts the stream only where a dead time gates
+    it, and nothing downstream of it reads the order. Each time is pulse
+    index x period + TAC offset + slot delay + emission offset, summed in
+    that order. The buffer is allocated once the middle slot's kept count
+    is known, with room for the cw light, and filled a block at a time;
+    the Gaussian offsets go through one reused block, and the cw times
+    are drawn in place.
     """
     period = s.sync_period_ns()
     sides = _side_times(m, pulses, period, rng)
@@ -507,20 +534,17 @@ def _arrival_times(
     middle += m.middle.delay_ns
 
     # The emission offsets, a block at a time, as one call would draw them.
-    if m.pulse_width_ns > 0:
+    if m.pulse_width_ns > 0 and m.pulse_shape == "gaussian":
+        _add_normal(rng, times[:n_signal], m.pulse_width_ns)
+    elif m.pulse_width_ns > 0:
         half = 0.5 * m.pulse_width_ns
         for lo, hi in _blocks(0, n_signal):
-            if m.pulse_shape == "gaussian":
-                times[lo:hi] += rng.normal(0.0, m.pulse_width_ns, hi - lo)
-            else:
-                times[lo:hi] += rng.uniform(-half, half, hi - lo)
+            times[lo:hi] += rng.uniform(-half, half, hi - lo)
 
     n_cw = rng.poisson(cw_mean)
     times = _reserve(times, n_signal, n_cw + room)
     n = n_signal + n_cw
-    end_ns = s.duration_s(pulses) * 1e9
-    for lo, hi in _blocks(n_signal, n):
-        times[lo:hi] = rng.uniform(0.0, end_ns, hi - lo)
+    _fill_uniform(rng, times[n_signal:n], s.duration_s(pulses) * 1e9)
     return times, n
 
 

@@ -82,11 +82,12 @@ class DetectorModel:
             raise DomainError(
                 f"quantum efficiency must be in [0, 1], got {self.quantum_efficiency}"
             )
-        if self.dark_count_rate_hz < 0:
+        # Written so that NaN fails too: a NaN dead time would skip the gate.
+        if not self.dark_count_rate_hz >= 0:
             raise DomainError(f"dark rate must be >= 0, got {self.dark_count_rate_hz}")
-        if self.dead_time_us < 0:
+        if not self.dead_time_us >= 0:
             raise DomainError(f"dead time must be >= 0, got {self.dead_time_us}")
-        if self.jitter_fwhm_ps < 0:
+        if not self.jitter_fwhm_ps >= 0:
             raise DomainError(f"jitter must be >= 0, got {self.jitter_fwhm_ps}")
         if not 0.0 <= self.afterpulse_probability <= 1.0:
             raise DomainError(

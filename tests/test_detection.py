@@ -70,6 +70,9 @@ def test_dead_time_correct_rejects_saturation():
         dict(quantum_efficiency=0.1, dead_time_us=-1.0),
         dict(quantum_efficiency=0.1, jitter_fwhm_ps=-1.0),
         dict(quantum_efficiency=0.1, afterpulse_probability=0.5),  # no dead time
+        dict(quantum_efficiency=0.1, dark_count_rate_hz=math.nan),
+        dict(quantum_efficiency=0.1, dead_time_us=math.nan),
+        dict(quantum_efficiency=0.1, jitter_fwhm_ps=math.nan),
     ],
 )
 def test_detector_validation(kwargs):
@@ -326,7 +329,8 @@ def test_simulate_detection_input_validation():
 
 @pytest.mark.parametrize("dead_time_us, p_after", [(0.0, 0.0), (0.02, 0.05)])
 def test_arrival_order_does_not_matter_without_jitter(dead_time_us, p_after):
-    # Without jitter the arrivals take no draws before the one sort.
+    # Without jitter the arrivals take no draws, so their order changes
+    # only the order of a dead-time-free output, never its events.
     det = DetectorModel(
         quantum_efficiency=1.0,
         dark_count_rate_hz=2e7,
@@ -337,17 +341,40 @@ def test_arrival_order_does_not_matter_without_jitter(dead_time_us, p_after):
     shuffled = rng_of(33).permutation(arrivals)
     expected = simulate_detection(arrivals, det, 1e-4, rng_of(34))
     out = simulate_detection(shuffled, det, 1e-4, rng_of(34))
-    assert out.tobytes() == expected.tobytes()
+    assert np.sort(out).tobytes() == np.sort(expected).tobytes()
+
+
+def stream_by_hand(arrivals, det, duration_s, rng):
+    """The jittered arrivals in their given order, then the dark counts, as one call draws them."""
+    jittered = arrivals + rng.normal(0.0, det.jitter_sigma_ns(), arrivals.size)
+    n_dark = rng.poisson(det.dark_count_rate_hz * duration_s)
+    return np.concatenate([jittered, rng.uniform(0.0, duration_s * 1e9, n_dark)])
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_dead_time_free_output_is_the_unsorted_stream(buffered):
+    # No sort without a dead time: the output is the stream in draw order,
+    # so sorted it is what a detector that always sorted returned.
+    det = DetectorModel(quantum_efficiency=1.0, jitter_fwhm_ps=300.0, dark_count_rate_hz=2e7)
+    shuffled = rng_of(38).permutation(np.sort(rng_of(39).uniform(0.0, 1e5, 40000)))
+    stream = stream_by_hand(shuffled, det, 1e-4, rng_of(40))
+    buffer = np.empty(shuffled.size + 5000) if buffered else None
+    out = simulate_detection(shuffled, det, 1e-4, rng_of(40), buffer=buffer)
+    assert out.tobytes() == stream.tobytes()
+    assert not np.all(out[1:] >= out[:-1])
 
 
 def test_shuffled_arrivals_with_jitter_come_out_sorted():
-    det = DetectorModel(quantum_efficiency=1.0, jitter_fwhm_ps=300.0, dark_count_rate_hz=2e7)
-    arrivals = np.sort(rng_of(35).uniform(0.0, 1e5, 40000))
-    shuffled = rng_of(36).permutation(arrivals)
-    expected = simulate_detection(arrivals, det, 1e-4, rng_of(37))
+    # Under a dead time the stream is sorted, then gated; without one the
+    # output keeps the draw order (the test above).
+    det = DetectorModel(
+        quantum_efficiency=1.0, jitter_fwhm_ps=300.0, dark_count_rate_hz=2e7, dead_time_us=0.02
+    )
+    shuffled = rng_of(36).permutation(np.sort(rng_of(35).uniform(0.0, 1e5, 40000)))
+    stream = np.sort(stream_by_hand(shuffled, det, 1e-4, rng_of(37)))
     out = simulate_detection(shuffled, det, 1e-4, rng_of(37))
-    assert out.size == expected.size
-    assert np.all(out[1:] >= out[:-1])
+    assert out.tobytes() == sequential_gate(stream, 20.0).tobytes()
+    assert np.all(out[1:] >= out[:-1] + 20.0)
 
 
 @pytest.mark.parametrize("dead_time_us, p_after", [(0.0, 0.0), (0.02, 0.05)])

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -353,6 +354,24 @@ def test_points_in_flight_change_no_result(ref, settings, seed, monkeypatch):
     assert len(threads) == 2
 
 
+# content_digest() of 12-point scans at 2e4 pulses per point. A change
+# that moves any output byte, such as a change to the random stream, must
+# update these and record the change.
+PINNED_DIGESTS = {
+    ("reference", 7): "9e9e3c50894648cac2c819e0332db145af82ba98f601203f9af4522d6fac2650",
+    ("reference", 4242): "db5e0684f429f5a1b0d5506b277d72cc57fb5ca4a8a741591d650911e4d8272a",
+    ("saturated", 7): "d711a4d1ed9a91d93649158ca70b295d18317b3278a669bab8555914bc18b0cb",
+    ("saturated", 4242): "3ec1a95dfd1cf8cc61035532357e6d8f7c65403c68dcf588194347612581df92",
+}
+
+
+@pytest.mark.parametrize("settings, seed", sorted(PINNED_DIGESTS))
+def test_scan_output_bytes_are_pinned(ref, settings, seed):
+    s = dataclasses.replace(ref if settings == "reference" else saturated(ref), master_seed=seed)
+    run = run_fringe_scan(s, PHASES_12, pulses=20_000)
+    assert run.content_digest() == PINNED_DIGESTS[settings, seed]
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_first_failing_point_in_grid_order_surfaces(ref, cpus, monkeypatch):
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
@@ -498,6 +517,48 @@ def test_window_share_of_a_peak_much_wider_than_the_period(ref, center_ns):
     period = ref.sync_period_ns()
     share = montecarlo._window_share(ref, center_ns, 10.0 * period)
     assert share == pytest.approx(ref.sca.width_ns / period, abs=1e-9)
+
+
+def window_share_by_copies(s, center_ns, sigma_ns):
+    """The window share as erf pairs summed over every copy of the peak within 9 sigma of the window."""
+    period = s.sync_period_ns()
+    lo, hi = montecarlo._window(period, s.sca.center_ns, s.sca.width_ns)
+    center = center_ns % period
+    reach = 9.0 * sigma_ns
+    first = math.floor((lo - reach - center) / period) - 1
+    last = math.ceil((hi + reach - center) / period) + 1
+    z = 1.0 / (sigma_ns * math.sqrt(2.0))
+    return math.fsum(
+        0.5 * (math.erf((hi - mu) * z) - math.erf((lo - mu) * z))
+        for mu in (center + k * period for k in range(first, last + 1))
+    )
+
+
+@pytest.mark.parametrize("sigma_periods", [0.5, 0.7, 1.0, 2.0, 4.0])
+def test_window_share_series_matches_the_sum_over_copies(ref, sigma_periods):
+    # From sigma = T / 2 on, the share is a Fourier series; it must agree
+    # with the direct sum, for windows that wrap past the period end too.
+    period = ref.sync_period_ns()
+    for sca in (
+        ref.sca,
+        dataclasses.replace(ref.sca, width_ns=8.0),
+        dataclasses.replace(ref.sca, center_ns=period - 0.1, width_ns=0.6),
+    ):
+        s = dataclasses.replace(ref, sca=sca)
+        for center_ns in (0.0, 3.3, 5.2, period - 0.01, 40.0):
+            share = montecarlo._window_share(s, center_ns, sigma_periods * period)
+            assert share == pytest.approx(
+                window_share_by_copies(s, center_ns, sigma_periods * period), rel=0, abs=1e-13
+            )
+
+
+def test_window_share_of_an_extremely_wide_peak_is_flat_and_quick(ref):
+    # The sum over copies would take some 2e6 erf pairs here.
+    period = ref.sync_period_ns()
+    started = time.perf_counter()
+    share = montecarlo._window_share(ref, 3.3, 1e5 * period)
+    assert time.perf_counter() - started < 5e-3
+    assert share == pytest.approx(ref.sca.width_ns / period, rel=0, abs=1e-15)
 
 
 def shared_ranks_by_unique(pulse):
