@@ -18,7 +18,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError, DomainError
+from .errors import FINITE, FRACTION, NON_NEGATIVE, POSITIVE, POSITIVE_OR_INF, Domain
+from .errors import ConfigError, DomainError, check_domains, domains
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -56,15 +57,10 @@ class PumpField:
     wavelength_um: float
     coherence_time_ns: float = math.inf
 
-    def __post_init__(self) -> None:
-        if self.power_w < 0:
-            raise DomainError(f"pump power must be >= 0, got {self.power_w} W")
-        if self.wavelength_um <= 0:
-            raise DomainError(f"pump wavelength must be > 0, got {self.wavelength_um} um")
-        if self.coherence_time_ns <= 0:
-            raise DomainError(
-                f"pump coherence time must be > 0, got {self.coherence_time_ns} ns"
-            )
+    _DOMAINS = domains(
+        power_w=NON_NEGATIVE, wavelength_um=POSITIVE, coherence_time_ns=POSITIVE_OR_INF
+    )
+    __post_init__ = check_domains
 
     def photon_flux_hz(self) -> float:
         """Photons per second carried by the pump beam."""
@@ -72,12 +68,16 @@ class PumpField:
         return self.power_w / energy_j
 
 
+_STAGE_DOMAINS = {"fraction": FRACTION, "dB": Domain(-FINITE.hi, 0.0, "<= 0 and finite")}
+
+
 @dataclass(frozen=True)
 class LossStage:
     """One passive element of a loss chain.
 
     ``value`` is a survival fraction in [0, 1] when ``unit == "fraction"``,
-    or a non-positive decibel figure when ``unit == "dB"``.
+    or a finite non-positive decibel figure when ``unit == "dB"``; ``-inf``
+    dB is refused, since ``0.0 fraction`` says the same.
     """
 
     name: str
@@ -87,20 +87,11 @@ class LossStage:
     def __post_init__(self) -> None:
         if not self.name:
             raise DomainError("loss stage needs a non-empty name")
-        if self.unit == "fraction":
-            if not 0.0 <= self.value <= 1.0:
-                raise DomainError(
-                    f"stage {self.name!r}: fraction must be in [0, 1], got {self.value}"
-                )
-        elif self.unit == "dB":
-            if self.value > 0.0:
-                raise DomainError(
-                    f"stage {self.name!r}: dB loss must be <= 0, got {self.value}"
-                )
-        else:
-            raise DomainError(
-                f"stage {self.name!r}: unit must be 'fraction' or 'dB', got {self.unit!r}"
-            )
+        if self.unit not in _STAGE_DOMAINS:
+            raise DomainError(f"{self.name} unit must be 'fraction' or 'dB', got {self.unit!r}")
+        lo, hi, text = _STAGE_DOMAINS[self.unit]
+        if not lo <= self.value <= hi:
+            raise DomainError(f"{self.name} must be {text}, got {self.value} {self.unit}")
 
     def transmission(self) -> float:
         """Survival probability of this stage."""
@@ -227,14 +218,11 @@ class NoiseModel:
     target_band_coeff_hz_per_w: float = 0.0
     pump_prefiltered: bool = True
 
-    def __post_init__(self) -> None:
-        for label in ("spdc_coeff_hz_per_w", "raman_coeff_hz_per_w", "target_band_coeff_hz_per_w"):
-            if getattr(self, label) < 0:
-                raise DomainError(f"{label} must be >= 0")
-        if self.pump_extinction_db < 0:
-            raise DomainError(
-                f"pump extinction must be >= 0 dB, got {self.pump_extinction_db}"
-            )
+    _DOMAINS = domains(
+        spdc_coeff_hz_per_w=NON_NEGATIVE, raman_coeff_hz_per_w=NON_NEGATIVE,
+        pump_extinction_db=Domain(0.0, math.inf, ">= 0"), target_band_coeff_hz_per_w=NON_NEGATIVE,
+    )
+    __post_init__ = check_domains
 
 
 def noise_rate(pump: PumpField, output_um: float, noise: NoiseModel) -> float:

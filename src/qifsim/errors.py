@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one rule for field domains."""
+
+import sys
+from typing import NamedTuple
 
 
 class QifsimError(Exception):
@@ -7,6 +10,10 @@ class QifsimError(Exception):
 
 class DomainError(QifsimError, ValueError):
     """A physical or numerical input is outside its valid domain."""
+
+    def __init__(self, message: str, field: str | None = None) -> None:
+        super().__init__(message)
+        self.field = field  # the one field whose domain a value broke, if any
 
 
 class SolverError(QifsimError, RuntimeError):
@@ -19,3 +26,36 @@ class FitError(QifsimError, RuntimeError):
 
 class ConfigError(QifsimError):
     """A scenario or data file is missing, malformed, or inconsistent."""
+
+
+class Domain(NamedTuple):
+    """The closed interval ``lo <= value <= hi`` of one field, and its wording.
+
+    NaN is outside every domain; finite ones end at the largest float, and
+    "> 0" starts at the smallest.
+    """
+
+    lo: float
+    hi: float
+    text: str
+
+
+_MAX = sys.float_info.max
+FINITE = Domain(-_MAX, _MAX, "finite")
+POSITIVE = Domain(5e-324, _MAX, "> 0 and finite")
+NON_NEGATIVE = Domain(0.0, _MAX, ">= 0 and finite")
+FRACTION = Domain(0.0, 1.0, "in [0, 1]")
+POSITIVE_OR_INF = Domain(5e-324, float("inf"), "> 0")
+
+
+def domains(**fields: Domain) -> tuple[tuple[str, float, float, str], ...]:
+    """A class's ``_DOMAINS`` table for ``check_domains``: one (field, lo, hi, text) row each."""
+    return tuple((name, *domain) for name, domain in fields.items())
+
+
+def check_domains(obj) -> None:
+    """Raise DomainError for the first field of ``obj`` outside its row of ``obj._DOMAINS``."""
+    for name, lo, hi, text in obj._DOMAINS:
+        value = getattr(obj, name)
+        if not lo <= value <= hi:
+            raise DomainError(f"{name} must be {text}, got {value}", field=name)

@@ -16,6 +16,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
+from .errors import FINITE, POSITIVE, Domain, check_domains, domains
 from .errors import ConfigError, DomainError, SolverError
 
 __all__ = [
@@ -124,13 +125,15 @@ class QpmConfig:
     temperature_k: float
     order: int = 1
 
+    _DOMAINS = domains(
+        poling_period_um=POSITIVE, crystal_length_cm=POSITIVE, temperature_k=FINITE,
+        order=Domain(1, FINITE.hi, ">= 1"),
+    )
+
     def __post_init__(self) -> None:
-        if self.poling_period_um <= 0:
-            raise DomainError(f"poling period must be > 0, got {self.poling_period_um}")
-        if self.crystal_length_cm <= 0:
-            raise DomainError(f"crystal length must be > 0, got {self.crystal_length_cm}")
-        if self.order < 1 or self.order % 2 == 0:
-            raise DomainError(f"QPM order must be odd and >= 1, got {self.order}")
+        check_domains(self)
+        if self.order % 2 == 0:
+            raise DomainError(f"order must be odd, got {self.order}")
 
 
 def _parse_keyvalue_file(path: Path) -> dict[str, str]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import FRACTION, NON_NEGATIVE, DomainError, check_domains, domains
 
 __all__ = [
     "PROTOCOL_CLASSES",
@@ -51,22 +51,16 @@ class LinkConfig:
     protocol: str = "single-photon"
     attempt_rate_hz: float = 1.0
 
+    _DOMAINS = domains(
+        length_km=NON_NEGATIVE, attenuation_native_db_per_km=NON_NEGATIVE,
+        attenuation_telecom_db_per_km=NON_NEGATIVE, interface_efficiency=FRACTION,
+        system_efficiency=FRACTION, attempt_rate_hz=NON_NEGATIVE,
+    )
+
     def __post_init__(self) -> None:
-        if self.length_km < 0:
-            raise DomainError(f"link length must be >= 0, got {self.length_km} km")
-        for label in ("attenuation_native_db_per_km", "attenuation_telecom_db_per_km"):
-            if getattr(self, label) < 0:
-                raise DomainError(f"{label} must be >= 0")
-        for label in ("interface_efficiency", "system_efficiency"):
-            value = getattr(self, label)
-            if not 0.0 <= value <= 1.0:
-                raise DomainError(f"{label} must be in [0, 1], got {value}")
+        check_domains(self)
         if self.protocol not in PROTOCOL_CLASSES:
-            raise DomainError(
-                f"protocol must be one of {PROTOCOL_CLASSES}, got {self.protocol!r}"
-            )
-        if self.attempt_rate_hz < 0:
-            raise DomainError(f"attempt_rate_hz must be >= 0, got {self.attempt_rate_hz}")
+            raise DomainError(f"protocol must be one of {PROTOCOL_CLASSES}, got {self.protocol!r}")
 
 
 def fiber_transmission(length_km: float, attenuation_db_per_km: float) -> float:

@@ -4,7 +4,8 @@ A scenario aggregates every component model (source, interferometers,
 crystal, pump, loss chains, noise, detector, acquisition, repeater link)
 plus the run controls. Keys are named after the physical symbols they
 carry. Parsing is strict: unknown sections or keys, missing keys, and
-malformed values are config errors that name the file, section, and key.
+malformed or out-of-domain values are config errors that name the file,
+section, and key; each field's domain lives on the class that owns it.
 
 The detector, analyzer-window and repeater settings are defined here; the
 other components come from the analytic modules, so loading a scenario
@@ -32,7 +33,8 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple, get_type_hints
 
 from . import conversion, qpm
-from .errors import ConfigError, DomainError
+from .errors import FINITE, FRACTION, NON_NEGATIVE, POSITIVE, POSITIVE_OR_INF, Domain
+from .errors import ConfigError, DomainError, check_domains, domains
 from .qpm import QpmConfig
 from .repeater import LinkConfig
 from .timebin import DELAY_MATCH_RTOL, Interferometer, PulseSource
@@ -77,22 +79,13 @@ class DetectorModel:
     jitter_fwhm_ps: float = 0.0
     afterpulse_probability: float = 0.0
 
+    _DOMAINS = domains(
+        quantum_efficiency=FRACTION, dark_count_rate_hz=NON_NEGATIVE, dead_time_us=NON_NEGATIVE,
+        jitter_fwhm_ps=NON_NEGATIVE, afterpulse_probability=FRACTION,
+    )
+
     def __post_init__(self) -> None:
-        if not 0.0 <= self.quantum_efficiency <= 1.0:
-            raise DomainError(
-                f"quantum efficiency must be in [0, 1], got {self.quantum_efficiency}"
-            )
-        # Written so that NaN fails too: a NaN dead time would skip the gate.
-        if not self.dark_count_rate_hz >= 0:
-            raise DomainError(f"dark rate must be >= 0, got {self.dark_count_rate_hz}")
-        if not self.dead_time_us >= 0:
-            raise DomainError(f"dead time must be >= 0, got {self.dead_time_us}")
-        if not self.jitter_fwhm_ps >= 0:
-            raise DomainError(f"jitter must be >= 0, got {self.jitter_fwhm_ps}")
-        if not 0.0 <= self.afterpulse_probability <= 1.0:
-            raise DomainError(
-                f"afterpulse probability must be in [0, 1], got {self.afterpulse_probability}"
-            )
+        check_domains(self)
         if self.afterpulse_probability > 0 and self.dead_time_us == 0:
             raise DomainError("afterpulse model needs a positive dead time as its time scale")
 
@@ -102,14 +95,13 @@ class DetectorModel:
 
 @dataclass(frozen=True)
 class ScaWindow:
-    """Temporal selection window of a single-channel analyzer."""
+    """Temporal selection window of a single-channel analyzer; width ``inf`` counts every event."""
 
     center_ns: float
     width_ns: float
 
-    def __post_init__(self) -> None:
-        if self.width_ns <= 0:
-            raise DomainError(f"window width must be > 0, got {self.width_ns}")
+    _DOMAINS = domains(center_ns=FINITE, width_ns=POSITIVE_OR_INF)
+    __post_init__ = check_domains
 
 
 @dataclass(frozen=True)
@@ -130,10 +122,9 @@ class RepeaterSettings:
 
     def __post_init__(self) -> None:
         start, stop, n = self.length_grid_km
-        if n < 1 or not 0 <= start <= stop:
+        if n < 1 or not 0 <= start <= stop <= FINITE.hi:
             raise DomainError(
-                f"length grid must be 0 <= start <= stop with n >= 1, got "
-                f"{start}:{stop}:{n}"
+                f"length grid must be finite, 0 <= start <= stop, n >= 1; got {start}:{stop}:{n}"
             )
         # A budget efficiency is checked where the budget is computed.
         self.link(start, budget_efficiency=1.0)
@@ -177,7 +168,15 @@ class Scenario:
     master_seed: int
     repeater: RepeaterSettings
 
+    _DOMAINS = domains(
+        signal_wavelength_um=POSITIVE, eta_norm_per_w_cm2=NON_NEGATIVE,
+        extra_visibility_penalty=FRACTION, histogram_bin_width_ps=POSITIVE, tac_offset_ns=FINITE,
+        pulses_per_point=NON_NEGATIVE, mc_photons_per_point=NON_NEGATIVE,
+        master_seed=Domain(0, 2**64 - 1, "a u64"),
+    )
+
     def __post_init__(self) -> None:
+        check_domains(self)
         dt_p, dt_a = self.preparation.delta_tau_ns, self.analysis.delta_tau_ns
         if abs(dt_p - dt_a) > DELAY_MATCH_RTOL * dt_p:
             raise ConfigError(
@@ -191,35 +190,6 @@ class Scenario:
                 "analysis interferometer must have zero phase and normalize_forward "
                 f"off, got {self.analysis.phase_rad} rad and {self.analysis.normalize_forward}"
             )
-        if self.signal_wavelength_um <= 0:
-            raise ConfigError(
-                f"[qpm] signal_wavelength_um must be > 0, got {self.signal_wavelength_um}"
-            )
-        if self.eta_norm_per_w_cm2 < 0:
-            raise ConfigError(
-                f"[conversion] eta_norm_per_W_cm2 must be >= 0, got {self.eta_norm_per_w_cm2}"
-            )
-        if not 0.0 <= self.extra_visibility_penalty <= 1.0:
-            raise ConfigError(
-                f"[conversion] extra_visibility_penalty must be in [0, 1], got "
-                f"{self.extra_visibility_penalty}"
-            )
-        if self.histogram_bin_width_ps <= 0:
-            raise ConfigError(
-                f"[acquisition] histogram_bin_width_ps must be > 0, got "
-                f"{self.histogram_bin_width_ps}"
-            )
-        if self.pulses_per_point < 0:
-            raise ConfigError(
-                f"[acquisition] pulses_per_point must be >= 0, got {self.pulses_per_point}"
-            )
-        if self.mc_photons_per_point < 0:
-            raise ConfigError(
-                f"[acquisition] mc_photons_per_point must be >= 0, got "
-                f"{self.mc_photons_per_point}"
-            )
-        if not 0 <= self.master_seed < 2**64:
-            raise ConfigError(f"[acquisition] master_seed must be a u64, got {self.master_seed}")
 
     # Derived quantities used across the engine.
 
@@ -394,6 +364,18 @@ def _read(origin: str, section: str, key: str, raw: str, kind: _Kind):
         ) from exc
 
 
+def _refusal(origin: str, section: str, rows, exc: DomainError) -> ConfigError:
+    """``exc`` after ``[section]``, a refused field renamed to the key of its row in ``rows``.
+
+    Any other message follows as it stands; a loss stage's starts with its
+    name, which is its key.
+    """
+    row = {row.path.rpartition(".")[2]: row for row in rows}.get(exc.field)
+    if row is None:
+        return ConfigError(f"{origin}: [{section}] {exc}")
+    return ConfigError(f"{origin}: [{row.section}] {str(exc).replace(exc.field, row.key, 1)}")
+
+
 def _parse_section(origin: str, section: str, given: dict[str, str], rows) -> dict[str, Any]:
     """The Scenario fields that one section's table rows set, components built."""
     fields: dict[str, Any] = {}
@@ -444,13 +426,16 @@ def parse_scenario(text: str, origin: str = "<string>") -> Scenario:
 
     fields: dict[str, Any] = {}
     for section, rows in groupby(_KEYS, attrgetter("section")):
+        rows = tuple(rows)
         try:
             fields.update(_parse_section(origin, section, dict(parser[section]), rows))
         except DomainError as exc:
-            raise ConfigError(f"{origin}: [{section}]: {exc}") from exc
+            raise _refusal(origin, section, rows, exc) from exc
     try:
         return Scenario(**fields)
-    except (DomainError, ConfigError) as exc:
+    except DomainError as exc:  # one of Scenario's own fields
+        raise _refusal(origin, "", [row for row in _KEYS if row.path == exc.field], exc) from exc
+    except ConfigError as exc:
         raise ConfigError(f"{origin}: {exc}") from exc
 
 

@@ -17,6 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
+from .errors import FINITE, FRACTION, NON_NEGATIVE, POSITIVE, Domain, check_domains, domains
 from .errors import DomainError
 
 __all__ = [
@@ -56,11 +57,10 @@ class TimeBinQubit:
     delta_tau_ns: float
     coherence: float = 1.0
 
+    _DOMAINS = domains(delta_tau_ns=POSITIVE, coherence=FRACTION)
+
     def __post_init__(self) -> None:
-        if self.delta_tau_ns <= 0:
-            raise DomainError(f"bin separation must be > 0, got {self.delta_tau_ns} ns")
-        if not 0.0 <= self.coherence <= 1.0:
-            raise DomainError(f"coherence must be in [0, 1], got {self.coherence}")
+        check_domains(self)
         if self.norm() > 1.0 + NORM_TOL:
             raise DomainError(f"amplitudes exceed unit norm: {self.norm()}")
 
@@ -91,15 +91,11 @@ class Interferometer:
     splitting_ratio: float = 0.5
     normalize_forward: bool = False
 
-    def __post_init__(self) -> None:
-        if self.delta_tau_ns <= 0:
-            raise DomainError(f"delay must be > 0, got {self.delta_tau_ns} ns")
-        if not 0.0 <= self.transmission <= 1.0:
-            raise DomainError(f"transmission must be in [0, 1], got {self.transmission}")
-        if not 0.0 < self.splitting_ratio < 1.0:
-            raise DomainError(
-                f"splitting ratio must be in (0, 1), got {self.splitting_ratio}"
-            )
+    _DOMAINS = domains(
+        delta_tau_ns=POSITIVE, phase_rad=FINITE, transmission=FRACTION,
+        splitting_ratio=Domain(5e-324, math.nextafter(1.0, 0.0), "in (0, 1)"),
+    )
+    __post_init__ = check_domains
 
     def forward_path_amplitude(self) -> float:
         """Amplitude of each of the two forward-port paths (real, positive)."""
@@ -115,7 +111,7 @@ class PulseSource:
     """Pulsed laser feeding the preparation interferometer.
 
     Attributes:
-        repetition_rate_mhz: pulse rate.
+        repetition_rate_mhz: pulse rate; the sync period is its inverse.
         pulse_fwhm_ns: optical intensity FWHM of one pulse.
         mean_photon_number: Poisson mean photons per qubit.
         coherence_time_ns: source coherence time.
@@ -131,22 +127,15 @@ class PulseSource:
     cw_background_fraction: float = 0.0
     pulse_shape: str = "gaussian"
 
+    _DOMAINS = domains(
+        repetition_rate_mhz=POSITIVE, pulse_fwhm_ns=NON_NEGATIVE, mean_photon_number=NON_NEGATIVE,
+        coherence_time_ns=NON_NEGATIVE, cw_background_fraction=NON_NEGATIVE,
+    )
+
     def __post_init__(self) -> None:
-        # The sync period is its inverse, and every Monte Carlo time follows.
-        if not self.repetition_rate_mhz > 0:
-            raise DomainError(f"repetition_rate_mhz must be > 0, got {self.repetition_rate_mhz}")
-        for label in (
-            "pulse_fwhm_ns",
-            "mean_photon_number",
-            "coherence_time_ns",
-            "cw_background_fraction",
-        ):
-            if getattr(self, label) < 0:
-                raise DomainError(f"{label} must be >= 0")
+        check_domains(self)
         if self.pulse_shape not in ("gaussian", "square"):
-            raise DomainError(
-                f"pulse shape must be 'gaussian' or 'square', got {self.pulse_shape!r}"
-            )
+            raise DomainError(f"pulse_shape must be gaussian or square, got {self.pulse_shape!r}")
 
     def warn_if_unresolved(self, delta_tau_ns: float) -> None:
         """Warn when pulses are too long or too coherent for the bin spacing."""

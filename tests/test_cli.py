@@ -301,7 +301,7 @@ def test_bad_repeater_setting_exits_2_from_every_command(tmp_path, capsys, key, 
     path.write_text("".join(lines))
     for command in cli.COMMANDS:
         assert cli.main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 2, command
-        assert f"[repeater]: {key} must be" in capsys.readouterr().err
+        assert f"[repeater] {key} must be" in capsys.readouterr().err
     assert list(tmp_path.glob("*.csv")) == []
 
 
@@ -311,10 +311,31 @@ def test_zero_repetition_rate_exits_2_at_parse(tmp_path, capsys, command):
     path = tmp_path / "zero-rate.scenario"
     path.write_text(text.replace("repetition_rate_mhz = 60.0\n", "repetition_rate_mhz = 0.0\n"))
     assert cli.main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 2
-    assert "[source]: repetition_rate_mhz must be > 0, got 0.0" in capsys.readouterr().err
+    assert "[source] repetition_rate_mhz must be > 0 and finite, got 0.0" in capsys.readouterr().err
     fields = run_log_fields(tmp_path / "run.log")
     assert fields["status"] == "error:ConfigError"
-    assert fields["error"].endswith("[source]: repetition_rate_mhz must be > 0, got 0.0")
+    assert fields["error"].endswith("[source] repetition_rate_mhz must be > 0 and finite, got 0.0")
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize(
+    "line, bad, named",
+    [
+        ("mean_photon_number = 1.0", "mean_photon_number = nan", "[source] mean_photon_number"),
+        ("mean_photon_number = 1.0", "mean_photon_number = inf", "[source] mean_photon_number"),
+        ("repetition_rate_mhz = 60.0", "repetition_rate_mhz = inf", "[source] repetition_rate_mhz"),
+        ("sca_width_ns = 0.5", "sca_width_ns = nan", "[acquisition] sca_width_ns"),
+        ("propagation = -0.3 dB", "propagation = nan dB", "[chain_post] propagation"),
+        ("power_w = 0.65", "power_w = nan", "[pump] power_w"),
+    ],
+)
+def test_non_finite_value_exits_2_at_parse(tmp_path, capsys, line, bad, named):
+    # Each of these once crashed, failed late, or ran and wrote a CSV.
+    text = serialize_scenario(load_reference_scenario())
+    path = tmp_path / "bad.scenario"
+    path.write_text(text.replace(f"{line}\n", f"{bad}\n"))
+    assert cli.main(["fringe-scan", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert f"{named} must be" in capsys.readouterr().err
     assert list(tmp_path.glob("*.csv")) == []
 
 
@@ -346,7 +367,7 @@ def test_unknown_protocol_exits_2_without_outputs(tmp_path, run_cli):
     bad.write_text(text.replace("protocol = single-photon", "protocol = three-photon"))
     proc = run_cli("budget", "--scenario", str(bad), cwd=tmp_path)
     assert proc.returncode == 2
-    assert "[repeater]: protocol must be" in proc.stderr
+    assert "[repeater] protocol must be" in proc.stderr
     assert list(tmp_path.glob("*.csv")) == []
 
 

@@ -120,6 +120,14 @@ def test_loss_stage_rejects(kwargs):
         LossStage(**kwargs)
 
 
+@pytest.mark.parametrize("unit", ["fraction", "dB"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_loss_stage_rejects_non_finite_values(unit, bad):
+    # -inf dB is refused too: "0.0 fraction" says the same.
+    with pytest.raises(DomainError, match=rf"^x must be .*, got {bad} {unit}$"):
+        LossStage("x", bad, unit)
+
+
 def test_chain_composition():
     assert LossChain().transmission() == 1.0
     chain = device_post_chain()

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -696,6 +697,56 @@ OFF_REFERENCE = {
 @pytest.mark.parametrize("variant", OFF_REFERENCE)
 def test_validation_agrees_off_reference_settings(ref, variant):
     assert_oracle_agrees(OFF_REFERENCE[variant](ref))
+
+
+# Fixed before the first run, with the bounds below.
+POOLED_SEEDS = range(1000, 1064)
+POOLED_PULSES = 200_000
+# Settings without a net visibility at this statistic; the V_net check skips them.
+NO_NET_VISIBILITY = {
+    "physical-budget": "about one signal count per point over a background of 110",
+    "sca-width-one-and-a-half-periods": "the background window spans the period and holds the signal",
+}
+
+
+def chi2_over_n_quantile(n, p):
+    """The ``p`` quantile of chi2_n / n, by the Wilson-Hilferty cube."""
+    c = 2.0 / (9.0 * n)
+    return (1.0 - c + NormalDist().inv_cdf(p) * math.sqrt(c)) ** 3
+
+
+@pytest.mark.parametrize("setting", ["reference", *OFF_REFERENCE])
+def test_pooled_seeds_show_no_bias(ref, setting):
+    """64 seeds x 12 points pool n = 768 z scores against ``expected_fringe``.
+
+    Sensitivity: |mean z| < 5 / sqrt(n) = 0.18 sees a bias of 0.18 sigma per
+    point, 2.5 to 8 counts (0.4 to 1.3 %) on the reference's 200 to 1900
+    counts per point. The mean z^2 must lie within the chi2_n / n quantiles
+    at 1e-6 on each side, 0.776 to 1.262, so a spread 25 % off shows. The
+    mean fitted V_net must lie within 5 standard errors of the oracle's,
+    about +-0.007 at the reference and +-0.004 at mu = 3. This adds to
+    criterion 6's one seed and changes none of its bands.
+    """
+    s = ref if setting == "reference" else OFF_REFERENCE[setting](ref)
+    expected = expected_fringe(s, PHASES_12, pulses=POOLED_PULSES)
+    z, v_net = [], []
+    for seed in POOLED_SEEDS:
+        run = run_fringe_scan(
+            dataclasses.replace(s, master_seed=seed), PHASES_12, pulses=POOLED_PULSES
+        )
+        observed = np.array([p.counts for p in run.fringe], dtype=float)
+        z.append((observed - expected.counts) / np.sqrt(expected.counts))
+        if setting not in NO_NET_VISIBILITY:
+            fit = extract_visibility(run.fringe_points(), background=run.mean_background())
+            v_net.append(fit.v_net)
+    z = np.concatenate(z)
+    n = z.size
+    assert abs(z.mean()) < 5.0 / math.sqrt(n)
+    assert chi2_over_n_quantile(n, 1e-6) < np.mean(z**2) < chi2_over_n_quantile(n, 1.0 - 1e-6)
+    if v_net:
+        v_net = np.array(v_net)
+        standard_error = v_net.std(ddof=1) / math.sqrt(v_net.size)
+        assert abs(v_net.mean() - expected.v_net) < 5.0 * standard_error
 
 
 def test_validation_flags_corrupted_oracle(ref, monkeypatch):

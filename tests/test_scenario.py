@@ -125,7 +125,7 @@ def test_mismatched_delays_rejected(ref):
 
 def test_unknown_protocol_rejected(ref):
     text = serialize_scenario(ref).replace("protocol = single-photon", "protocol = three-photon")
-    with pytest.raises(ConfigError, match=r"probe\.scenario: \[repeater\]: protocol must be"):
+    with pytest.raises(ConfigError, match=r"probe\.scenario: \[repeater\] protocol must be"):
         parse_scenario(text, origin="probe.scenario")
 
 
@@ -164,7 +164,7 @@ def test_repeater_settings_follow_link_rule(ref, key, bad):
     lines = serialize_scenario(ref).splitlines(keepends=True)
     index = next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))
     lines[index] = f"{key} = {bad}\n"
-    with pytest.raises(ConfigError, match=rf"probe\.scenario: \[repeater\]: {key} must be"):
+    with pytest.raises(ConfigError, match=rf"probe\.scenario: \[repeater\] {key} must be"):
         parse_scenario("".join(lines), origin="probe.scenario")
 
 

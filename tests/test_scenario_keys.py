@@ -1,25 +1,44 @@
-"""Every scenario key acts: changing it alone changes some command's output.
+"""Every scenario key acts, and every numeric key refuses what lies outside its domain.
 
-The test walks the key table ``_KEYS``. For each row it sets that one key
-of a small base scenario to another valid value, which must parse, and runs
-all seven commands in process. At least one output must then differ from
-the base run's. An output is a command's exit code, the body of each CSV
-it writes without the ``#`` lines, its stdout with output paths masked, and
-the warnings it raises. The five ``[noise]`` keys are the one exemption,
-and the test asserts that they still change nothing, so the exemption
-cannot outlive the reason for it.
+The first walk goes over the key table ``_KEYS``. For each row it sets that
+one key of a small base scenario to another valid value, which must parse,
+and runs all seven commands in process. At least one output must then
+differ from the base run's. An output is a command's exit code, the body of
+each CSV it writes without the ``#`` lines, its stdout with output paths
+masked, and the warnings it raises. The five ``[noise]`` keys are the one
+exemption, and the test asserts that they still change nothing, so the
+exemption cannot outlive the reason for it.
+
+The second walk sets each numeric key to nan, inf, -inf and the value just
+past each bound of the domain its owning class states. ``fringe-scan`` must
+then exit 2, name ``[section] key`` and write no CSV.
 """
 
 import contextlib
 import io
+import math
 import re
 import warnings
 from dataclasses import replace
+from operator import attrgetter
 
 import pytest
 
 from qifsim import cli
-from qifsim.scenario import _KEYS, load_reference_scenario, parse_scenario, serialize_scenario
+from qifsim.errors import Domain
+from qifsim.repeater import LinkConfig
+from qifsim.scenario import (
+    _COMPONENTS,
+    _FLOAT,
+    _FRACTION_OR_BUDGET,
+    _INT,
+    _KEYS,
+    RepeaterSettings,
+    Scenario,
+    load_reference_scenario,
+    parse_scenario,
+    serialize_scenario,
+)
 
 REF = load_reference_scenario()
 # Small Monte Carlo counts, set in the scenario so that its own keys are
@@ -97,7 +116,7 @@ UNWIRED = {
     ("noise", "pump_prefiltered"),
 }
 UNWIRED_REASON = (
-    "no engine or oracle consumer until ROADMAP item 5 wires the noise component"
+    "no engine or oracle consumer until ROADMAP item 6 wires the noise component"
 )
 
 
@@ -169,3 +188,57 @@ def test_every_key_acts(row, base_outputs, tmp_path):
         )
     else:
         assert differs, f"[{row.section}] {row.key} = {value} changed no output"
+
+
+# The keys whose inf means something, so it parses; each with that meaning.
+KEPT_INFINITIES = {
+    ("pump", "coherence_time_ns"): "the ideal monochromatic pump, and the dataclass default",
+    ("noise", "pump_extinction_db"): "filtering that no pump photon survives, as in the reference",
+    ("acquisition", "sca_width_ns"): "a window that counts every event",
+}
+NUMERIC_ROWS = [row for row in _KEYS if row.kind in (_FLOAT, _INT, _FRACTION_OR_BUDGET)]
+
+
+def domain(row):
+    """The domain of the field that ``row`` sets, from its owning class's table."""
+    component, _, name = row.path.rpartition(".")
+    owner = _COMPONENTS[component] if component else Scenario
+    if owner is RepeaterSettings:  # held to the link model's own rule
+        owner = LinkConfig
+    return next(Domain(*entry[1:]) for entry in owner._DOMAINS if entry[0] == name)
+
+
+def refused(row):
+    """nan, inf, -inf and the values just past the bounds of ``row``'s domain, as text."""
+    lo, hi, _ = domain(row)
+    if row.kind is _INT:
+        past = [int(lo) - 1, int(hi) + 1]
+    else:
+        past = [math.nextafter(lo, -math.inf)]
+        if hi < math.inf:
+            past.append(math.nextafter(hi, math.inf))
+    values = {math.nan, -math.inf, *past}
+    if (row.section, row.key) not in KEPT_INFINITIES:
+        values.add(math.inf)
+    return sorted({repr(value) for value in values})
+
+
+def test_kept_infinities_are_the_unbounded_domains():
+    unbounded = [row for row in NUMERIC_ROWS if domain(row).hi == math.inf]
+    assert {(row.section, row.key) for row in unbounded} == set(KEPT_INFINITIES)
+    for row in unbounded:
+        scenario = parse_scenario(with_value(BASE, row.section, row.key, "inf"))
+        assert scenario == parse_scenario(serialize_scenario(scenario))
+        assert math.isinf(attrgetter(row.path)(scenario))
+
+
+@pytest.mark.parametrize("row", NUMERIC_ROWS, ids=row_id)
+def test_every_numeric_key_refuses_values_outside_its_domain(row, tmp_path, capsys):
+    path = tmp_path / "walk.scenario"
+    for value in refused(row):
+        path.write_text(with_value(BASE, row.section, row.key, value))
+        code = cli.main(["fringe-scan", "--scenario", str(path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2, f"[{row.section}] {row.key} = {value}: exit {code}, {err}"
+        assert f"[{row.section}] {row.key} " in err, err
+        assert list(tmp_path.glob("*.csv")) == [], value
