@@ -32,7 +32,6 @@ __all__ = [
     "internal_conversion_efficiency",
     "end_to_end_efficiency",
     "normalized_efficiency_from_measurement",
-    "pump_coherence_visibility_factor",
     "noise_rate",
     "EfficiencyPoint",
     "run_efficiency_sweep",
@@ -133,11 +132,11 @@ def internal_conversion_efficiency(
         eta_norm_per_w_cm2: normalized efficiency, 1/(W cm^2).
         length_cm: interaction length, centimeters.
     """
-    if power_w < 0:
+    if not NON_NEGATIVE.lo <= power_w <= NON_NEGATIVE.hi:
         raise DomainError(f"power must be >= 0, got {power_w} W")
-    if eta_norm_per_w_cm2 < 0:
+    if not NON_NEGATIVE.lo <= eta_norm_per_w_cm2 <= NON_NEGATIVE.hi:
         raise DomainError(f"normalized efficiency must be >= 0, got {eta_norm_per_w_cm2}")
-    if length_cm <= 0:
+    if not POSITIVE.lo <= length_cm <= POSITIVE.hi:
         raise DomainError(f"length must be > 0, got {length_cm} cm")
     return math.sin(math.sqrt(eta_norm_per_w_cm2 * power_w) * length_cm) ** 2
 
@@ -153,9 +152,9 @@ def normalized_efficiency_from_measurement(
         DomainError: eta_internal outside [0, 1), or non-positive power;
             at exactly 1 the inversion is degenerate with the pump power.
     """
-    if power_w <= 0:
+    if not POSITIVE.lo <= power_w <= POSITIVE.hi:
         raise DomainError(f"power must be > 0 to invert, got {power_w} W")
-    if length_cm <= 0:
+    if not POSITIVE.lo <= length_cm <= POSITIVE.hi:
         raise DomainError(f"length must be > 0, got {length_cm} cm")
     if not 0.0 <= eta_internal < 1.0:
         raise DomainError(
@@ -174,20 +173,6 @@ def end_to_end_efficiency(
     if not 0.0 <= eta_internal <= 1.0:
         raise DomainError(f"internal efficiency must be in [0, 1], got {eta_internal}")
     return pre_chain.transmission() * eta_internal * post_chain.transmission()
-
-
-def pump_coherence_visibility_factor(delta_tau_ns: float, coherence_time_ns: float) -> float:
-    """Interference-visibility penalty from finite pump coherence.
-
-    exp(-delta_tau / tau_c) for a Lorentzian pump line: the phase imprinted
-    on the converted photon random-walks between the two time bins, and the
-    mean fringe contrast decays exponentially in the bin separation.
-    """
-    if delta_tau_ns < 0:
-        raise DomainError(f"bin separation must be >= 0, got {delta_tau_ns} ns")
-    if coherence_time_ns <= 0:
-        raise DomainError(f"coherence time must be > 0, got {coherence_time_ns} ns")
-    return math.exp(-delta_tau_ns / coherence_time_ns)
 
 
 @dataclass(frozen=True)
@@ -232,7 +217,7 @@ def noise_rate(pump: PumpField, output_um: float, noise: NoiseModel) -> float:
     Raman scattering, residual pump leakage through the filter stack, and
     the pump's own pedestal in the target band unless prefiltered away.
     """
-    if output_um <= 0:
+    if not POSITIVE.lo <= output_um <= POSITIVE.hi:
         raise DomainError(f"output wavelength must be > 0, got {output_um} um")
     rate = 0.0
     if pump.wavelength_um < output_um:
@@ -357,26 +342,22 @@ def _binomial_btrs(n: int, p: float, rng: random.Random) -> int:
             return k
 
 
-def run_efficiency_sweep(
-    s: Scenario, powers_w, photons: int | None = None
-) -> tuple[EfficiencyPoint, ...]:
+def run_efficiency_sweep(s: Scenario, powers_w) -> tuple[EfficiencyPoint, ...]:
     """Conversion budget versus pump power, analytic and Monte Carlo.
 
-    The Monte Carlo column sends ``photons`` (default: the scenario's
-    ``mc_photons_per_point``) through the three loss stages (pre chain,
-    internal conversion, post chain) as independent binomial thinnings,
-    so it checks the chain's composition, not only ``eta_qi``. This sweep
+    The Monte Carlo column sends the scenario's ``mc_photons_per_point``
+    photons through the three loss stages (pre chain, internal
+    conversion, post chain) as independent binomial thinnings, so it
+    checks the chain's composition, not only ``eta_qi``. This sweep
     always measures the physical budget; the fringe-scan statistics
     switch has no effect here. ``powers_w`` is any iterable of numbers,
     a numpy array included; each power draws from its own stream.
 
     Raises:
-        DomainError: a power is negative or not finite, or ``photons`` < 0.
+        DomainError: a power is negative or not finite.
         ConfigError: a power appears twice in the grid.
     """
-    n = s.mc_photons_per_point if photons is None else photons
-    if n < 0:
-        raise DomainError(f"photon count must be >= 0, got {n}")
+    n = s.mc_photons_per_point
     powers = [float(power) for power in powers_w]
     for power in powers:
         if not math.isfinite(power):

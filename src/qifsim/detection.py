@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError, FitError
+from .errors import NON_NEGATIVE, POSITIVE, DomainError, FitError
 
 if TYPE_CHECKING:
     from .scenario import DetectorModel
@@ -79,7 +79,7 @@ class TacHistogram:
     sync_pulses: int
 
     def __post_init__(self) -> None:
-        if self.bin_width_ps <= 0:
+        if not POSITIVE.lo <= self.bin_width_ps <= POSITIVE.hi:
             raise DomainError(f"bin width must be > 0, got {self.bin_width_ps}")
         if np.any(self.counts < 0):
             raise DomainError("histogram counts must be >= 0")
@@ -108,9 +108,9 @@ class TacHistogram:
 
 def dead_time_observe(rate_true_hz: float, dead_time_us: float) -> float:
     """Observed rate of a non-paralyzable detector, R / (1 + R tau)."""
-    if rate_true_hz < 0:
+    if not NON_NEGATIVE.lo <= rate_true_hz <= NON_NEGATIVE.hi:
         raise DomainError(f"rate must be >= 0, got {rate_true_hz}")
-    if dead_time_us < 0:
+    if not NON_NEGATIVE.lo <= dead_time_us <= NON_NEGATIVE.hi:
         raise DomainError(f"dead time must be >= 0, got {dead_time_us}")
     return rate_true_hz / (1.0 + rate_true_hz * dead_time_us * 1e-6)
 
@@ -124,9 +124,9 @@ def dead_time_correct(rate_obs_hz: float, dead_time_us: float) -> float:
         DomainError: R_obs tau >= 1; the detector is saturated and no
             finite true rate reproduces the observation.
     """
-    if rate_obs_hz < 0:
+    if not NON_NEGATIVE.lo <= rate_obs_hz <= NON_NEGATIVE.hi:
         raise DomainError(f"rate must be >= 0, got {rate_obs_hz}")
-    if dead_time_us < 0:
+    if not NON_NEGATIVE.lo <= dead_time_us <= NON_NEGATIVE.hi:
         raise DomainError(f"dead time must be >= 0, got {dead_time_us}")
     occupancy = rate_obs_hz * dead_time_us * 1e-6
     if occupancy >= 1.0:
@@ -565,7 +565,7 @@ def simulate_detection(
         DomainError: arrival times not 1-D, negative duration, or a
             buffer that is not 1-D float64 or is shorter than the arrivals.
     """
-    if duration_s < 0:
+    if not NON_NEGATIVE.lo <= duration_s <= NON_NEGATIVE.hi:
         raise DomainError(f"duration must be >= 0, got {duration_s} s")
     fired = np.array(arrivals, dtype=float) if buffer is None else np.asarray(arrivals, dtype=float)
     if fired.ndim != 1:
@@ -633,10 +633,14 @@ def _bin_folded(
     return TacHistogram(bin_width_ps=bin_width_ps, counts=counts, sync_pulses=sync_pulses)
 
 
-def peak_fwhm(hist: TacHistogram, peak_seed_ns: float, search_half_width_ns: float = 1.5) -> float:
+# peak_fwhm looks for the peak maximum this far either side of the seed, ns.
+PEAK_SEARCH_NS = 1.5
+
+
+def peak_fwhm(hist: TacHistogram, peak_seed_ns: float) -> float:
     """Full width at half maximum of the peak nearest the seed position.
 
-    Finds the local maximum within the search range and walks outward to
+    Finds the local maximum within ``PEAK_SEARCH_NS`` and walks outward to
     the half-maximum crossings, locating each by linear interpolation
     between bin centers.
 
@@ -647,11 +651,9 @@ def peak_fwhm(hist: TacHistogram, peak_seed_ns: float, search_half_width_ns: flo
     """
     centers = hist.bin_centers_ns()
     counts = hist.counts.astype(float)
-    in_range = np.abs(centers - peak_seed_ns) <= search_half_width_ns
+    in_range = np.abs(centers - peak_seed_ns) <= PEAK_SEARCH_NS
     if not np.any(in_range):
-        raise DomainError(
-            f"no histogram bins within {search_half_width_ns} ns of {peak_seed_ns} ns"
-        )
+        raise DomainError(f"no histogram bins within {PEAK_SEARCH_NS} ns of {peak_seed_ns} ns")
     region = np.flatnonzero(in_range)
     peak_idx = region[np.argmax(counts[region])]
     peak = counts[peak_idx]
@@ -711,11 +713,12 @@ def check_fit_phases(phases) -> None:
         )
 
 
-def extract_visibility(
-    points,
-    background: float = 0.0,
-    max_relative_residual: float = 0.2,
-) -> VisibilityFit:
+# extract_visibility refuses a fit whose residual rms exceeds this share of
+# the fitted offset.
+FIT_RESIDUAL_LIMIT = 0.2
+
+
+def extract_visibility(points, background: float = 0.0) -> VisibilityFit:
     """Fringe visibility by least-squares sinusoid fit.
 
     Fits N(beta) = A + C cos(beta - beta0) over the (phase, counts) points
@@ -726,7 +729,7 @@ def extract_visibility(
         DomainError: a phase not finite, fewer than 3 distinct phases,
             span below one full period, negative counts, or background >=
             fitted offset.
-        FitError: relative residual above ``max_relative_residual`` (the
+        FitError: relative residual above ``FIT_RESIDUAL_LIMIT`` (the
             data is not a sinusoid of the assumed period).
     """
     pts = np.asarray(points, dtype=float)
@@ -735,7 +738,7 @@ def extract_visibility(
     phases, counts = pts[:, 0], pts[:, 1]
     if np.any(counts < 0):
         raise DomainError("fringe counts must be >= 0")
-    if background < 0:
+    if not NON_NEGATIVE.lo <= background <= NON_NEGATIVE.hi:
         raise DomainError(f"background must be >= 0, got {background}")
     check_fit_phases(phases)
     basis = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
@@ -747,10 +750,10 @@ def extract_visibility(
     residual_rms = float(np.sqrt(np.mean(residuals**2)))
     if offset <= 0:
         raise DomainError("fitted offset is not positive; no signal to normalize by")
-    if residual_rms > max_relative_residual * offset:
+    if residual_rms > FIT_RESIDUAL_LIMIT * offset:
         raise FitError(
             f"fringe is not sinusoidal: residual rms {residual_rms:.4g} exceeds "
-            f"{max_relative_residual:.0%} of the offset {offset:.4g}"
+            f"{FIT_RESIDUAL_LIMIT:.0%} of the offset {offset:.4g}"
         )
     if background >= offset:
         raise DomainError(

@@ -2,28 +2,24 @@
 
 Wavelengths are in micrometers, temperatures in kelvin, poling periods in
 micrometers, crystal lengths in centimeters, and phase mismatches in rad/um
-throughout. The dispersion backend is a temperature-dependent Sellmeier
-model for the extraordinary index of congruent lithium niobate, loaded from
-a flat key-value data file so the coefficient choice stays auditable and
-replaceable (see ``data/lithium_niobate_ne.txt``).
+throughout. The dispersion backend is one temperature-dependent Sellmeier
+coefficient set for the extraordinary index of congruent lithium niobate,
+the constant ``CONGRUENT_LN_NE``; another material would be another
+``SellmeierModel`` constant here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from importlib import resources
-from pathlib import Path
 
 from .errors import FINITE, POSITIVE, Domain, check_domains, domains
-from .errors import ConfigError, DomainError, SolverError
+from .errors import DomainError, SolverError
 
 __all__ = [
     "SellmeierModel",
+    "CONGRUENT_LN_NE",
     "QpmConfig",
-    "load_sellmeier_file",
-    "default_sellmeier",
     "refractive_index",
     "dfg_output_wavelength",
     "phase_mismatch",
@@ -44,7 +40,7 @@ ENERGY_TOL_PER_UM = 1e-6
 
 @dataclass(frozen=True)
 class SellmeierModel:
-    """Named coefficient set for the temperature-dependent extraordinary index.
+    """Coefficient set for the temperature-dependent extraordinary index.
 
     The functional form is the single-oscillator-plus-UV-pole expansion
 
@@ -54,31 +50,16 @@ class SellmeierModel:
     with f = (t - 24.5)(t + 570.82) and t the temperature in Celsius.
 
     Attributes:
-        name: identifier of the coefficient set.
         a: six dispersion coefficients a1..a6.
         b: four thermo-optic coefficients b1..b4.
         wavelength_range_um: inclusive validity range for the wavelength.
         temperature_range_k: inclusive validity range for the temperature.
-        reference: literature citation carried along from the data file.
     """
 
-    name: str
     a: tuple[float, float, float, float, float, float]
     b: tuple[float, float, float, float]
     wavelength_range_um: tuple[float, float]
     temperature_range_k: tuple[float, float]
-    reference: str = ""
-
-    def __post_init__(self) -> None:
-        if len(self.a) != 6 or len(self.b) != 4:
-            raise DomainError(
-                f"Sellmeier set {self.name!r} needs 6 a and 4 b coefficients, "
-                f"got {len(self.a)} and {len(self.b)}"
-            )
-        lo, hi = self.wavelength_range_um
-        tlo, thi = self.temperature_range_k
-        if not (0 < lo < hi) or not (0 < tlo < thi):
-            raise DomainError(f"Sellmeier set {self.name!r} has an empty validity range")
 
     def index(self, wavelength_um: float, temperature_k: float) -> float:
         """Evaluate n_e; validity is enforced, never extrapolated."""
@@ -109,6 +90,17 @@ class SellmeierModel:
         return math.sqrt(n2)
 
 
+# D. H. Jundt, "Temperature-dependent Sellmeier equation for the index of
+# refraction, n_e, in congruent lithium niobate", Opt. Lett. 22, 1553 (1997),
+# doi:10.1364/OL.22.001553.
+CONGRUENT_LN_NE = SellmeierModel(
+    a=(5.35583, 0.100473, 0.20692, 100.0, 11.34927, 1.5334e-2),
+    b=(4.629e-7, 3.862e-8, -0.89e-8, 2.657e-5),
+    wavelength_range_um=(0.4, 5.0),
+    temperature_range_k=(293.0, 473.0),
+)
+
+
 @dataclass(frozen=True)
 class QpmConfig:
     """Quasi-phase-matching geometry.
@@ -136,70 +128,17 @@ class QpmConfig:
             raise DomainError(f"order must be odd, got {self.order}")
 
 
-def _parse_keyvalue_file(path: Path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
-
-
-def load_sellmeier_file(path: str | Path) -> SellmeierModel:
-    """Load a coefficient set from a flat key-value text file."""
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"Sellmeier file not found: {path}")
-    kv = _parse_keyvalue_file(path)
-    try:
-        return SellmeierModel(
-            name=kv.get("name", path.stem),
-            a=tuple(float(kv[f"a{i}"]) for i in range(1, 7)),
-            b=tuple(float(kv[f"b{i}"]) for i in range(1, 5)),
-            wavelength_range_um=(
-                float(kv["wavelength_min_um"]),
-                float(kv["wavelength_max_um"]),
-            ),
-            temperature_range_k=(
-                float(kv["temperature_min_k"]),
-                float(kv["temperature_max_k"]),
-            ),
-            reference=kv.get("reference", ""),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"Sellmeier file {path} is missing key {exc.args[0]!r}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"Sellmeier file {path} has a non-numeric value: {exc}") from exc
-
-
-@lru_cache(maxsize=1)
-def default_sellmeier() -> SellmeierModel:
-    """The bundled congruent lithium niobate extraordinary-index set."""
-    with resources.as_file(
-        resources.files("qifsim.data").joinpath("lithium_niobate_ne.txt")
-    ) as path:
-        return load_sellmeier_file(path)
-
-
-def refractive_index(
-    wavelength_um: float, temperature_k: float, model: SellmeierModel | None = None
-) -> float:
-    """Extraordinary refractive index n_e(lambda, T).
+def refractive_index(wavelength_um: float, temperature_k: float) -> float:
+    """Extraordinary refractive index n_e(lambda, T) of ``CONGRUENT_LN_NE``.
 
     Args:
         wavelength_um: vacuum wavelength in micrometers.
         temperature_k: crystal temperature in kelvin.
-        model: coefficient set; defaults to the bundled one.
 
     Raises:
         DomainError: outside the model validity range.
     """
-    model = model if model is not None else default_sellmeier()
-    return model.index(wavelength_um, temperature_k)
+    return CONGRUENT_LN_NE.index(wavelength_um, temperature_k)
 
 
 def dfg_output_wavelength(signal_um: float, pump_um: float) -> float:
@@ -207,7 +146,8 @@ def dfg_output_wavelength(signal_um: float, pump_um: float) -> float:
 
     The signal must be the most energetic wave (shortest wavelength).
     """
-    if signal_um <= 0 or pump_um <= 0:
+    lo, hi = POSITIVE.lo, POSITIVE.hi
+    if not (lo <= signal_um <= hi and lo <= pump_um <= hi):
         raise DomainError("wavelengths must be positive")
     if signal_um >= pump_um:
         raise DomainError(
@@ -222,7 +162,6 @@ def phase_mismatch(
     pump_um: float,
     output_um: float,
     cfg: QpmConfig,
-    model: SellmeierModel | None = None,
 ) -> float:
     """Signed quasi-phase mismatch in rad/um.
 
@@ -238,25 +177,17 @@ def phase_mismatch(
             f"(limit {ENERGY_TOL_PER_UM:.0e}); triple "
             f"({signal_um}, {pump_um}, {output_um}) um is inconsistent"
         )
-    model = model if model is not None else default_sellmeier()
-    t = cfg.temperature_k
-    return 2.0 * math.pi * (
-        model.index(signal_um, t) / signal_um
-        - model.index(pump_um, t) / pump_um
-        - model.index(output_um, t) / output_um
-        - cfg.order / cfg.poling_period_um
-    )
+    bulk = _bulk_per_um(signal_um, pump_um, output_um, cfg.temperature_k)
+    return 2.0 * math.pi * (bulk - cfg.order / cfg.poling_period_um)
 
 
-def _bulk_mismatch_per_um(
-    signal_um: float, pump_um: float, temperature_k: float, model: SellmeierModel
-) -> float:
+def _bulk_per_um(signal_um: float, pump_um: float, output_um: float, temperature_k: float) -> float:
     """Grating-free momentum imbalance n_s/lam_s - n_p/lam_p - n_o/lam_o, 1/um."""
-    output_um = dfg_output_wavelength(signal_um, pump_um)
+    index = CONGRUENT_LN_NE.index
     return (
-        model.index(signal_um, temperature_k) / signal_um
-        - model.index(pump_um, temperature_k) / pump_um
-        - model.index(output_um, temperature_k) / output_um
+        index(signal_um, temperature_k) / signal_um
+        - index(pump_um, temperature_k) / pump_um
+        - index(output_um, temperature_k) / output_um
     )
 
 
@@ -265,7 +196,6 @@ def solve_poling_period(
     pump_um: float,
     temperature_k: float,
     order: int = 1,
-    model: SellmeierModel | None = None,
 ) -> float:
     """Poling period (um) that quasi-phase matches the DFG triple.
 
@@ -276,8 +206,8 @@ def solve_poling_period(
         SolverError: the bulk mismatch is not positive, so no positive
             period can compensate it (the error states the sign).
     """
-    model = model if model is not None else default_sellmeier()
-    bulk = _bulk_mismatch_per_um(signal_um, pump_um, temperature_k, model)
+    output_um = dfg_output_wavelength(signal_um, pump_um)
+    bulk = _bulk_per_um(signal_um, pump_um, output_um, temperature_k)
     if bulk <= 0:
         raise SolverError(
             f"no positive poling period: bulk mismatch is "
@@ -285,11 +215,10 @@ def solve_poling_period(
             f"({signal_um}, {pump_um}) um at {temperature_k} K"
         )
     period = order / bulk
-    output_um = dfg_output_wavelength(signal_um, pump_um)
     cfg = QpmConfig(period, 1.0, temperature_k, order)
-    residual = phase_mismatch(signal_um, pump_um, output_um, cfg, model)
+    residual = phase_mismatch(signal_um, pump_um, output_um, cfg)
     if abs(residual) > SOLVER_TOL_RAD_UM:
-        raise SolverError(f"poling-period search left residual {residual:.3e} rad/um")
+        raise SolverError(f"closed-form poling period leaves residual {residual:.3e} rad/um")
     return period
 
 
@@ -298,7 +227,9 @@ def qpm_acceptance(delta_k_rad_um: float, length_cm: float) -> float:
 
     Peaks at 1 for zero mismatch, first null at Delta_k L / 2 = pi.
     """
-    if length_cm <= 0:
+    if not FINITE.lo <= delta_k_rad_um <= FINITE.hi:
+        raise DomainError(f"phase mismatch must be finite, got {delta_k_rad_um} rad/um")
+    if not POSITIVE.lo <= length_cm <= POSITIVE.hi:
         raise DomainError(f"crystal length must be > 0, got {length_cm}")
     x = 0.5 * delta_k_rad_um * (length_cm * 1e4)
     if x == 0.0:
@@ -334,7 +265,6 @@ def solve_pump_wavelength(
     signal_um: float,
     temperature_k: float,
     order: int = 1,
-    model: SellmeierModel | None = None,
 ) -> float:
     """Pump wavelength (um) that phase matches at the given period and T.
 
@@ -350,7 +280,6 @@ def solve_pump_wavelength(
         SolverError: no sign change inside the bracket; the message reports
             the mismatch sign at both endpoints.
     """
-    model = model if model is not None else default_sellmeier()
     lo, hi = PUMP_SEARCH_BRACKET_UM
     if signal_um >= lo:
         raise DomainError(
@@ -361,7 +290,7 @@ def solve_pump_wavelength(
 
     def residual(pump_um: float) -> float:
         output_um = dfg_output_wavelength(signal_um, pump_um)
-        return phase_mismatch(signal_um, pump_um, output_um, cfg, model)
+        return phase_mismatch(signal_um, pump_um, output_um, cfg)
 
     n_scan = 128
     xs = [lo + (hi - lo) * i / (n_scan - 1) for i in range(n_scan)]

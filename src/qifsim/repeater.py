@@ -65,9 +65,9 @@ class LinkConfig:
 
 def fiber_transmission(length_km: float, attenuation_db_per_km: float) -> float:
     """Power transmission 10^(-alpha L / 10) of a fiber span."""
-    if length_km < 0:
+    if not NON_NEGATIVE.lo <= length_km <= NON_NEGATIVE.hi:
         raise DomainError(f"length must be >= 0, got {length_km} km")
-    if attenuation_db_per_km < 0:
+    if not NON_NEGATIVE.lo <= attenuation_db_per_km <= NON_NEGATIVE.hi:
         raise DomainError(f"attenuation must be >= 0, got {attenuation_db_per_km} dB/km")
     return 10.0 ** (-attenuation_db_per_km * length_km / 10.0)
 
@@ -142,7 +142,8 @@ def break_even_distance(
         raise DomainError(
             f"interface efficiency must be in (0, 1], got {interface_efficiency}"
         )
-    if attenuation_native_db_per_km < 0 or attenuation_telecom_db_per_km < 0:
+    lo, hi = NON_NEGATIVE.lo, NON_NEGATIVE.hi
+    if not (lo <= attenuation_native_db_per_km <= hi and lo <= attenuation_telecom_db_per_km <= hi):
         raise DomainError("attenuations must be >= 0")
     delta = attenuation_native_db_per_km - attenuation_telecom_db_per_km
     if delta <= 0:

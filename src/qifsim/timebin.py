@@ -174,8 +174,10 @@ def apply_conversion_phase(qubit: TimeBinQubit, factor: float) -> TimeBinQubit:
 
     The pump phase is common to both bins up to its drift over the bin
     separation, so the populations are untouched and only the mutual
-    coherence is scaled by ``factor`` (from
-    ``conversion.pump_coherence_visibility_factor``).
+    coherence is scaled by ``factor``. For a Lorentzian pump line that
+    drift gives exp(-delta_tau / tau_c); the Monte Carlo engine instead
+    draws the drift per pulse (``montecarlo._point_model``) and passes
+    only the scenario's extra visibility penalty here.
     """
     if not 0.0 <= factor <= 1.0:
         raise DomainError(f"coherence factor must be in [0, 1], got {factor}")

@@ -16,7 +16,6 @@ from qifsim.conversion import (
     internal_conversion_efficiency,
     noise_rate,
     normalized_efficiency_from_measurement,
-    pump_coherence_visibility_factor,
     run_efficiency_sweep,
 )
 from qifsim.errors import DomainError
@@ -164,25 +163,6 @@ def test_pump_field_validation():
         PumpField(0.65, 0.0)
     with pytest.raises(DomainError):
         PumpField(0.65, 1.552, coherence_time_ns=0.0)
-
-
-def test_pump_coherence_factor():
-    # Back-solved coherence time reproduces the target contrast exactly.
-    tau_c = 2.2 / -math.log(0.96)
-    assert pump_coherence_visibility_factor(2.2, tau_c) == pytest.approx(0.96, rel=1e-14)
-    assert pump_coherence_visibility_factor(2.2, 2.2) == pytest.approx(math.exp(-1.0), rel=1e-14)
-    assert pump_coherence_visibility_factor(2.2, math.inf) == 1.0
-    assert pump_coherence_visibility_factor(0.0, 1.0) == 1.0
-
-
-def test_pump_coherence_factor_monotone_in_coherence_time():
-    taus = np.linspace(0.5, 50.0, 20)
-    vals = [pump_coherence_visibility_factor(2.2, float(t)) for t in taus]
-    assert all(a < b for a, b in zip(vals, vals[1:]))
-    with pytest.raises(DomainError):
-        pump_coherence_visibility_factor(-1.0, 10.0)
-    with pytest.raises(DomainError):
-        pump_coherence_visibility_factor(2.2, 0.0)
 
 
 def test_noise_closed_when_pump_red_of_output():

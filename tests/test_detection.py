@@ -501,7 +501,7 @@ def test_peak_fwhm_selects_seeded_peak():
     tall = gaussian_histogram(5.2, sigma, 5e4)
     side = gaussian_histogram(7.4, sigma, 2e4)
     hist = tall.merged_with(side)
-    assert peak_fwhm(hist, 7.4, search_half_width_ns=1.0) == pytest.approx(0.4, rel=0.05)
+    assert peak_fwhm(hist, 7.4) == pytest.approx(0.4, rel=0.05)
 
 
 def test_peak_fwhm_rejects_starved_peak():

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from qifsim import montecarlo
-from qifsim.conversion import pump_coherence_visibility_factor
 from qifsim.detection import extract_visibility
 from qifsim.errors import ConfigError, DomainError, FitError
 from qifsim.montecarlo import (
@@ -201,7 +200,8 @@ def test_pump_drift_spans_the_preparation_delay(ref):
     # here 2.222 ns against 2.2 ns.
     s = dataclasses.replace(ref, analysis=dataclasses.replace(ref.analysis, delta_tau_ns=2.222))
     drift = montecarlo._point_model(s).middle.drift_rad
-    factor = pump_coherence_visibility_factor(s.preparation.delta_tau_ns, s.pump.coherence_time_ns)
+    # exp(-dt / tau_c), the fringe contrast a Lorentzian pump line leaves.
+    factor = math.exp(-s.preparation.delta_tau_ns / s.pump.coherence_time_ns)
     assert math.exp(-0.5 * drift**2) == pytest.approx(factor, rel=1e-12)
 
 

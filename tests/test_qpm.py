@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from qifsim import qpm
-from qifsim.errors import ConfigError, DomainError, SolverError
+from qifsim.errors import DomainError, SolverError
 
 SIGNAL_UM = 0.710
 PUMP_UM = 1.552
 T_DEVICE_K = 352.0
 
-# Frozen against the bundled coefficient set.
+# Frozen against CONGRUENT_LN_NE. The index is IEEE arithmetic and one sqrt,
+# so N_SIGNAL, N_PUMP, DK_AT_14UM and BULK_PERIOD_352K are compared exactly:
+# a mistyped coefficient changes them.
 N_SIGNAL = 2.1905310170856596
 N_PUMP = 2.140023845173866
 OUTPUT_UM = 1.308693586698337
@@ -22,12 +24,12 @@ BULK_PERIOD_330K = 15.39039856635443
 
 
 def test_index_frozen_values():
-    assert qpm.refractive_index(SIGNAL_UM, T_DEVICE_K) == pytest.approx(N_SIGNAL, rel=1e-14)
-    assert qpm.refractive_index(PUMP_UM, T_DEVICE_K) == pytest.approx(N_PUMP, rel=1e-14)
+    assert qpm.refractive_index(SIGNAL_UM, T_DEVICE_K) == N_SIGNAL
+    assert qpm.refractive_index(PUMP_UM, T_DEVICE_K) == N_PUMP
 
 
 def test_index_plausible_over_validity():
-    model = qpm.default_sellmeier()
+    model = qpm.CONGRUENT_LN_NE
     lo, hi = model.wavelength_range_um
     tlo, thi = model.temperature_range_k
     for lam in np.linspace(lo, hi, 25):
@@ -72,7 +74,7 @@ def test_dfg_requires_signal_most_energetic():
 def test_phase_mismatch_frozen_value():
     cfg = qpm.QpmConfig(poling_period_um=14.0, crystal_length_cm=1.0, temperature_k=T_DEVICE_K)
     dk = qpm.phase_mismatch(SIGNAL_UM, PUMP_UM, OUTPUT_UM, cfg)
-    assert dk == pytest.approx(DK_AT_14UM, rel=1e-12)
+    assert dk == DK_AT_14UM
 
 
 def test_phase_mismatch_grating_term():
@@ -106,7 +108,7 @@ def test_qpm_config_validation(kwargs):
 
 def test_solve_poling_period_frozen():
     period = qpm.solve_poling_period(SIGNAL_UM, PUMP_UM, T_DEVICE_K)
-    assert period == pytest.approx(BULK_PERIOD_352K, rel=1e-12)
+    assert period == BULK_PERIOD_352K
     # Bulk-matched first-order periods for this mixing live in this band.
     assert 10.0 < period < 25.0
 
@@ -126,18 +128,18 @@ def test_third_order_period_triples():
         assert p3 == pytest.approx(3.0 * p1, rel=1e-12)
 
 
-def test_solve_poling_period_reports_impossible_sign():
+def test_solve_poling_period_reports_impossible_sign(monkeypatch):
     # Anomalous-dispersion toy model: index grows with wavelength, so the
     # bulk momentum imbalance flips negative and no grating can fix it.
-    model = qpm.SellmeierModel(
-        name="anomalous-toy",
+    toy = qpm.SellmeierModel(
         a=(4.0, 0.1, 0.2, 0.0, 10.0, -0.2),
         b=(0.0, 0.0, 0.0, 0.0),
         wavelength_range_um=(0.4, 5.0),
         temperature_range_k=(290.0, 480.0),
     )
+    monkeypatch.setattr(qpm, "CONGRUENT_LN_NE", toy)
     with pytest.raises(SolverError, match="negative"):
-        qpm.solve_poling_period(SIGNAL_UM, PUMP_UM, T_DEVICE_K, model=model)
+        qpm.solve_poling_period(SIGNAL_UM, PUMP_UM, T_DEVICE_K)
 
 
 def test_acceptance_peak_null_and_bounds():
@@ -204,26 +206,3 @@ def test_solve_pump_no_root_reports_endpoints():
 def test_solve_pump_rejects_signal_inside_bracket():
     with pytest.raises(DomainError):
         qpm.solve_pump_wavelength(BULK_PERIOD_352K, 1.4, T_DEVICE_K)
-
-
-def test_sellmeier_file_roundtrip(tmp_path):
-    import importlib.resources as resources
-
-    bundled = resources.files("qifsim.data").joinpath("lithium_niobate_ne.txt").read_text()
-    copy = tmp_path / "coeffs.txt"
-    copy.write_text(bundled)
-    model = qpm.load_sellmeier_file(copy)
-    assert model.index(SIGNAL_UM, T_DEVICE_K) == pytest.approx(N_SIGNAL, rel=1e-14)
-
-
-def test_sellmeier_file_errors(tmp_path):
-    with pytest.raises(ConfigError, match="not found"):
-        qpm.load_sellmeier_file(tmp_path / "missing.txt")
-    bad = tmp_path / "bad.txt"
-    bad.write_text("a1 5.35583\n")
-    with pytest.raises(ConfigError, match="key = value"):
-        qpm.load_sellmeier_file(bad)
-    incomplete = tmp_path / "incomplete.txt"
-    incomplete.write_text("a1 = 5.0\n")
-    with pytest.raises(ConfigError, match="missing key"):
-        qpm.load_sellmeier_file(incomplete)

@@ -6,7 +6,6 @@ import re
 
 import pytest
 
-from qifsim.conversion import pump_coherence_visibility_factor
 from qifsim.errors import ConfigError, DomainError
 from qifsim.scenario import (
     load_reference_scenario,
@@ -31,9 +30,7 @@ def test_reference_scenario_digest_frozen(ref):
 def test_reference_scenario_physics(ref):
     assert ref.output_wavelength_um() == pytest.approx(1.308693586698337, rel=1e-12)
     assert ref.eta_qi() == pytest.approx(0.0013291635371188786, rel=1e-12)
-    factor = pump_coherence_visibility_factor(
-        ref.preparation.delta_tau_ns, ref.pump.coherence_time_ns
-    )
+    factor = math.exp(-ref.preparation.delta_tau_ns / ref.pump.coherence_time_ns)
     assert factor == pytest.approx(0.96, rel=1e-12)
     assert ref.sync_period_ns() == pytest.approx(1e3 / 60.0, rel=1e-14)
     assert ref.noise_rate_hz() == 0.0
