@@ -81,6 +81,8 @@ class TacHistogram:
     def __post_init__(self) -> None:
         if not POSITIVE.lo <= self.bin_width_ps <= POSITIVE.hi:
             raise DomainError(f"bin width must be > 0, got {self.bin_width_ps}")
+        if not np.isfinite(self.counts).all():
+            raise DomainError("histogram counts must be finite")
         if np.any(self.counts < 0):
             raise DomainError("histogram counts must be >= 0")
 
@@ -727,8 +729,8 @@ def extract_visibility(points, background: float = 0.0) -> VisibilityFit:
 
     Raises:
         DomainError: a phase not finite, fewer than 3 distinct phases,
-            span below one full period, negative counts, or background >=
-            fitted offset.
+            span below one full period, counts negative or not finite, or
+            background >= fitted offset.
         FitError: relative residual above ``FIT_RESIDUAL_LIMIT`` (the
             data is not a sinusoid of the assumed period).
     """
@@ -736,6 +738,8 @@ def extract_visibility(points, background: float = 0.0) -> VisibilityFit:
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DomainError(f"points must be (N, 2) of (phase, counts), got shape {pts.shape}")
     phases, counts = pts[:, 0], pts[:, 1]
+    if not np.isfinite(counts).all():
+        raise DomainError("fringe counts must be finite")
     if np.any(counts < 0):
         raise DomainError("fringe counts must be >= 0")
     if not NON_NEGATIVE.lo <= background <= NON_NEGATIVE.hi:

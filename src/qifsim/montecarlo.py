@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import os
 import threading
 import time
@@ -581,8 +582,12 @@ def _simulate_point(
 
 
 def _pulse_count(s: Scenario, pulses: int | None) -> int:
-    """Pulses per point: the override, else the scenario's; never negative."""
+    """Pulses per point: the override, else the scenario's; an integer, never negative."""
     n_pulses = s.pulses_per_point if pulses is None else pulses
+    try:
+        n_pulses = operator.index(n_pulses)
+    except TypeError:
+        raise DomainError(f"pulses must be an integer, got {n_pulses!r}") from None
     if n_pulses < 0:
         raise DomainError(f"pulses must be >= 0, got {n_pulses}")
     return n_pulses
@@ -658,7 +663,8 @@ def run_fringe_scan(s: Scenario, phases_rad, pulses: int | None = None) -> RunRe
     grid order.
 
     Raises:
-        DomainError: fewer than 2 phases, a phase not finite, or pulses < 0.
+        DomainError: fewer than 2 phases, a phase not finite, or pulses not
+            an integer or < 0.
         ConfigError: a phase appears twice in the grid, or a point's
             projected events exceed the int32 indices of the engine.
     """
@@ -741,7 +747,7 @@ def expected_fringe(s: Scenario, phases_rad, pulses: int | None = None) -> Expec
     exact at zero and an approximation otherwise.
 
     Raises:
-        DomainError: square pulse shape, or pulses < 0.
+        DomainError: square pulse shape, or pulses not an integer or < 0.
     """
     if s.source.pulse_shape != "gaussian":
         raise DomainError("expected_fringe only covers gaussian pulse shapes")

@@ -170,6 +170,12 @@ def phase_mismatch(
     must satisfy energy conservation; a violation is an input error, not a
     detuning.
     """
+    _check_energy(signal_um, pump_um, output_um)
+    return _mismatch(_per_um(signal_um, cfg.temperature_k), pump_um, output_um, cfg)
+
+
+def _check_energy(signal_um: float, pump_um: float, output_um: float) -> None:
+    """Refuse a triple that violates 1/signal = 1/pump + 1/output beyond ``ENERGY_TOL_PER_UM``."""
     balance = 1.0 / signal_um - 1.0 / pump_um - 1.0 / output_um
     if abs(balance) > ENERGY_TOL_PER_UM:
         raise DomainError(
@@ -177,18 +183,24 @@ def phase_mismatch(
             f"(limit {ENERGY_TOL_PER_UM:.0e}); triple "
             f"({signal_um}, {pump_um}, {output_um}) um is inconsistent"
         )
-    bulk = _bulk_per_um(signal_um, pump_um, output_um, cfg.temperature_k)
+
+
+def _per_um(wavelength_um: float, temperature_k: float) -> float:
+    """One wave's momentum term n/lam, 1/um."""
+    return CONGRUENT_LN_NE.index(wavelength_um, temperature_k) / wavelength_um
+
+
+def _mismatch(signal_per_um: float, pump_um: float, output_um: float, cfg: QpmConfig) -> float:
+    """``phase_mismatch`` from the signal's term n_s/lam_s, which a scan computes once."""
+    bulk = _bulk_per_um(signal_per_um, pump_um, output_um, cfg.temperature_k)
     return 2.0 * math.pi * (bulk - cfg.order / cfg.poling_period_um)
 
 
-def _bulk_per_um(signal_um: float, pump_um: float, output_um: float, temperature_k: float) -> float:
+def _bulk_per_um(
+    signal_per_um: float, pump_um: float, output_um: float, temperature_k: float
+) -> float:
     """Grating-free momentum imbalance n_s/lam_s - n_p/lam_p - n_o/lam_o, 1/um."""
-    index = CONGRUENT_LN_NE.index
-    return (
-        index(signal_um, temperature_k) / signal_um
-        - index(pump_um, temperature_k) / pump_um
-        - index(output_um, temperature_k) / output_um
-    )
+    return signal_per_um - _per_um(pump_um, temperature_k) - _per_um(output_um, temperature_k)
 
 
 def solve_poling_period(
@@ -207,7 +219,7 @@ def solve_poling_period(
             period can compensate it (the error states the sign).
     """
     output_um = dfg_output_wavelength(signal_um, pump_um)
-    bulk = _bulk_per_um(signal_um, pump_um, output_um, temperature_k)
+    bulk = _bulk_per_um(_per_um(signal_um, temperature_k), pump_um, output_um, temperature_k)
     if bulk <= 0:
         raise SolverError(
             f"no positive poling period: bulk mismatch is "
@@ -268,15 +280,22 @@ def solve_pump_wavelength(
 ) -> float:
     """Pump wavelength (um) that phase matches at the given period and T.
 
-    Scans the fixed search bracket [1.3, 1.8] um for sign changes of the
-    mismatch and refines each by Illinois false position. The mismatch is
-    symmetric under exchanging the pump and output waves, so two roots can
-    coexist; the one with the pump redder than the output (pump wavelength
-    above twice the signal wavelength) is returned, which is the
-    conventional down-conversion operating point. Enables temperature
-    tuning curves lambda_p(T).
+    The mismatch is symmetric under exchanging the pump and output waves,
+    so two roots can coexist; the one with the pump redder than the output
+    (pump wavelength above twice the signal wavelength) is returned, which
+    is the conventional down-conversion operating point. Enables
+    temperature tuning curves lambda_p(T).
+
+    The fixed search bracket [1.3, 1.8] um is sampled at 128 points and
+    scanned down from the red end. The first sign change, or exact zero,
+    met there is the reddest root in the bracket; Illinois false position
+    refines it. The blue end is evaluated before the scan: it holds the
+    longest output wavelength, so an input outside the Sellmeier validity
+    range fails there, whatever root lies further red.
 
     Raises:
+        DomainError: an input, or the output wave at the blue end, is
+            outside the model's validity range.
         SolverError: no sign change inside the bracket; the message reports
             the mismatch sign at both endpoints.
     """
@@ -287,27 +306,33 @@ def solve_pump_wavelength(
             f"[{lo}, {hi}] um"
         )
     cfg = QpmConfig(poling_period_um, 1.0, temperature_k, order)
+    # The blue end first, in phase_mismatch's order of checks, so that it
+    # raises what any point of a full scan would.
+    blue_output_um = dfg_output_wavelength(signal_um, lo)
+    _check_energy(signal_um, lo, blue_output_um)
+    signal_per_um = _per_um(signal_um, temperature_k)
 
     def residual(pump_um: float) -> float:
         output_um = dfg_output_wavelength(signal_um, pump_um)
-        return phase_mismatch(signal_um, pump_um, output_um, cfg)
+        _check_energy(signal_um, pump_um, output_um)
+        return _mismatch(signal_per_um, pump_um, output_um, cfg)
 
     n_scan = 128
     xs = [lo + (hi - lo) * i / (n_scan - 1) for i in range(n_scan)]
-    fs = [residual(x) for x in xs]
-    root = None
-    for x0, x1, f0, f1 in zip(xs, xs[1:], fs, fs[1:]):
+    f_blue = _mismatch(signal_per_um, lo, blue_output_um, cfg)
+    f_red = f1 = residual(xs[-1])
+    if f_red == 0.0:
+        return xs[-1]
+    for i in range(n_scan - 2, -1, -1):
+        f0 = f_blue if i == 0 else residual(xs[i])
         if f0 == 0.0:
-            root = x0
-        elif f0 * f1 < 0:
-            root = _refine_root(residual, x0, x1, f0, f1)
-    if fs[-1] == 0.0:
-        root = xs[-1]
-    if root is None:
-        raise SolverError(
-            f"no quasi-phase-matched pump in [{lo}, {hi}] um at "
-            f"Lambda = {poling_period_um} um, T = {temperature_k} K: mismatch is "
-            f"{fs[0]:+.3e} rad/um at {lo} um and {fs[-1]:+.3e} rad/um at {hi} um "
-            f"with no sign change"
-        )
-    return root
+            return xs[i]
+        if f0 * f1 < 0:
+            return _refine_root(residual, xs[i], xs[i + 1], f0, f1)
+        f1 = f0
+    raise SolverError(
+        f"no quasi-phase-matched pump in [{lo}, {hi}] um at "
+        f"Lambda = {poling_period_um} um, T = {temperature_k} K: mismatch is "
+        f"{f_blue:+.3e} rad/um at {lo} um and {f_red:+.3e} rad/um at {hi} um "
+        f"with no sign change"
+    )

@@ -26,6 +26,7 @@ import configparser
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from itertools import groupby
 from operator import attrgetter
@@ -209,10 +210,22 @@ class Scenario:
         )
 
     def eta_qi(self, power_w: float | None = None) -> float:
-        """Analytic end-to-end conversion budget at the given pump power."""
+        """Analytic end-to-end conversion budget at the given pump power.
+
+        Without a power it is the budget at the configured pump power,
+        computed once per instance.
+        """
+        if power_w is None:
+            return self._eta_qi_configured
         return conversion.end_to_end_efficiency(
             self.chain_pre, self.internal_efficiency(power_w), self.chain_post
         )
+
+    @cached_property
+    def _eta_qi_configured(self) -> float:
+        # The frozen fields fix it. It is no field, so ==, hash and the
+        # serialized form never see it, and dataclasses.replace starts afresh.
+        return self.eta_qi(self.pump.power_w)
 
     def conversion_survival(self) -> float:
         """Per-photon survival the stochastic engine actually applies.

@@ -1,5 +1,6 @@
 """End-to-end command-line checks via subprocess."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -169,6 +170,29 @@ def test_run_log_records_escaped_error_message(tmp_path):
     assert fields["error"] == (
         f"scenario file not found: {tmp_path}/tab\\there\\nand\\\\there.scenario"
     )
+
+
+# SHA-256 of each analytic CSV on the bundled reference. The solvers and the
+# budget may get faster, but these bytes must not move; a change that moves
+# them on purpose says so and updates the pin.
+PINNED_ANALYTIC_CSVS = {
+    "qpm-solve": ("qpm", "2f4b88086dad6af34f312a2275d7e1952b5775183c2a201164ca1f95fa29c7bd"),
+    "budget": ("budget", "0fa282351fade895d6011f1af831ef9863e1442a4408147e6028751c900bd381"),
+    "repeater-rates": (
+        "repeater", "63eaaa9766db163429afb9c365cb2d4c90e736cf3c858796366ff2dddf773a11"
+    ),
+    "efficiency-curve": (
+        "efficiency", "f8954f51f5fd7957dfbb65c29fd813aef8c91378407b691368fb8000656660de"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", PINNED_ANALYTIC_CSVS)
+def test_analytic_csv_bytes_are_pinned(tmp_path, command):
+    kind, digest = PINNED_ANALYTIC_CSVS[command]
+    assert cli.main([command, "--out", str(tmp_path)]) == 0
+    data = (tmp_path / f"{DIGEST}-{kind}.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -471,6 +471,13 @@ def test_histogram_validation():
         TacHistogram(50.0, np.array([-1]), 0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_histogram_refuses_counts_that_are_not_finite(bad):
+    # A NaN passes the "< 0" check, and total_counts() then failed in int().
+    with pytest.raises(DomainError, match="finite"):
+        TacHistogram(1.0, np.array([1.0, bad]), 0)
+
+
 # --- peak width ---
 
 
@@ -592,6 +599,15 @@ def test_visibility_fit_refuses_a_phase_that_is_not_finite(bad, capfd):
     with pytest.raises(DomainError, match="finite"):
         detection.check_fit_phases(pts[:, 0])
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_visibility_fit_refuses_counts_that_are_not_finite(bad):
+    # A NaN count used to pass every check and give v_net = nan.
+    pts = synth_fringe(100.0, 0.5, 0.0)
+    pts[5, 1] = bad
+    with pytest.raises(DomainError, match="fringe counts must be finite"):
+        extract_visibility(pts)
 
 
 def test_visibility_fit_rejects_non_sinusoid():

@@ -660,6 +660,26 @@ def test_expected_fringe_rejects_negative_pulses(ref):
         run_fringe_scan(ref, [0.0, 1.0], pulses=-5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1.5])
+@pytest.mark.parametrize("entry", [run_fringe_scan, expected_fringe, validate_against_oracle])
+def test_pulse_count_must_be_an_integer(ref, entry, bad, monkeypatch):
+    # 1.5 used to run and record pulses_per_point = 1.5; NaN failed inside
+    # numpy, or gave the oracle NaN counts.
+    def no_draws(*args):
+        raise AssertionError("drew before checking the pulse count")
+
+    monkeypatch.setattr(montecarlo, "substream", no_draws)
+    with pytest.raises(DomainError, match=f"pulses must be an integer, got {bad!r}"):
+        entry(ref, [0.0, 1.0], pulses=bad)
+
+
+def test_pulse_count_accepts_numpy_integers(ref):
+    # The count is read as a Python int, so its type does not reach the digest.
+    run = run_fringe_scan(ref, [0.0, 1.0], pulses=np.int64(1_000))
+    assert run.metadata["pulses_per_point"] == 1_000
+    assert run.content_digest() == run_fringe_scan(ref, [0.0, 1.0], pulses=1_000).content_digest()
+
+
 def assert_oracle_agrees(s):
     report = validate_against_oracle(s, PHASES_12, pulses=200_000)
     assert report.chi2_per_dof is not None

@@ -206,3 +206,126 @@ def test_solve_pump_no_root_reports_endpoints():
 def test_solve_pump_rejects_signal_inside_bracket():
     with pytest.raises(DomainError):
         qpm.solve_pump_wavelength(BULK_PERIOD_352K, 1.4, T_DEVICE_K)
+
+
+# --- the pump solver against a full ascending scan ---
+
+SCAN_GRID = [
+    qpm.PUMP_SEARCH_BRACKET_UM[0]
+    + (qpm.PUMP_SEARCH_BRACKET_UM[1] - qpm.PUMP_SEARCH_BRACKET_UM[0]) * i / 127
+    for i in range(128)
+]
+
+
+def full_scan_pump(poling_period_um, signal_um, temperature_k, order=1):
+    """The pump solver written as a full scan: every grid point is evaluated,
+    every bracket is refined, and the last one in ascending order wins."""
+    lo, hi = qpm.PUMP_SEARCH_BRACKET_UM
+    if signal_um >= lo:
+        raise DomainError(
+            f"signal {signal_um} um must lie below the pump search bracket "
+            f"[{lo}, {hi}] um"
+        )
+    cfg = qpm.QpmConfig(poling_period_um, 1.0, temperature_k, order)
+
+    def residual(pump_um):
+        output_um = qpm.dfg_output_wavelength(signal_um, pump_um)
+        return qpm.phase_mismatch(signal_um, pump_um, output_um, cfg)
+
+    xs = SCAN_GRID
+    fs = [residual(x) for x in xs]
+    root = None
+    for x0, x1, f0, f1 in zip(xs, xs[1:], fs, fs[1:]):
+        if f0 == 0.0:
+            root = x0
+        elif f0 * f1 < 0:
+            root = qpm._refine_root(residual, x0, x1, f0, f1)
+    if fs[-1] == 0.0:
+        root = xs[-1]
+    if root is None:
+        raise SolverError(
+            f"no quasi-phase-matched pump in [{lo}, {hi}] um at "
+            f"Lambda = {poling_period_um} um, T = {temperature_k} K: mismatch is "
+            f"{fs[0]:+.3e} rad/um at {lo} um and {fs[-1]:+.3e} rad/um at {hi} um "
+            f"with no sign change"
+        )
+    return root
+
+
+def outcome(solve, *args):
+    """A solve's root as its repr, or its error's type and text."""
+    try:
+        return repr(solve(*args))
+    except (DomainError, SolverError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def seeded_solver_inputs(n, seed=23):
+    """(period, signal, T, order) draws: signals 0.3-1.29 um, 290-450 K,
+    orders 1 and 3. Half the periods are uniform over 3-40 um; the other
+    half sit within 2 % of a bulk-matched period, so that roots are common."""
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        signal = float(rng.uniform(0.3, 1.29))
+        t = float(rng.uniform(290.0, 450.0))
+        order = int(rng.choice([1, 3]))
+        period = float(rng.uniform(3.0, 40.0))
+        if k % 2:
+            pump = float(rng.uniform(1.3, 1.8))
+            try:
+                matched = qpm.solve_poling_period(signal, pump, t, order)
+            except (DomainError, SolverError):
+                matched = 0.0
+            if 3.0 <= matched <= 40.0:
+                period = matched * float(rng.uniform(0.98, 1.02))
+        yield period, signal, t, order
+
+
+def test_solve_pump_matches_a_full_scan_bit_for_bit():
+    kinds = {"root": 0, "DomainError": 0, "SolverError": 0}
+    for args in seeded_solver_inputs(1_500):
+        got = outcome(qpm.solve_pump_wavelength, *args)
+        assert got == outcome(full_scan_pump, *args), args
+        kinds[got.split(":")[0] if ":" in got else "root"] += 1
+    # The grid reaches roots, scan failures and the Sellmeier range alike.
+    assert min(kinds.values()) >= 200, kinds
+
+
+def test_solve_pump_refuses_a_blue_end_outside_validity_despite_a_red_root():
+    # A 1.2 um signal is phase matched by a 1.7 um pump at this period, but
+    # the output wave at the 1.3 um blue end lies beyond the Sellmeier range.
+    period = qpm.solve_poling_period(1.2, 1.7, T_DEVICE_K)
+    blue_output = qpm.dfg_output_wavelength(1.2, qpm.PUMP_SEARCH_BRACKET_UM[0])
+    with pytest.raises(DomainError, match=f"wavelength {blue_output} um outside Sellmeier"):
+        qpm.solve_pump_wavelength(period, 1.2, T_DEVICE_K)
+
+
+@pytest.mark.parametrize(
+    "toy,expected",
+    [
+        (lambda p: p - SCAN_GRID[40], SCAN_GRID[40]),
+        (lambda p: (SCAN_GRID[-1] - p) * (p - 1.45), SCAN_GRID[-1]),
+        (lambda p: p - SCAN_GRID[0], SCAN_GRID[0]),
+        (lambda p: (p - SCAN_GRID[0]) * (p - 1.61), None),
+        (lambda p: (p - SCAN_GRID[90]) * (p - 1.45), SCAN_GRID[90]),
+        (lambda p: (p - 1.41) * (p - 1.62), None),
+        (lambda p: 1.0 + p, SolverError),
+    ],
+    ids=[
+        "zero-inside", "zero-at-red-end", "zero-at-blue-end", "zero-at-blue-end-and-a-root",
+        "zero-above-a-root", "two-sign-changes", "no-root",
+    ],
+)
+def test_solve_pump_scan_branches(monkeypatch, toy, expected):
+    # The toy replaces the mismatch of every pump, so exact zeros can sit on
+    # grid points. Where two roots exist, the redder one (above 1.6 um) wins.
+    monkeypatch.setattr(qpm, "_mismatch", lambda signal_per_um, pump_um, out_um, cfg: toy(pump_um))
+    args = (BULK_PERIOD_352K, SIGNAL_UM, T_DEVICE_K)
+    got = outcome(qpm.solve_pump_wavelength, *args)
+    assert got == outcome(full_scan_pump, *args)
+    if expected is SolverError:
+        assert got.startswith("SolverError: no quasi-phase-matched pump")
+    elif expected is None:
+        assert float(got) > 1.6
+    else:
+        assert got == repr(expected)

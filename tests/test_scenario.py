@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from qifsim import conversion
 from qifsim.errors import ConfigError, DomainError
 from qifsim.scenario import (
     load_reference_scenario,
@@ -60,6 +61,28 @@ def test_repeater_link_uses_budget_by_default(ref):
     link = ref.repeater_link(10.0)
     assert link.interface_efficiency == pytest.approx(ref.eta_qi(), rel=1e-12)
     assert link.length_km == 10.0
+
+
+def test_budget_at_the_configured_power_is_computed_once(monkeypatch):
+    s = dataclasses.replace(load_reference_scenario(), unit_conversion_survival=False)
+    before = (serialize_scenario(s), scenario_digest(s), hash(s))
+    eta = s.eta_qi()
+    assert eta == s.eta_qi(s.pump.power_w)
+    calls = []
+    monkeypatch.setattr(conversion, "end_to_end_efficiency", lambda *args: calls.append(args))
+    links = [s.repeater_link(float(km)) for km in range(100)]
+    assert {link.interface_efficiency for link in links} == {eta}
+    assert s.conversion_survival() == eta
+    assert s.eta_qi() == eta
+    assert calls == []
+    monkeypatch.undo()
+    # The cached value is no field: the scenario reads as it did before.
+    assert (serialize_scenario(s), scenario_digest(s), hash(s)) == before
+    assert s == dataclasses.replace(load_reference_scenario(), unit_conversion_survival=False)
+    brighter_pump = dataclasses.replace(s.pump, power_w=2.0 * s.pump.power_w)
+    brighter = dataclasses.replace(s, pump=brighter_pump)
+    assert brighter.eta_qi() == brighter.eta_qi(brighter.pump.power_w)
+    assert brighter.eta_qi() > eta
 
 
 def test_load_missing_file_names_path(tmp_path):
