@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Loads a scenario file, dispatches one of the analysis or simulation
-commands, writes plot-ready CSV files named <scenario-digest>-<kind>.csv
-into the output directory, and appends a provenance line to run.log there:
-scenario digest, seed, wall time since start-up and the status, with the
-error message when the command failed.
+commands, writes one plot-ready CSV file named <scenario-digest>-<kind>.csv
+into the output directory, prints ``wrote <path>`` last, and appends a
+provenance line to run.log there: scenario digest, seed, wall time since
+start-up and the status, with the error message when the command failed.
 
 Only the fringe-scan, histogram and validate commands import numpy and
 the engine, inside their handlers. qpm-solve, budget, repeater-rates and
@@ -12,7 +12,8 @@ efficiency-curve, whose binomial sweep draws from a standard-library
 stream, run on the standard library alone.
 
 Exit codes: 0 success, 2 configuration problem (bad file, key, or
-invariant; the message names it), 3 numeric or solver failure.
+invariant, or an output or run.log that cannot be written; the message
+names it), 3 numeric or solver failure.
 """
 
 from __future__ import annotations
@@ -35,16 +36,6 @@ from .scenario import _parse_grid as scenario_grid
 __all__ = ["main"]
 
 OUT_DIR_ENV = "QIFSIM_OUT"
-
-COMMANDS = (
-    "qpm-solve",
-    "efficiency-curve",
-    "fringe-scan",
-    "histogram",
-    "repeater-rates",
-    "budget",
-    "validate",
-)
 
 
 def _grid(start: float, stop: float, n: int) -> list[float]:
@@ -121,30 +112,34 @@ def _load(scenario_path: str | None, seed: int | None) -> Scenario:
     return s
 
 
-def _write_csv(path: Path, meta: dict, columns: list[str], rows) -> None:
+def _write_output(s: Scenario, out: Path, kind: str, columns: list[str], rows, **meta) -> Path:
+    """Write ``<digest>-<kind>.csv`` into ``out`` and return its path.
+
+    ``# key = value`` header lines come first: version, scenario digest,
+    master seed and kind, then ``meta`` in the order given.
+    """
+    digest = scenario_digest(s)
+    path = out / f"{digest}-{kind}.csv"
+    header = {
+        "version": __version__,
+        "scenario_digest": digest,
+        "master_seed": s.master_seed,
+        "kind": kind,
+        **meta,
+    }
     try:
         with open(path, "w", newline="") as handle:
-            for key, value in meta.items():
+            for key, value in header.items():
                 handle.write(f"# {key} = {value}\n")
             writer = csv.writer(handle)
             writer.writerow(columns)
             writer.writerows(rows)
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
+    return path
 
 
-def _meta(s: Scenario, kind: str, **extra) -> dict:
-    meta = {
-        "version": __version__,
-        "scenario_digest": scenario_digest(s),
-        "master_seed": s.master_seed,
-        "kind": kind,
-    }
-    meta.update(extra)
-    return meta
-
-
-def _cmd_qpm_solve(s: Scenario, out: Path, args) -> list[Path]:
+def _cmd_qpm_solve(s: Scenario, out: Path, args) -> Path:
     t = s.qpm.temperature_k
     signal = s.signal_wavelength_um
     pump = s.pump.wavelength_um
@@ -165,19 +160,17 @@ def _cmd_qpm_solve(s: Scenario, out: Path, args) -> list[Path]:
         ("acceptance_at_configured_period", repr(qpm.qpm_acceptance(delta_k, s.qpm.crystal_length_cm)), ""),
         ("pump_wavelength_matched_at_bulk_period", repr(matched_pump), "um"),
     ]
-    path = out / f"{scenario_digest(s)}-qpm.csv"
-    _write_csv(path, _meta(s, "qpm"), ["quantity", "value", "unit"], rows)
+    path = _write_output(s, out, "qpm", ["quantity", "value", "unit"], rows)
     print(f"bulk quasi-phase-matched period at {t} K: {bulk_period:.4f} um")
     print(
         f"configured period {s.qpm.poling_period_um} um leaves a mismatch of "
         f"{delta_k:.5f} rad/um (waveguide dispersion absorbs the difference "
         f"in the physical device)"
     )
-    print(f"wrote {path}")
-    return [path]
+    return path
 
 
-def _cmd_efficiency(s: Scenario, out: Path, args) -> list[Path]:
+def _cmd_efficiency(s: Scenario, out: Path, args) -> Path:
     if args.powers:
         powers = _parse_grid(args.powers, "--powers")
         if any(p < 0 for p in powers):
@@ -189,20 +182,16 @@ def _cmd_efficiency(s: Scenario, out: Path, args) -> list[Path]:
         (repr(p.power_w), repr(p.eta_analytic), repr(p.eta_mc), repr(p.stat_error))
         for p in table
     ]
-    path = out / f"{scenario_digest(s)}-efficiency.csv"
-    _write_csv(
-        path,
-        _meta(s, "efficiency", mc_photons_per_point=s.mc_photons_per_point),
-        ["power_w", "eta_qi_analytic", "eta_qi_mc", "stat_error"],
-        rows,
+    columns = ["power_w", "eta_qi_analytic", "eta_qi_mc", "stat_error"]
+    path = _write_output(
+        s, out, "efficiency", columns, rows, mc_photons_per_point=s.mc_photons_per_point
     )
     last = table[-1]
     print(
         f"eta_QI at {last.power_w:.3f} W: analytic {last.eta_analytic * 100:.4f} %, "
         f"Monte Carlo {last.eta_mc * 100:.4f} % +- {last.stat_error * 100:.4f} %"
     )
-    print(f"wrote {path}")
-    return [path]
+    return path
 
 
 def _scan_args(args) -> tuple[list[float], int | None]:
@@ -218,7 +207,7 @@ def _scan_args(args) -> tuple[list[float], int | None]:
     return phases, args.pulses
 
 
-def _cmd_fringe_scan(s: Scenario, out: Path, args) -> list[Path]:
+def _cmd_fringe_scan(s: Scenario, out: Path, args) -> Path:
     from . import detection, montecarlo
 
     phases, pulses = _scan_args(args)
@@ -230,20 +219,11 @@ def _cmd_fringe_scan(s: Scenario, out: Path, args) -> list[Path]:
     except DomainError as exc:
         raise ConfigError(f"--phases: {exc}") from exc
     result = montecarlo.run_fringe_scan(s, phases, pulses)
-    rows = [
-        (repr(p.phase_rad), p.counts, repr(p.stat_error)) for p in result.fringe
-    ]
-    path = out / f"{scenario_digest(s)}-fringe.csv"
-    _write_csv(
-        path,
-        _meta(
-            s,
-            "fringe",
-            pulses_per_point=result.metadata["pulses_per_point"],
-            phase_points=len(result.fringe),
-        ),
-        ["phase_rad", "counts", "stat_error"],
-        rows,
+    rows = [(repr(p.phase_rad), p.counts, repr(p.stat_error)) for p in result.fringe]
+    columns = ["phase_rad", "counts", "stat_error"]
+    n_pulses = result.metadata["pulses_per_point"]
+    path = _write_output(
+        s, out, "fringe", columns, rows, pulses_per_point=n_pulses, phase_points=len(rows)
     )
     background = result.mean_background()
     fit = detection.extract_visibility(result.fringe_points(), background=background)
@@ -251,11 +231,10 @@ def _cmd_fringe_scan(s: Scenario, out: Path, args) -> list[Path]:
         f"V_raw = {fit.v_raw:.4f}, V_net = {fit.v_net:.4f} "
         f"(estimated background {background:.1f} counts/point)"
     )
-    print(f"wrote {path}")
-    return [path]
+    return path
 
 
-def _cmd_histogram(s: Scenario, out: Path, args) -> list[Path]:
+def _cmd_histogram(s: Scenario, out: Path, args) -> Path:
     from . import montecarlo
 
     result = montecarlo.run_fringe_scan(s, *_scan_args(args))
@@ -265,19 +244,16 @@ def _cmd_histogram(s: Scenario, out: Path, args) -> list[Path]:
         (repr(float(edges[i])), repr(float(edges[i + 1])), int(c))
         for i, c in enumerate(hist.counts)
     ]
-    path = out / f"{scenario_digest(s)}-histogram.csv"
-    _write_csv(
-        path,
-        _meta(s, "histogram", sync_pulses=hist.sync_pulses, total_counts=hist.total_counts()),
-        ["bin_start_ns", "bin_end_ns", "counts"],
-        rows,
+    columns = ["bin_start_ns", "bin_end_ns", "counts"]
+    total = hist.total_counts()
+    path = _write_output(
+        s, out, "histogram", columns, rows, sync_pulses=hist.sync_pulses, total_counts=total
     )
-    print(f"{hist.total_counts()} detections over {hist.sync_pulses} sync pulses")
-    print(f"wrote {path}")
-    return [path]
+    print(f"{total} detections over {hist.sync_pulses} sync pulses")
+    return path
 
 
-def _cmd_repeater(s: Scenario, out: Path, args) -> list[Path]:
+def _cmd_repeater(s: Scenario, out: Path, args) -> Path:
     rows = []
     for length in _grid(*s.repeater.length_grid_km):
         cfg = s.repeater_link(length)
@@ -286,22 +262,11 @@ def _cmd_repeater(s: Scenario, out: Path, args) -> list[Path]:
         rate_with = repeater.link_rate_hz(cfg, with_interface=True)
         rate_without = repeater.link_rate_hz(cfg, with_interface=False)
         ratio = p_with / p_without if p_without > 0 else math.inf
-        rows.append(
-            (
-                repr(length),
-                repr(p_with),
-                repr(p_without),
-                repr(rate_with),
-                repr(rate_without),
-                repr(ratio),
-            )
-        )
-    path = out / f"{scenario_digest(s)}-repeater.csv"
-    _write_csv(
-        path,
-        _meta(s, "repeater", protocol=s.repeater.protocol, model="illustrative"),
-        ["length_km", "p_with", "p_without", "rate_with_hz", "rate_without_hz", "ratio"],
-        rows,
+        values = (length, p_with, p_without, rate_with, rate_without, ratio)
+        rows.append([repr(v) for v in values])
+    columns = ["length_km", "p_with", "p_without", "rate_with_hz", "rate_without_hz", "ratio"]
+    path = _write_output(
+        s, out, "repeater", columns, rows, protocol=s.repeater.protocol, model="illustrative"
     )
     # Only the length varies along the grid, and nothing printed here reads it.
     print(
@@ -317,11 +282,10 @@ def _cmd_repeater(s: Scenario, out: Path, args) -> list[Path]:
         print(f"per-photon break-even length: {breakeven:.2f} km")
     except DomainError as exc:
         print(f"no break-even length: {exc}")
-    print(f"wrote {path}")
-    return [path]
+    return path
 
 
-def _cmd_budget(s: Scenario, out: Path, args) -> list[Path]:
+def _cmd_budget(s: Scenario, out: Path, args) -> Path:
     stages = [(f"pre/{st.name}", st.transmission()) for st in s.chain_pre.stages]
     stages.append(("internal_conversion", s.internal_efficiency()))
     stages += [(f"post/{st.name}", st.transmission()) for st in s.chain_post.stages]
@@ -340,18 +304,11 @@ def _cmd_budget(s: Scenario, out: Path, args) -> list[Path]:
 
     csv_rows = [(name, repr(trans), repr(cum)) for name, trans, cum in rows]
     csv_rows.append(("eta_QI", repr(eta_qi), repr(eta_qi)))
-    path = out / f"{scenario_digest(s)}-budget.csv"
-    _write_csv(
-        path,
-        _meta(s, "budget", pump_power_w=s.pump.power_w),
-        ["stage", "transmission", "cumulative"],
-        csv_rows,
-    )
-    print(f"wrote {path}")
-    return [path]
+    columns = ["stage", "transmission", "cumulative"]
+    return _write_output(s, out, "budget", columns, csv_rows, pump_power_w=s.pump.power_w)
 
 
-def _cmd_validate(s: Scenario, out: Path, args) -> list[Path]:
+def _cmd_validate(s: Scenario, out: Path, args) -> Path:
     from . import montecarlo
 
     report = montecarlo.validate_against_oracle(s, *_scan_args(args))
@@ -359,13 +316,8 @@ def _cmd_validate(s: Scenario, out: Path, args) -> list[Path]:
         (repr(phase), repr(obs), repr(exp), repr(z))
         for phase, obs, exp, z in report.rows
     ]
-    path = out / f"{scenario_digest(s)}-validate.csv"
-    _write_csv(
-        path,
-        _meta(s, "validate", phase_points=report.n_points),
-        ["phase_rad", "observed", "expected", "z_score"],
-        rows,
-    )
+    columns = ["phase_rad", "observed", "expected", "z_score"]
+    path = _write_output(s, out, "validate", columns, rows, phase_points=report.n_points)
     if report.chi2_per_dof is None:
         print(f"comparison empty: {report.note}")
     else:
@@ -375,11 +327,12 @@ def _cmd_validate(s: Scenario, out: Path, args) -> list[Path]:
         )
         for phase in report.flagged_phases:
             print(f"  flagged: beta = {phase:.6g} rad")
-    print(f"wrote {path}")
-    return [path]
+    return path
 
 
-_DISPATCH = {
+# Each command and its handler, in the order the help lists them. A handler
+# writes one CSV and returns its path; main prints it and logs the run.
+COMMANDS = {
     "qpm-solve": _cmd_qpm_solve,
     "efficiency-curve": _cmd_efficiency,
     "fringe-scan": _cmd_fringe_scan,
@@ -420,15 +373,6 @@ def _append_run_log(
         raise ConfigError(f"cannot append to run log in {out}: {exc}") from exc
 
 
-def _try_log(
-    out: Path, s: Scenario | None, command: str, started: float, error: QifsimError
-) -> None:
-    try:
-        _append_run_log(out, s, command, started, error)
-    except ConfigError:
-        pass
-
-
 def main(argv=None) -> int:
     started = time.perf_counter()
     args = _build_parser().parse_args(argv)
@@ -442,16 +386,17 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
         scenario = _load(args.scenario, args.seed)
         scenario.warn_if_unresolved()
-        _DISPATCH[args.command](scenario, out, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        _try_log(out, scenario, args.command, started, exc)
-        return 2
+        path = COMMANDS[args.command](scenario, out, args)
+        print(f"wrote {path}")
+        _append_run_log(out, scenario, args.command, started)
     except QifsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _try_log(out, scenario, args.command, started, exc)
-        return 3
-    _append_run_log(out, scenario, args.command, started)
+        config = isinstance(exc, ConfigError)
+        print(f"{'config error' if config else 'error'}: {exc}", file=sys.stderr)
+        try:
+            _append_run_log(out, scenario, args.command, started, exc)
+        except ConfigError:
+            pass  # the run already failed; its message is on stderr
+        return 2 if config else 3
     return 0
 
 

@@ -350,15 +350,24 @@ def run_efficiency_sweep(s: Scenario, powers_w) -> tuple[EfficiencyPoint, ...]:
     conversion, post chain) as independent binomial thinnings, so it
     checks the chain's composition, not only ``eta_qi``. This sweep
     always measures the physical budget; the fringe-scan statistics
-    switch has no effect here. ``powers_w`` is any iterable of numbers,
-    a numpy array included; each power draws from its own stream.
+    switch has no effect here. ``powers_w`` is any flat iterable of
+    numbers, a one-dimensional numpy array included; each power draws
+    from its own stream.
 
     Raises:
-        DomainError: a power is negative or not finite.
+        DomainError: the grid is not flat, or a power is not a number, is
+            negative or is not finite.
         ConfigError: a power appears twice in the grid.
     """
     n = s.mc_photons_per_point
-    powers = [float(power) for power in powers_w]
+    try:
+        powers = [float(power) for power in powers_w]
+    except (TypeError, ValueError):  # a scalar, a nested grid, or a non-number
+        powers = None
+    # ndim, where the grid has one, also catches an (n, 1) array, whose rows
+    # older numpy still converts to float.
+    if powers is None or getattr(powers_w, "ndim", 1) > 1:
+        raise DomainError(f"pump powers must be a flat grid of numbers, got {powers_w!r}")
     for power in powers:
         if not math.isfinite(power):
             raise DomainError(f"pump power must be finite, got {power} W")

@@ -31,9 +31,9 @@ The fold on the sync period equals ``np.mod`` bit for bit, by a split
 of the period that makes the remainder exact, without fmod.
 
 This module needs numpy, and only the fringe-scan, histogram and validate
-commands import it. The efficiency sweep (``run_efficiency_sweep``,
-``EfficiencyPoint``) lives in the numpy-free ``conversion`` module and is
-re-exported here.
+commands import it. The efficiency sweep lives in the numpy-free
+``conversion`` module; ``run_efficiency_sweep`` is re-exported here for
+the benchmark, which calls it by this name.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .detection import (
     _reserve,
     simulate_detection,
 )
-from .conversion import EfficiencyPoint, _reject_repeats, run_efficiency_sweep
+from .conversion import _reject_repeats, run_efficiency_sweep
 from .errors import ConfigError, DomainError, QifsimError
 from .scenario import FWHM_TO_SIGMA, DetectorModel, Scenario, scenario_digest
 from .timebin import analyze, apply_conversion_phase, prepare_qubit
@@ -71,7 +71,6 @@ _MAX_POINT_EVENTS = 2**31 - 1
 
 __all__ = [
     "FringePoint",
-    "EfficiencyPoint",
     "RunResult",
     "ExpectedFringe",
     "ValidationReport",
@@ -649,6 +648,17 @@ def _run_points(simulate, phases: list[float]) -> list:
     return results
 
 
+def _phase_grid(phases_rad) -> np.ndarray:
+    """The analysis phases as a float array, refused unless flat."""
+    try:
+        phases = np.asarray(phases_rad, dtype=float)
+    except (TypeError, ValueError):  # a ragged grid, or one with a non-number
+        phases = None
+    if phases is None or phases.ndim > 1:
+        raise DomainError(f"phases must be a flat grid of numbers, got {phases_rad!r}")
+    return phases
+
+
 def run_fringe_scan(s: Scenario, phases_rad, pulses: int | None = None) -> RunResult:
     """Scan the analysis phase and count windowed arrivals at each point.
 
@@ -663,12 +673,12 @@ def run_fringe_scan(s: Scenario, phases_rad, pulses: int | None = None) -> RunRe
     grid order.
 
     Raises:
-        DomainError: fewer than 2 phases, a phase not finite, or pulses not
-            an integer or < 0.
+        DomainError: a grid that is not flat, fewer than 2 phases, a phase
+            not finite, or pulses not an integer or < 0.
         ConfigError: a phase appears twice in the grid, or a point's
             projected events exceed the int32 indices of the engine.
     """
-    phases = np.asarray(phases_rad, dtype=float)
+    phases = _phase_grid(phases_rad)
     if phases.size < 2:
         raise DomainError(f"need at least 2 phase points, got {phases.size}")
     # A non-finite phase keys a stream that no grid check can tell apart
@@ -747,11 +757,12 @@ def expected_fringe(s: Scenario, phases_rad, pulses: int | None = None) -> Expec
     exact at zero and an approximation otherwise.
 
     Raises:
-        DomainError: square pulse shape, or pulses not an integer or < 0.
+        DomainError: square pulse shape, a phase grid that is not flat, or
+            pulses not an integer or < 0.
     """
     if s.source.pulse_shape != "gaussian":
         raise DomainError("expected_fringe only covers gaussian pulse shapes")
-    phases = np.asarray(phases_rad, dtype=float)
+    phases = _phase_grid(phases_rad)
     n_pulses = _pulse_count(s, pulses)
     m = _point_model(s)
     early, middle, late = (
@@ -811,7 +822,7 @@ def validate_against_oracle(
     content, not errors. A scenario outside the oracle's domain raises
     before the engine draws anything.
     """
-    phases = np.asarray(phases_rad, dtype=float)
+    phases = _phase_grid(phases_rad)
     n_pulses = _pulse_count(s, pulses)
     expected = expected_fringe(s, phases, pulses=n_pulses).counts
     run = run_fringe_scan(s, phases, pulses=n_pulses)

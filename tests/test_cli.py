@@ -187,12 +187,48 @@ PINNED_ANALYTIC_CSVS = {
 }
 
 
+# SHA-256 of the Monte Carlo CSVs on the bundled reference at --pulses 20000.
+# validate's observed column holds the same fringe counts, so it needs no pin.
+PINNED_MC_CSVS = {
+    "fringe-scan": ("fringe", "39c344964e99febdc23f23fd9bfcc80a5f7ebd3f4edac6314b407acfd6e6d2f4"),
+    "histogram": ("histogram", "47ace083867a650f852f0e064676bf2f169e678346464ad39142731bada56519"),
+}
+
+
 @pytest.mark.parametrize("command", PINNED_ANALYTIC_CSVS)
 def test_analytic_csv_bytes_are_pinned(tmp_path, command):
     kind, digest = PINNED_ANALYTIC_CSVS[command]
     assert cli.main([command, "--out", str(tmp_path)]) == 0
     data = (tmp_path / f"{DIGEST}-{kind}.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", PINNED_MC_CSVS)
+def test_monte_carlo_csv_bytes_are_pinned(tmp_path, command):
+    kind, digest = PINNED_MC_CSVS[command]
+    assert cli.main([command, "--pulses", "20000", "--out", str(tmp_path)]) == 0
+    data = (tmp_path / f"{DIGEST}-{kind}.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_each_command_prints_the_one_csv_it_wrote_last(tmp_path, capsys, command):
+    assert cli.main([command, "--pulses", "20000", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    written = list(tmp_path.glob("*.csv"))
+    assert len(written) == 1
+    assert lines[-1] == f"wrote {written[0]}"
+    assert [line for line in lines if line.startswith("wrote ")] == lines[-1:]
+
+
+def test_run_log_that_cannot_be_appended_exits_2(tmp_path, capsys):
+    # The command succeeds and writes its CSV; the log line cannot follow.
+    (tmp_path / "run.log").mkdir()
+    assert cli.main(["budget", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: cannot append to run log in {tmp_path}")
+    assert captured.out.splitlines()[-1] == f"wrote {tmp_path / f'{DIGEST}-budget.csv'}"
+    assert (tmp_path / f"{DIGEST}-budget.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -317,7 +317,6 @@ def test_efficiency_sweep_takes_lists_and_arrays(ref):
 
 def test_efficiency_sweep_is_reexported_by_montecarlo():
     assert montecarlo.run_efficiency_sweep is run_efficiency_sweep
-    assert montecarlo.EfficiencyPoint is conversion.EfficiencyPoint
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -328,3 +327,18 @@ def test_efficiency_sweep_rejects_non_finite_power_before_drawing(ref, bad, monk
     monkeypatch.setattr(conversion, "_stream", no_draws)
     with pytest.raises(DomainError, match=f"pump power must be finite, got {bad} W"):
         run_efficiency_sweep(ref, [0.1, bad])
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [np.array([[0.1, 0.2]]), np.array([[0.1], [0.2]]), [[0.1, 0.2]], [0.1, [0.2]], 0.1, ["x"]],
+    ids=["row", "column", "nested", "ragged", "scalar", "text"],
+)
+def test_efficiency_sweep_rejects_a_grid_that_is_not_flat_before_drawing(ref, grid, monkeypatch):
+    # A 2-D array once raised a bare TypeError.
+    def no_draws(*args):
+        raise AssertionError("drew before checking the grid")
+
+    monkeypatch.setattr(conversion, "_stream", no_draws)
+    with pytest.raises(DomainError, match="pump powers must be a flat grid of numbers"):
+        run_efficiency_sweep(ref, grid)

@@ -139,6 +139,33 @@ def test_fringe_scan_rejects_non_finite_phase_before_drawing(ref, bad, monkeypat
         run_fringe_scan(ref, [0.0, bad, 1.0], pulses=1_000)
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [[[0.0, 1.0, 2.0]], np.array([[0.0], [1.0], [2.0]]), [[0.0, 1.0], 2.0], ["zero", 1.0]],
+    ids=["row", "column", "ragged", "text"],
+)
+@pytest.mark.parametrize("entry", [run_fringe_scan, validate_against_oracle, expected_fringe])
+def test_phase_grid_that_is_not_flat_is_refused_before_drawing(ref, monkeypatch, entry, grid):
+    # Once a bare TypeError from the scan, and 2-D counts from expected_fringe.
+    def no_draws(*args):
+        raise AssertionError("drew before checking the grid")
+
+    monkeypatch.setattr(montecarlo, "substream", no_draws)
+    with pytest.raises(DomainError, match="phases must be a flat grid of numbers"):
+        entry(ref, grid, pulses=1_000)
+
+
+@pytest.mark.parametrize("grid", [0.5, [0.5], np.array(0.5)])
+@pytest.mark.parametrize("entry", [run_fringe_scan, validate_against_oracle])
+def test_scalar_or_one_point_phase_grid_needs_two_points(ref, monkeypatch, entry, grid):
+    def no_draws(*args):
+        raise AssertionError("drew before checking the grid")
+
+    monkeypatch.setattr(montecarlo, "substream", no_draws)
+    with pytest.raises(DomainError, match="need at least 2 phase points, got 1"):
+        entry(ref, grid, pulses=1_000)
+
+
 def test_fringe_scan_rejects_repeated_phases(ref):
     # Both points would draw from the same substream.
     with pytest.raises(ConfigError, match="repeats the value 0.5"):
