@@ -12,8 +12,9 @@ efficiency-curve, whose binomial sweep draws from a standard-library
 stream, run on the standard library alone.
 
 Exit codes: 0 success, 2 configuration problem (bad file, key, or
-invariant, or an output or run.log that cannot be written; the message
-names it), 3 numeric or solver failure.
+invariant, or an output file, run.log or stdout that cannot be written;
+the message names it), 3 numeric or solver failure. A CSV is either
+complete or absent.
 """
 
 from __future__ import annotations
@@ -116,10 +117,13 @@ def _write_output(s: Scenario, out: Path, kind: str, columns: list[str], rows, *
     """Write ``<digest>-<kind>.csv`` into ``out`` and return its path.
 
     ``# key = value`` header lines come first: version, scenario digest,
-    master seed and kind, then ``meta`` in the order given.
+    master seed and kind, then ``meta`` in the order given. The file is
+    written as ``<name>.part`` and renamed into place, so a failed write
+    leaves no CSV, nor the part file where it can be removed.
     """
     digest = scenario_digest(s)
     path = out / f"{digest}-{kind}.csv"
+    part = path.with_name(path.name + ".part")
     header = {
         "version": __version__,
         "scenario_digest": digest,
@@ -128,13 +132,18 @@ def _write_output(s: Scenario, out: Path, kind: str, columns: list[str], rows, *
         **meta,
     }
     try:
-        with open(path, "w", newline="") as handle:
+        with open(part, "w", newline="") as handle:
             for key, value in header.items():
                 handle.write(f"# {key} = {value}\n")
             writer = csv.writer(handle)
             writer.writerow(columns)
             writer.writerows(rows)
+        os.replace(part, path)
     except OSError as exc:
+        try:
+            part.unlink(missing_ok=True)
+        except OSError:
+            pass  # the write already failed; its message names the file
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
     return path
 
@@ -373,6 +382,22 @@ def _append_run_log(
         raise ConfigError(f"cannot append to run log in {out}: {exc}") from exc
 
 
+def _detach_stdout() -> None:
+    """Point stdout's file descriptor at os.devnull after a failed flush.
+
+    The interpreter flushes stdout once more at exit, and a failure there
+    would turn the exit code into 120; the output still buffered is lost
+    either way. A stream with no descriptor is left as it is.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     started = time.perf_counter()
     args = _build_parser().parse_args(argv)
@@ -386,8 +411,12 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
         scenario = _load(args.scenario, args.seed)
         scenario.warn_if_unresolved()
-        path = COMMANDS[args.command](scenario, out, args)
-        print(f"wrote {path}")
+        try:
+            path = COMMANDS[args.command](scenario, out, args)
+            print(f"wrote {path}")
+            sys.stdout.flush()
+        except OSError as exc:  # the handlers' own files raise ConfigError
+            raise ConfigError(f"cannot write to standard output: {exc}") from exc
         _append_run_log(out, scenario, args.command, started)
     except QifsimError as exc:
         config = isinstance(exc, ConfigError)
@@ -396,6 +425,10 @@ def main(argv=None) -> int:
             _append_run_log(out, scenario, args.command, started, exc)
         except ConfigError:
             pass  # the run already failed; its message is on stderr
+        try:
+            sys.stdout.flush()  # what the command printed before it failed
+        except OSError:
+            _detach_stdout()  # its error, or the command's, is reported above
         return 2 if config else 3
     return 0
 

@@ -88,7 +88,7 @@ class LossStage:
             raise DomainError("loss stage needs a non-empty name")
         if self.unit not in _STAGE_DOMAINS:
             raise DomainError(f"{self.name} unit must be 'fraction' or 'dB', got {self.unit!r}")
-        lo, hi, text = _STAGE_DOMAINS[self.unit]
+        lo, hi, text, _ = _STAGE_DOMAINS[self.unit]
         if not lo <= self.value <= hi:
             raise DomainError(f"{self.name} must be {text}, got {self.value} {self.unit}")
 

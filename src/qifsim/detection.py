@@ -2,9 +2,9 @@
 
 Covers the detector stochastics (dark counts, Gaussian timing jitter,
 non-paralyzable dead time, optional afterpulsing), the arrival-time
-histogram folded on the laser sync, windowed peak selection, and the
-estimators used on top: dead-time correction, peak FWHM, and fringe
-visibility.
+histogram folded on the laser sync (one per scan, of its points' summed
+bin counts), windowed peak selection, and the estimators used on top:
+dead-time correction, peak FWHM, and fringe visibility.
 
 Only the dead time reads events in time order, so the merged stream of
 arrivals and dark counts is sorted once, and only when a dead time will
@@ -96,16 +96,6 @@ class TacHistogram:
     def bin_edges_ns(self) -> np.ndarray:
         width_ns = self.bin_width_ps * 1e-3
         return np.arange(self.counts.size + 1) * width_ns
-
-    def merged_with(self, other: "TacHistogram") -> "TacHistogram":
-        """Combine two histograms of identical layout (associative)."""
-        if self.bin_width_ps != other.bin_width_ps or self.counts.size != other.counts.size:
-            raise DomainError("histogram layouts differ; cannot merge")
-        return TacHistogram(
-            bin_width_ps=self.bin_width_ps,
-            counts=self.counts + other.counts,
-            sync_pulses=self.sync_pulses + other.sync_pulses,
-        )
 
 
 def dead_time_observe(rate_true_hz: float, dead_time_us: float) -> float:
@@ -607,16 +597,12 @@ def simulate_detection(
     return detections
 
 
-def _bin_folded(
-    folded_ns: np.ndarray,
-    sync_period_ns: float,
-    bin_width_ps: float,
-    sync_pulses: int,
-) -> TacHistogram:
-    """Bin times already folded on the sync period, the one binning rule.
+def _bin_folded(folded_ns: np.ndarray, sync_period_ns: float, bin_width_ps: float) -> np.ndarray:
+    """Int64 counts of times already folded on the sync period, the one binning rule.
 
     A time at or past the last bin's left edge, the period end included,
-    lands in the last bin.
+    lands in the last bin. The engine sums each point's counts into the
+    scan's one ``TacHistogram``.
     """
     width_ns = bin_width_ps * 1e-3
     if width_ns <= 0:
@@ -632,7 +618,7 @@ def _bin_folded(
         np.divide(folded_ns[lo:hi], width_ns, out=block, casting="unsafe")
         np.minimum(block, n_bins - 1, out=block)
         counts += np.bincount(block, minlength=n_bins)
-    return TacHistogram(bin_width_ps=bin_width_ps, counts=counts, sync_pulses=sync_pulses)
+    return counts
 
 
 # peak_fwhm looks for the peak maximum this far either side of the seed, ns.

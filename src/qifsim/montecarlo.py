@@ -11,8 +11,9 @@ time and afterpulsing, and for jitter where the pulses are square. Each
 point owns one event buffer, sized once for its arrivals and dark
 counts, which the sampling stages fill and the detector model writes
 over a block at a time; the
-detections are folded on the sync period in it once, for the histogram
-and both window counts. Every run is reproducible: all randomness flows
+detections are folded on the sync period in it once, for the point's TAC
+bin counts and both window counts. A scan sums its points' bin counts
+into its one histogram. Every run is reproducible: all randomness flows
 from PCG64DXSM substreams derived from the scenario's master seed,
 a role tag, and the grid value of the point, so results are independent
 of the order in which points are simulated, and a scan runs two points
@@ -108,7 +109,7 @@ class RunResult:
     """Everything a fringe scan produces.
 
     Attributes:
-        histogram: arrival-time histogram merged over all phase points.
+        histogram: arrival-time histogram of all phase points, one per scan.
         fringe: per-phase window counts with statistical errors.
         background_estimates: per-phase counts in a window of equal width
             parked half a sync period away from the signal peak.
@@ -550,8 +551,8 @@ def _arrival_times(
 
 def _simulate_point(
     s: Scenario, m: _PointModel, beta_rad: float, pulses: int, rng: np.random.Generator
-) -> tuple[TacHistogram, int, int]:
-    """One phase point: returns (histogram, window counts, background counts).
+) -> tuple[np.ndarray, int, int]:
+    """One phase point: returns (TAC bin counts, window counts, background counts).
 
     Samples only the photons that fire the detector. With Poisson photon
     numbers per pulse, the photons of each slot that survive conversion and
@@ -564,7 +565,7 @@ def _simulate_point(
     The point owns one event buffer, sized for the arrivals and, 10 sigma
     above their mean, the dark counts. ``simulate_detection`` works in it,
     and the detections are folded on the sync period in it; that one
-    folded array feeds the histogram and both window counts.
+    folded array feeds the bin counts and both window counts.
     """
     period = s.sync_period_ns()
     duration_s = s.duration_s(pulses)
@@ -576,8 +577,7 @@ def _simulate_point(
     folded = _fold(detections, period)
     window = _window_counts(folded, period, s.sca.center_ns, s.sca.width_ns)
     background = _window_counts(folded, period, s.sca.center_ns + 0.5 * period, s.sca.width_ns)
-    hist = _bin_folded(folded, period, s.histogram_bin_width_ps, pulses)
-    return hist, window, background
+    return _bin_folded(folded, period, s.histogram_bin_width_ps), window, background
 
 
 def _pulse_count(s: Scenario, pulses: int | None) -> int:
@@ -649,13 +649,21 @@ def _run_points(simulate, phases: list[float]) -> list:
 
 
 def _phase_grid(phases_rad) -> np.ndarray:
-    """The analysis phases as a float array, refused unless flat."""
+    """The analysis phases as a float array, refused unless flat and finite.
+
+    A non-finite phase keys a stream that no grid check can tell apart
+    from another NaN, its point would lose the middle slot, and the oracle
+    would count NaN there.
+    """
     try:
         phases = np.asarray(phases_rad, dtype=float)
     except (TypeError, ValueError):  # a ragged grid, or one with a non-number
         phases = None
     if phases is None or phases.ndim > 1:
         raise DomainError(f"phases must be a flat grid of numbers, got {phases_rad!r}")
+    for beta in phases.ravel().tolist():
+        if not math.isfinite(beta):
+            raise DomainError(f"phase must be finite, got {beta} rad")
     return phases
 
 
@@ -669,8 +677,8 @@ def run_fringe_scan(s: Scenario, phases_rad, pulses: int | None = None) -> RunRe
 
     Deterministic for a given scenario and master seed; each phase point
     draws from its own substream, so up to two points run at once, one on
-    the calling thread and one on a helper, and the results are merged in
-    grid order.
+    the calling thread and one on a helper; the points' bin counts are
+    summed in grid order into the scan's one histogram.
 
     Raises:
         DomainError: a grid that is not flat, fewer than 2 phases, a phase
@@ -681,12 +689,9 @@ def run_fringe_scan(s: Scenario, phases_rad, pulses: int | None = None) -> RunRe
     phases = _phase_grid(phases_rad)
     if phases.size < 2:
         raise DomainError(f"need at least 2 phase points, got {phases.size}")
-    # A non-finite phase keys a stream that no grid check can tell apart
-    # from another NaN, and its point would lose the middle slot.
-    for beta in phases.tolist():
-        if not math.isfinite(beta):
-            raise DomainError(f"phase must be finite, got {beta} rad")
-    _reject_repeats(phases.tolist(), "phase")
+    betas = phases.tolist()
+    # Only the scan keys streams by phase.
+    _reject_repeats(betas, "phase")
     n_pulses = _pulse_count(s, pulses)
 
     started = time.perf_counter()
@@ -700,34 +705,29 @@ def run_fringe_scan(s: Scenario, phases_rad, pulses: int | None = None) -> RunRe
         "projected events",
     )
 
-    def point(beta: float) -> tuple[TacHistogram, int, int]:
+    def point(beta: float) -> tuple[np.ndarray, int, int]:
         rng = substream(s.master_seed, "fringe-scan", beta)
         try:
             return _simulate_point(s, model, beta, n_pulses, rng)
         except QifsimError as exc:
             raise type(exc)(f"phase point beta = {beta:.6g} rad: {exc}") from exc
 
-    merged: TacHistogram | None = None
-    fringe: list[FringePoint] = []
-    backgrounds: list[int] = []
-    for beta, (hist, window, background) in zip(
-        phases.tolist(), _run_points(point, phases.tolist())
-    ):
-        merged = hist if merged is None else merged.merged_with(hist)
-        fringe.append(FringePoint(phase_rad=beta, counts=window, stat_error=math.sqrt(window)))
-        backgrounds.append(background)
-
-    assert merged is not None
+    points = _run_points(point, betas)
     return RunResult(
-        histogram=merged,
-        fringe=tuple(fringe),
-        background_estimates=tuple(backgrounds),
+        histogram=TacHistogram(
+            s.histogram_bin_width_ps, sum(bins for bins, _, _ in points), n_pulses * len(betas)
+        ),
+        fringe=tuple(
+            FringePoint(phase_rad=beta, counts=window, stat_error=math.sqrt(window))
+            for beta, (_, window, _) in zip(betas, points)
+        ),
+        background_estimates=tuple(background for _, _, background in points),
         eta_realized=s.conversion_survival(),
         metadata={
             "master_seed": s.master_seed,
             "scenario_digest": scenario_digest(s),
             "pulses_per_point": n_pulses,
-            "phase_points": int(phases.size),
+            "phase_points": len(betas),
         },
         wall_clock_s=time.perf_counter() - started,
     )
@@ -757,8 +757,8 @@ def expected_fringe(s: Scenario, phases_rad, pulses: int | None = None) -> Expec
     exact at zero and an approximation otherwise.
 
     Raises:
-        DomainError: square pulse shape, a phase grid that is not flat, or
-            pulses not an integer or < 0.
+        DomainError: square pulse shape, a phase grid that is not flat, a
+            phase not finite, or pulses not an integer or < 0.
     """
     if s.source.pulse_shape != "gaussian":
         raise DomainError("expected_fringe only covers gaussian pulse shapes")
@@ -819,36 +819,22 @@ def validate_against_oracle(
 
     Any point off by more than 4 sigma is flagged; the summary statistic is
     chi-square per point under Poisson errors. Discrepancies are report
-    content, not errors. A scenario outside the oracle's domain raises
-    before the engine draws anything.
+    content, not errors. The oracle checks the grid, the pulse count and
+    its own domain, so a refusal comes before the engine draws anything.
+    At zero pulses every row is (phase, 0, 0, 0) and chi-square is undefined.
     """
-    phases = _phase_grid(phases_rad)
-    n_pulses = _pulse_count(s, pulses)
-    expected = expected_fringe(s, phases, pulses=n_pulses).counts
-    run = run_fringe_scan(s, phases, pulses=n_pulses)
-    if n_pulses == 0:
-        return ValidationReport(
-            chi2_per_dof=None,
-            flagged_phases=(),
-            n_points=int(phases.size),
-            note="zero pulses per point: no events, chi-square undefined",
-            rows=tuple(
-                (p.phase_rad, float(p.counts), 0.0, 0.0) for p in run.fringe
-            ),
-        )
+    expected = expected_fringe(s, phases_rad, pulses)
+    run = run_fringe_scan(s, expected.phases_rad, pulses)
     observed = np.array([p.counts for p in run.fringe], dtype=float)
-    sigma = np.sqrt(np.maximum(expected, 1.0))
-    z = (observed - expected) / sigma
-    chi2 = float(np.mean(z**2))
-    flagged = tuple(float(p) for p, zi in zip(phases, z) if abs(zi) > 4.0)
-    rows = tuple(
-        (float(p), float(o), float(e), float(zi))
-        for p, o, e, zi in zip(phases, observed, expected, z)
-    )
+    z = (observed - expected.counts) / np.sqrt(np.maximum(expected.counts, 1.0))
+    empty = run.metadata["pulses_per_point"] == 0
     return ValidationReport(
-        chi2_per_dof=chi2,
-        flagged_phases=flagged,
-        n_points=int(phases.size),
-        note="",
-        rows=rows,
+        chi2_per_dof=None if empty else float(np.mean(z**2)),
+        flagged_phases=tuple(float(p) for p, zi in zip(expected.phases_rad, z) if abs(zi) > 4.0),
+        n_points=len(run.fringe),
+        note="zero pulses per point: no events, chi-square undefined" if empty else "",
+        rows=tuple(
+            (float(p), float(o), float(e), float(zi))
+            for p, o, e, zi in zip(expected.phases_rad, observed, expected.counts, z)
+        ),
     )

@@ -119,7 +119,7 @@ class QpmConfig:
 
     _DOMAINS = domains(
         poling_period_um=POSITIVE, crystal_length_cm=POSITIVE, temperature_k=FINITE,
-        order=Domain(1, FINITE.hi, ">= 1"),
+        order=Domain(1, FINITE.hi, "an integer >= 1", integer=True),
     )
 
     def __post_init__(self) -> None:

@@ -34,8 +34,8 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple, get_type_hints
 
 from . import conversion, qpm
-from .errors import FINITE, FRACTION, NON_NEGATIVE, POSITIVE, POSITIVE_OR_INF, Domain
-from .errors import ConfigError, DomainError, check_domains, domains
+from .errors import COUNT, FINITE, FRACTION, NON_NEGATIVE, POSITIVE, POSITIVE_OR_INF, Domain
+from .errors import ConfigError, DomainError, check_domains, domains, is_integer
 from .qpm import QpmConfig
 from .repeater import LinkConfig
 from .timebin import DELAY_MATCH_RTOL, Interferometer, PulseSource
@@ -123,9 +123,10 @@ class RepeaterSettings:
 
     def __post_init__(self) -> None:
         start, stop, n = self.length_grid_km
-        if n < 1 or not 0 <= start <= stop <= FINITE.hi:
+        if not (is_integer(n) and n >= 1 and 0 <= start <= stop <= FINITE.hi):
             raise DomainError(
-                f"length grid must be finite, 0 <= start <= stop, n >= 1; got {start}:{stop}:{n}"
+                f"length grid must be finite, 0 <= start <= stop, n an integer >= 1; "
+                f"got {start}:{stop}:{n}"
             )
         # A budget efficiency is checked where the budget is computed.
         self.link(start, budget_efficiency=1.0)
@@ -172,8 +173,8 @@ class Scenario:
     _DOMAINS = domains(
         signal_wavelength_um=POSITIVE, eta_norm_per_w_cm2=NON_NEGATIVE,
         extra_visibility_penalty=FRACTION, histogram_bin_width_ps=POSITIVE, tac_offset_ns=FINITE,
-        pulses_per_point=NON_NEGATIVE, mc_photons_per_point=NON_NEGATIVE,
-        master_seed=Domain(0, 2**64 - 1, "a u64"),
+        pulses_per_point=COUNT, mc_photons_per_point=COUNT,
+        master_seed=Domain(0, 2**64 - 1, "an integer in [0, 2**64)", integer=True),
     )
 
     def __post_init__(self) -> None:

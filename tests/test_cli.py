@@ -1,8 +1,14 @@
 """End-to-end command-line checks via subprocess."""
 
+import csv
+import dataclasses
+import errno
 import hashlib
+import io
+import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -229,6 +235,245 @@ def test_run_log_that_cannot_be_appended_exits_2(tmp_path, capsys):
     assert captured.err.startswith(f"config error: cannot append to run log in {tmp_path}")
     assert captured.out.splitlines()[-1] == f"wrote {tmp_path / f'{DIGEST}-budget.csv'}"
     assert (tmp_path / f"{DIGEST}-budget.csv").exists()
+
+
+# --- exit paths: stdout, the output directory and the CSV write ---
+
+# Enough pulses for every command to succeed on the reference, the fit included.
+PULSES = ["--pulses", "20000"]
+
+
+@pytest.fixture(scope="module")
+def clean_csvs(tmp_path_factory):
+    """Each command's CSV bytes from a run that nothing disturbs."""
+    csvs = {}
+    for command in cli.COMMANDS:
+        out = tmp_path_factory.mktemp(command)
+        assert cli.main([command, "--out", str(out), *PULSES]) == 0
+        (path,) = out.glob("*.csv")
+        csvs[command] = path.read_bytes()
+    return csvs
+
+
+def assert_failed_whole(out, clean_csv, err, message):
+    """Exit 2's aftermath: ``message`` on stderr and in one run.log line, no
+    traceback, no part file, and the command's CSV either absent or complete."""
+    assert message in err
+    assert "Traceback" not in err
+    fields = run_log_fields(out / "run.log")
+    assert fields["status"] == "error:ConfigError"
+    assert message in fields["error"]
+    assert list(out.glob("*.part")) == []
+    assert [path.read_bytes() for path in out.glob("*.csv")] in ([], [clean_csv])
+
+
+class FailingStdout(io.TextIOBase):
+    """A stdout without a file descriptor whose every write raises ``error``."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+@pytest.mark.parametrize(
+    "error",
+    [BrokenPipeError(errno.EPIPE, "Broken pipe"), OSError(errno.ENOSPC, "No space left on device")],
+    ids=["broken-pipe", "disk-full"],
+)
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_stdout_that_cannot_be_written_exits_2(
+    tmp_path, capsys, monkeypatch, clean_csvs, command, error
+):
+    monkeypatch.setattr(sys, "stdout", FailingStdout(error))
+    assert cli.main([command, "--out", str(tmp_path), *PULSES]) == 2
+    err = capsys.readouterr().err
+    assert_failed_whole(
+        tmp_path, clean_csvs[command], err, f"cannot write to standard output: {error}"
+    )
+
+
+# (command, stdout, unbuffered): every command under a buffered stdout,
+# whose first failing write is the flush after "wrote", and the two
+# commands once seen to fail at their first print, as they were run.
+CHILD_CASES = [
+    *(
+        (command, sink, False)
+        for command in cli.COMMANDS
+        for sink in ("closed-pipe", "full-device")
+    ),
+    ("budget", "full-device", True),
+    ("repeater-rates", "closed-pipe", True),
+]
+
+
+def closed_pipe():
+    """The write end of a pipe without a reader: `qifsim ... | head -c 1` once head has exited."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+def run_child(args, stdout, cwd, env, unbuffered=False):
+    """``python -m qifsim.cli args`` writing to the descriptor ``stdout``, which is then closed."""
+    env = {key: value for key, value in env.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "qifsim.cli", *args],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=cwd,
+            env=env,
+        )
+    finally:
+        os.close(stdout)
+
+
+@pytest.mark.parametrize("command, sink, unbuffered", CHILD_CASES)
+def test_stdout_failure_exits_2_from_a_child_process(
+    tmp_path, cli_env, clean_csvs, command, sink, unbuffered
+):
+    if sink == "closed-pipe":
+        stdout = closed_pipe()
+    elif os.path.exists("/dev/full"):
+        stdout = os.open("/dev/full", os.O_WRONLY)
+    else:
+        pytest.skip("this platform has no /dev/full")
+    args = [command, "--out", str(tmp_path), *PULSES]
+    proc = run_child(args, stdout, tmp_path, cli_env, unbuffered)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: cannot write to standard output: [Errno")
+    assert_failed_whole(
+        tmp_path, clean_csvs[command], proc.stderr, "cannot write to standard output"
+    )
+
+
+def test_failed_command_keeps_its_exit_code_when_stdout_is_gone(tmp_path, cli_env):
+    # budget prints its table, then cannot write its CSV; the table is
+    # still buffered for a pipe whose reader is gone.
+    (tmp_path / f"{DIGEST}-budget.csv.part").mkdir()
+    proc = run_child(["budget", "--out", str(tmp_path)], closed_pipe(), tmp_path, cli_env)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: cannot write output file")
+    assert "Exception ignored" not in proc.stderr
+    assert run_log_fields(tmp_path / "run.log")["status"] == "error:ConfigError"
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_read_only_out_dir_exits_2_without_a_csv(
+    tmp_path, capsys, monkeypatch, clean_csvs, command
+):
+    # A read-only directory refuses a new file, and appends to the log
+    # already in it. Its mode bits do not bind root, so the CLI's own open
+    # refuses here, as the directory would.
+    (tmp_path / "run.log").touch()
+
+    def read_only(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", read_only, raising=False)
+    assert cli.main([command, "--out", str(tmp_path), *PULSES]) == 2
+    err = capsys.readouterr().err
+    assert_failed_whole(tmp_path, clean_csvs[command], err, "cannot write output file")
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_csv_write_that_fails_partway_leaves_no_csv(
+    tmp_path, capsys, monkeypatch, clean_csvs, command
+):
+    real_writer = csv.writer
+
+    def full_after_one_row(handle, *args, **kwargs):
+        inner = real_writer(handle, *args, **kwargs)
+
+        def writerows(rows):
+            inner.writerow(next(iter(rows)))
+            handle.flush()  # the part file now holds a truncated table
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        return SimpleNamespace(writerow=inner.writerow, writerows=writerows)
+
+    monkeypatch.setattr(csv, "writer", full_after_one_row)
+    assert cli.main([command, "--out", str(tmp_path), *PULSES]) == 2
+    err = capsys.readouterr().err
+    assert_failed_whole(tmp_path, clean_csvs[command], err, "cannot write output file")
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_out_dir_under_a_regular_file_exits_2(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    assert cli.main(["budget", "--out", str(out)]) == 2
+    assert f"config error: cannot create output directory {out}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("fringe-scan", "--phases", "0:1:0", "--phases needs n >= 1, got 0"),
+        ("budget", "--seed", "-1", "--seed must be a u64, got -1"),
+        ("budget", "--seed", str(2**64), f"--seed must be a u64, got {2**64}"),
+        ("efficiency-curve", "--powers", "-1:0:3", "--powers must be >= 0"),
+    ],
+)
+def test_flag_outside_its_domain_exits_2_without_outputs(
+    tmp_path, capsys, command, flag, value, message
+):
+    assert cli.main([command, "--out", str(tmp_path), f"{flag}={value}"]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert run_log_fields(tmp_path / "run.log")["status"] == "error:ConfigError"
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize(
+    "command, code, message",
+    [
+        ("fringe-scan", 3, "error: fitted offset is not positive"),
+        ("histogram", 0, "0 detections over 0 sync pulses"),
+        ("validate", 0, "comparison empty: zero pulses per point"),
+    ],
+)
+def test_zero_pulses_per_point(tmp_path, capsys, command, code, message):
+    # Each command writes its CSV; the fringe fit then has no signal.
+    assert cli.main([command, "--pulses", "0", "--out", str(tmp_path)]) == code
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
+    assert len(list(tmp_path.glob("*.csv"))) == 1
+
+
+def test_validate_prints_each_flagged_phase(tmp_path, capsys, monkeypatch):
+    honest = montecarlo.expected_fringe
+
+    def doubled(s, phases, pulses=None):
+        exp = honest(s, phases, pulses)
+        return dataclasses.replace(exp, counts=2.0 * exp.counts)
+
+    monkeypatch.setattr(montecarlo, "expected_fringe", doubled)
+    assert cli.main(["validate", "--pulses", "200000", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "12 point(s) beyond 4 sigma" in out
+    assert "\n  flagged: beta = 0 rad\n" in out
+
+
+def test_repeater_rates_without_a_break_even_length(tmp_path, capsys):
+    text = serialize_scenario(load_reference_scenario())
+    path = tmp_path / "lossy-telecom.scenario"
+    # Telecom fibre as lossy as the native band's: conversion never pays.
+    path.write_text(
+        text.replace(
+            "attenuation_telecom_db_per_km = 0.2\n", "attenuation_telecom_db_per_km = 4.0\n"
+        )
+    )
+    assert cli.main(["repeater-rates", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    assert "\nno break-even length: " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -420,9 +420,10 @@ def test_simulate_detection_buffer_validation():
 # --- folding and histogramming ---
 
 
-def bin_times(times, width_ps: float, period_ns: float = SYNC_PERIOD_NS, sync_pulses: int = 0):
+def bin_times(times, width_ps: float, period_ns: float = SYNC_PERIOD_NS):
     """Fold times on the period with np.mod, as the engine does, and bin them."""
-    return detection._bin_folded(np.mod(times, period_ns), period_ns, width_ps, sync_pulses)
+    counts = detection._bin_folded(np.mod(times, period_ns), period_ns, width_ps)
+    return TacHistogram(width_ps, counts, 0)
 
 
 def test_histogram_conserves_counts_across_bin_widths():
@@ -450,18 +451,6 @@ def test_histogram_folds_onto_origin():
     assert hist.counts.max() == 1000
     center = hist.bin_centers_ns()[np.argmax(hist.counts)]
     assert abs(center - 3.71) <= 0.05
-
-
-def test_histogram_merge():
-    rng = np.random.default_rng(12)
-    a = bin_times(rng.uniform(0, 1e5, 400), 50.0, sync_pulses=10)
-    b = bin_times(rng.uniform(0, 1e5, 300), 50.0, sync_pulses=20)
-    merged = a.merged_with(b)
-    assert merged.total_counts() == 700
-    assert merged.sync_pulses == 30
-    mismatched = bin_times(np.empty(0), 25.0)
-    with pytest.raises(DomainError, match="layouts"):
-        a.merged_with(mismatched)
 
 
 def test_histogram_validation():
@@ -507,7 +496,7 @@ def test_peak_fwhm_selects_seeded_peak():
     sigma = 0.4 * FWHM_TO_SIGMA
     tall = gaussian_histogram(5.2, sigma, 5e4)
     side = gaussian_histogram(7.4, sigma, 2e4)
-    hist = tall.merged_with(side)
+    hist = TacHistogram(tall.bin_width_ps, tall.counts + side.counts, 0)
     assert peak_fwhm(hist, 7.4) == pytest.approx(0.4, rel=0.05)
 
 

@@ -57,32 +57,6 @@ def test_afterpulse_pass_equals_marked_reference(stream, p_after, seed, horizon_
     assert np.array_equal(out, expected)
 
 
-@st.composite
-def histogram_triples(draw):
-    """Three histograms of one drawn layout, with counts up to 1e12 per bin."""
-    width_ps = draw(st.floats(1.0, 1e3))
-    n_bins = draw(st.integers(1, 50))
-    bins = st.lists(st.integers(0, 10**12), min_size=n_bins, max_size=n_bins)
-    return tuple(
-        detection.TacHistogram(
-            width_ps, np.array(draw(bins), dtype=np.int64), draw(st.integers(0, 10**12))
-        )
-        for _ in range(3)
-    )
-
-
-@settings(max_examples=100, deadline=None)
-@given(histogram_triples())
-def test_merged_with_is_associative_and_conserves_totals(triple):
-    a, b, c = triple
-    left = a.merged_with(b).merged_with(c)
-    right = a.merged_with(b.merged_with(c))
-    assert np.array_equal(left.counts, right.counts)
-    assert left.bin_width_ps == right.bin_width_ps
-    assert left.total_counts() == right.total_counts() == sum(h.total_counts() for h in triple)
-    assert left.sync_pulses == right.sync_pulses == sum(h.sync_pulses for h in triple)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.floats(0.0, 2e6), st.floats(0.0, 50.0))
 def test_dead_time_correct_inverts_observe(rate_hz, dead_time_us):

@@ -130,13 +130,15 @@ def test_fringe_scan_needs_two_phases(ref):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_fringe_scan_rejects_non_finite_phase_before_drawing(ref, bad, monkeypatch):
+@pytest.mark.parametrize("entry", [run_fringe_scan, expected_fringe, validate_against_oracle])
+def test_fringe_scan_rejects_non_finite_phase_before_drawing(ref, entry, bad, monkeypatch):
+    # The oracle once returned a NaN count, with a RuntimeWarning, for a NaN phase.
     def no_draws(*args):
         raise AssertionError("drew before checking the grid")
 
     monkeypatch.setattr(montecarlo, "substream", no_draws)
     with pytest.raises(DomainError, match=f"phase must be finite, got {bad} rad"):
-        run_fringe_scan(ref, [0.0, bad, 1.0], pulses=1_000)
+        entry(ref, [0.0, bad, 1.0], pulses=1_000)
 
 
 @pytest.mark.parametrize(
@@ -287,12 +289,12 @@ def test_one_point_memory_grows_with_detections(ref, settings, pulses):
     rng = substream(s.master_seed, "fringe-scan", 0.0)
     tracemalloc.start()
     try:
-        hist, _, _ = montecarlo._simulate_point(s, model, 0.0, pulses, rng)
+        bins, _, _ = montecarlo._simulate_point(s, model, 0.0, pulses, rng)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     bound = 14 if settings == "reference" else 23
-    assert peak < bound * hist.total_counts()
+    assert peak < bound * int(bins.sum())
 
 
 def test_each_point_detects_through_simulate_detection(ref, monkeypatch):
@@ -325,15 +327,15 @@ def test_each_point_detects_through_simulate_detection(ref, monkeypatch):
 def grid_order_scan(s, phases, pulses):
     """The scan as a plain loop over the grid, one point at a time."""
     model = montecarlo._point_model(s)
-    merged, fringe, backgrounds = None, [], []
+    counts, fringe, backgrounds = 0, [], []
     for beta in phases:
         rng = substream(s.master_seed, "fringe-scan", float(beta))
-        hist, window, background = montecarlo._simulate_point(s, model, float(beta), pulses, rng)
-        merged = hist if merged is None else merged.merged_with(hist)
+        bins, window, background = montecarlo._simulate_point(s, model, float(beta), pulses, rng)
+        counts = counts + bins
         fringe.append(montecarlo.FringePoint(float(beta), window, math.sqrt(window)))
         backgrounds.append(background)
     return montecarlo.RunResult(
-        histogram=merged,
+        histogram=montecarlo.TacHistogram(s.histogram_bin_width_ps, counts, pulses * len(phases)),
         fringe=tuple(fringe),
         background_estimates=tuple(backgrounds),
         eta_realized=s.conversion_survival(),
@@ -418,7 +420,7 @@ def test_first_failing_point_in_grid_order_surfaces(ref, cpus, monkeypatch):
         if index == 3:
             raise DomainError("nor here")
         threading.Event().wait(0.05)
-        return montecarlo.TacHistogram(10.0, np.zeros(3, dtype=np.int64), 0), 0, 0
+        return np.zeros(3, dtype=np.int64), 0, 0
 
     monkeypatch.setattr(montecarlo, "_simulate_point", failing)
     before = set(threading.enumerate())
@@ -737,6 +739,12 @@ OFF_REFERENCE = {
     ),
     "sca-width-one-and-a-half-periods": lambda ref: dataclasses.replace(
         ref, sca=dataclasses.replace(ref.sca, width_ns=1.5 * ref.sync_period_ns())
+    ),
+    # A peak of zero width: the oracle's window share takes its sigma = 0 branch.
+    "delta-pulses-without-jitter": lambda ref: dataclasses.replace(
+        ref,
+        source=dataclasses.replace(ref.source, pulse_fwhm_ns=0.0),
+        detector=dataclasses.replace(ref.detector, jitter_fwhm_ps=0.0),
     ),
 }
 

@@ -213,7 +213,11 @@ def test_bad_length_grid(ref):
 
 
 @pytest.mark.parametrize(
-    "grid", [(math.nan, 100.0, 3), (2.0, math.nan, 3), (-1.0, 100.0, 3), (5.0, 2.0, 3), (2.0, 5.0, 0)]
+    "grid",
+    [
+        (math.nan, 100.0, 3), (2.0, math.nan, 3), (-1.0, 100.0, 3), (5.0, 2.0, 3), (2.0, 5.0, 0),
+        (2.0, 100.0, 2.5),
+    ],
 )
 def test_repeater_settings_reject_length_grid(ref, grid):
     with pytest.raises(DomainError, match="length grid"):

@@ -210,7 +210,7 @@ def domain(row):
 
 def refused(row):
     """nan, inf, -inf and the values just past the bounds of ``row``'s domain, as text."""
-    lo, hi, _ = domain(row)
+    lo, hi, *_ = domain(row)
     if row.kind is _INT:
         past = [int(lo) - 1, int(hi) + 1]
     else:

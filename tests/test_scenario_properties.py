@@ -8,10 +8,12 @@ interface efficiency and loss chains of fraction and dB stages.
 import math
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qifsim.conversion import LossChain, LossStage
+from qifsim.errors import DomainError
 from qifsim.scenario import load_reference_scenario, parse_scenario, serialize_scenario
 
 REF = load_reference_scenario()
@@ -123,3 +125,23 @@ def test_parse_of_serialize_is_the_identity(s):
     again = parse_scenario(text, origin="generated")
     assert again == s
     assert serialize_scenario(again) == text
+
+
+# Each integer field of a scenario, and how to set it.
+INTEGER_FIELDS = {
+    "pulses_per_point": lambda s, v: replace(s, pulses_per_point=v),
+    "mc_photons_per_point": lambda s, v: replace(s, mc_photons_per_point=v),
+    "master_seed": lambda s, v: replace(s, master_seed=v),
+    "qpm.order": lambda s, v: replace(s, qpm=replace(s.qpm, order=v)),
+    "repeater.length_grid_km": lambda s, v: replace(
+        s, repeater=replace(s.repeater, length_grid_km=(*s.repeater.length_grid_km[:2], v))
+    ),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios(), st.sampled_from(sorted(INTEGER_FIELDS)), st.floats(1.0, 1e6))
+def test_integer_field_refuses_a_float_so_no_scenario_serializes_unparsable(s, field, value):
+    # A float, even 3.0, would serialize as text that parses as "expected an integer".
+    with pytest.raises(DomainError, match="integer"):
+        INTEGER_FIELDS[field](s, value)
