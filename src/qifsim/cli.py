@@ -11,10 +11,12 @@ the engine, inside their handlers. qpm-solve, budget, repeater-rates and
 efficiency-curve, whose binomial sweep draws from a standard-library
 stream, run on the standard library alone.
 
-Exit codes: 0 success, 2 configuration problem (bad file, key, or
-invariant, or an output file, run.log or stdout that cannot be written;
-the message names it), 3 numeric or solver failure. A CSV is either
-complete or absent.
+Exit codes: 0 success, 2 configuration problem (a scenario file that is
+missing, unreadable or not UTF-8, a bad key or invariant, or an output
+file, run.log or stdout that cannot be written; the message names it),
+3 numeric or solver failure. A CSV is either complete or absent. The
+help and a usage error exit as argparse has them, or 2 when stdout
+cannot take the help; no command ran, so they write no run.log line.
 """
 
 from __future__ import annotations
@@ -400,7 +402,16 @@ def _detach_stdout() -> None:
 
 def main(argv=None) -> int:
     started = time.perf_counter()
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit:  # --help or a usage error, already printed
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            _detach_stdout()
+            print(f"config error: cannot write to standard output: {exc}", file=sys.stderr)
+            return 2
+        raise
     out = Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
 
     scenario: Scenario | None = None

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import FINITE, FRACTION, NON_NEGATIVE, POSITIVE, POSITIVE_OR_INF, Domain
-from .errors import ConfigError, DomainError, check_domains, domains
+from .errors import ConfigError, DomainError, check_domains, domains, grid, require
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -88,9 +88,7 @@ class LossStage:
             raise DomainError("loss stage needs a non-empty name")
         if self.unit not in _STAGE_DOMAINS:
             raise DomainError(f"{self.name} unit must be 'fraction' or 'dB', got {self.unit!r}")
-        lo, hi, text, _ = _STAGE_DOMAINS[self.unit]
-        if not lo <= self.value <= hi:
-            raise DomainError(f"{self.name} must be {text}, got {self.value} {self.unit}")
+        require(self.value, _STAGE_DOMAINS[self.unit], self.name, f" {self.unit}")
 
     def transmission(self) -> float:
         """Survival probability of this stage."""
@@ -132,12 +130,9 @@ def internal_conversion_efficiency(
         eta_norm_per_w_cm2: normalized efficiency, 1/(W cm^2).
         length_cm: interaction length, centimeters.
     """
-    if not NON_NEGATIVE.lo <= power_w <= NON_NEGATIVE.hi:
-        raise DomainError(f"power must be >= 0, got {power_w} W")
-    if not NON_NEGATIVE.lo <= eta_norm_per_w_cm2 <= NON_NEGATIVE.hi:
-        raise DomainError(f"normalized efficiency must be >= 0, got {eta_norm_per_w_cm2}")
-    if not POSITIVE.lo <= length_cm <= POSITIVE.hi:
-        raise DomainError(f"length must be > 0, got {length_cm} cm")
+    require(power_w, NON_NEGATIVE, "power", " W")
+    require(eta_norm_per_w_cm2, NON_NEGATIVE, "normalized efficiency")
+    require(length_cm, POSITIVE, "length", " cm")
     return math.sin(math.sqrt(eta_norm_per_w_cm2 * power_w) * length_cm) ** 2
 
 
@@ -152,10 +147,8 @@ def normalized_efficiency_from_measurement(
         DomainError: eta_internal outside [0, 1), or non-positive power;
             at exactly 1 the inversion is degenerate with the pump power.
     """
-    if not POSITIVE.lo <= power_w <= POSITIVE.hi:
-        raise DomainError(f"power must be > 0 to invert, got {power_w} W")
-    if not POSITIVE.lo <= length_cm <= POSITIVE.hi:
-        raise DomainError(f"length must be > 0, got {length_cm} cm")
+    require(power_w, POSITIVE, "power", " W")
+    require(length_cm, POSITIVE, "length", " cm")
     if not 0.0 <= eta_internal < 1.0:
         raise DomainError(
             f"internal efficiency must be in [0, 1) for a unique inversion, "
@@ -170,8 +163,7 @@ def end_to_end_efficiency(
     post_chain: LossChain,
 ) -> float:
     """Device efficiency: input coupling x internal conversion x output chain."""
-    if not 0.0 <= eta_internal <= 1.0:
-        raise DomainError(f"internal efficiency must be in [0, 1], got {eta_internal}")
+    require(eta_internal, FRACTION, "internal efficiency")
     return pre_chain.transmission() * eta_internal * post_chain.transmission()
 
 
@@ -217,8 +209,7 @@ def noise_rate(pump: PumpField, output_um: float, noise: NoiseModel) -> float:
     Raman scattering, residual pump leakage through the filter stack, and
     the pump's own pedestal in the target band unless prefiltered away.
     """
-    if not POSITIVE.lo <= output_um <= POSITIVE.hi:
-        raise DomainError(f"output wavelength must be > 0, got {output_um} um")
+    require(output_um, POSITIVE, "output wavelength", " um")
     rate = 0.0
     if pump.wavelength_um < output_um:
         rate += noise.spdc_coeff_hz_per_w * pump.power_w
@@ -277,8 +268,7 @@ def _binomial(n: int, p: float, rng: random.Random) -> int:
     p > 1/2 counts the failures instead, so both branches below see
     p <= 1/2.
     """
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"binomial probability must be in [0, 1], got {p}")
+    require(p, FRACTION, "binomial probability")
     if p > 0.5:
         return n - _binomial(n, 1.0 - p, rng)
     if n == 0 or p == 0.0:
@@ -360,19 +350,7 @@ def run_efficiency_sweep(s: Scenario, powers_w) -> tuple[EfficiencyPoint, ...]:
         ConfigError: a power appears twice in the grid.
     """
     n = s.mc_photons_per_point
-    try:
-        powers = [float(power) for power in powers_w]
-    except (TypeError, ValueError):  # a scalar, a nested grid, or a non-number
-        powers = None
-    # ndim, where the grid has one, also catches an (n, 1) array, whose rows
-    # older numpy still converts to float.
-    if powers is None or getattr(powers_w, "ndim", 1) > 1:
-        raise DomainError(f"pump powers must be a flat grid of numbers, got {powers_w!r}")
-    for power in powers:
-        if not math.isfinite(power):
-            raise DomainError(f"pump power must be finite, got {power} W")
-        if power < 0:
-            raise DomainError(f"pump power must be >= 0, got {power} W")
+    powers = grid(powers_w, "pump power", NON_NEGATIVE, " W")
     _reject_repeats(powers, "pump power")
     pre_t = s.chain_pre.transmission()
     post_t = s.chain_post.transmission()

@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NON_NEGATIVE, POSITIVE, DomainError, FitError
+from .errors import FINITE, NON_NEGATIVE, POSITIVE, DomainError, FitError, grid, require
 
 if TYPE_CHECKING:
     from .scenario import DetectorModel
@@ -79,8 +79,7 @@ class TacHistogram:
     sync_pulses: int
 
     def __post_init__(self) -> None:
-        if not POSITIVE.lo <= self.bin_width_ps <= POSITIVE.hi:
-            raise DomainError(f"bin width must be > 0, got {self.bin_width_ps}")
+        require(self.bin_width_ps, POSITIVE, "bin width", " ps")
         if not np.isfinite(self.counts).all():
             raise DomainError("histogram counts must be finite")
         if np.any(self.counts < 0):
@@ -100,10 +99,8 @@ class TacHistogram:
 
 def dead_time_observe(rate_true_hz: float, dead_time_us: float) -> float:
     """Observed rate of a non-paralyzable detector, R / (1 + R tau)."""
-    if not NON_NEGATIVE.lo <= rate_true_hz <= NON_NEGATIVE.hi:
-        raise DomainError(f"rate must be >= 0, got {rate_true_hz}")
-    if not NON_NEGATIVE.lo <= dead_time_us <= NON_NEGATIVE.hi:
-        raise DomainError(f"dead time must be >= 0, got {dead_time_us}")
+    require(rate_true_hz, NON_NEGATIVE, "rate", " Hz")
+    require(dead_time_us, NON_NEGATIVE, "dead time", " us")
     return rate_true_hz / (1.0 + rate_true_hz * dead_time_us * 1e-6)
 
 
@@ -116,10 +113,8 @@ def dead_time_correct(rate_obs_hz: float, dead_time_us: float) -> float:
         DomainError: R_obs tau >= 1; the detector is saturated and no
             finite true rate reproduces the observation.
     """
-    if not NON_NEGATIVE.lo <= rate_obs_hz <= NON_NEGATIVE.hi:
-        raise DomainError(f"rate must be >= 0, got {rate_obs_hz}")
-    if not NON_NEGATIVE.lo <= dead_time_us <= NON_NEGATIVE.hi:
-        raise DomainError(f"dead time must be >= 0, got {dead_time_us}")
+    require(rate_obs_hz, NON_NEGATIVE, "rate", " Hz")
+    require(dead_time_us, NON_NEGATIVE, "dead time", " us")
     occupancy = rate_obs_hz * dead_time_us * 1e-6
     if occupancy >= 1.0:
         raise DomainError(
@@ -557,8 +552,7 @@ def simulate_detection(
         DomainError: arrival times not 1-D, negative duration, or a
             buffer that is not 1-D float64 or is shorter than the arrivals.
     """
-    if not NON_NEGATIVE.lo <= duration_s <= NON_NEGATIVE.hi:
-        raise DomainError(f"duration must be >= 0, got {duration_s} s")
+    require(duration_s, NON_NEGATIVE, "duration", " s")
     fired = np.array(arrivals, dtype=float) if buffer is None else np.asarray(arrivals, dtype=float)
     if fired.ndim != 1:
         raise DomainError(f"arrival times must be 1-D, got shape {fired.shape}")
@@ -602,11 +596,10 @@ def _bin_folded(folded_ns: np.ndarray, sync_period_ns: float, bin_width_ps: floa
 
     A time at or past the last bin's left edge, the period end included,
     lands in the last bin. The engine sums each point's counts into the
-    scan's one ``TacHistogram``.
+    scan's one ``TacHistogram``; its width is the scenario's, which the
+    scenario's domain holds above 0.
     """
     width_ns = bin_width_ps * 1e-3
-    if width_ns <= 0:
-        raise DomainError(f"bin width must be > 0, got {bin_width_ps}")
     n_bins = max(1, math.ceil(sync_period_ns / width_ns - 1e-9))
     # Dividing straight into the integer buffer truncates as astype would,
     # without a float temporary; a block at a time, the index buffer stays
@@ -686,12 +679,10 @@ def check_fit_phases(phases) -> None:
     """Refuse a phase grid that ``extract_visibility`` cannot fit.
 
     Raises:
-        DomainError: a phase not finite, fewer than 3 distinct phases, or
-            a span below one full fringe period.
+        DomainError: a grid that is not flat, a phase not finite, fewer
+            than 3 distinct phases, or a span below one full fringe period.
     """
-    phases = np.sort(np.asarray(phases, dtype=float).ravel())
-    if not np.isfinite(phases).all():
-        raise DomainError(f"phases must be finite, got {phases[~np.isfinite(phases)][0]} rad")
+    phases = np.sort(grid(phases, "phase", FINITE, " rad"))
     if phases.size < 3 or np.count_nonzero(phases[1:] != phases[:-1]) < 2:
         raise DomainError("need at least 3 distinct phases to fit a sinusoid")
     span = phases[-1] - phases[0]
@@ -728,8 +719,7 @@ def extract_visibility(points, background: float = 0.0) -> VisibilityFit:
         raise DomainError("fringe counts must be finite")
     if np.any(counts < 0):
         raise DomainError("fringe counts must be >= 0")
-    if not NON_NEGATIVE.lo <= background <= NON_NEGATIVE.hi:
-        raise DomainError(f"background must be >= 0, got {background}")
+    require(background, NON_NEGATIVE, "background")
     check_fit_phases(phases)
     basis = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
     coef, *_ = np.linalg.lstsq(basis, counts, rcond=None)

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the package, and the one rule for field domains."""
+"""Exception hierarchy shared across the package, and the one domain rule.
+
+A ``Domain`` is one interval and its wording. ``check_domains`` holds a
+dataclass's fields to theirs, ``require`` one function argument and
+``grid`` each point of a flat grid; all three word a refusal alike.
+"""
 
 import sys
 from typing import NamedTuple
@@ -29,12 +34,12 @@ class ConfigError(QifsimError):
 
 
 class Domain(NamedTuple):
-    """The closed interval ``lo <= value <= hi`` of one field, and its wording.
+    """The closed interval ``lo <= value <= hi`` of one value, and its wording.
 
     NaN is outside every domain; finite ones end at the largest float, and
     "> 0" starts at the smallest. An ``integer`` domain also refuses a
     float, even one of integral value, and a bool: the scenario format
-    writes and reads such a field as an integer.
+    writes and reads such a value as an integer.
     """
 
     lo: float
@@ -68,3 +73,35 @@ def check_domains(obj) -> None:
         value = getattr(obj, name)
         if not (lo <= value <= hi and (not integer or is_integer(value))):
             raise DomainError(f"{name} must be {text}, got {value}", field=name)
+
+
+def require(value, domain: Domain, name: str, unit: str = "") -> None:
+    """Raise DomainError unless the argument ``value`` lies in ``domain``.
+
+    An integer domain tests the type first, so a string is refused too.
+    Only ``check_domains`` sets ``DomainError.field``: ``scenario`` reads
+    it as a dataclass field's name, and an argument is none.
+    """
+    lo, hi, text, integer = domain
+    if not ((not integer or is_integer(value)) and lo <= value <= hi):
+        raise DomainError(f"{name} must be {text}, got {value}{unit}")
+
+
+def grid(values, name: str, domain: Domain, unit: str = "") -> list[float]:
+    """The points of a flat grid as floats, each ``require``-d to lie in ``domain``.
+
+    Any one-dimensional iterable of numbers is a grid, a numpy array
+    included; a scalar, a 0-d or 2-d array, a nested list, a string (whose
+    digits would each be a point) or a non-number is refused as
+    ``{name}s must be a flat grid of numbers``.
+    """
+    flat = getattr(values, "ndim", 1) == 1 and not isinstance(values, (str, bytes))
+    try:
+        points = [float(v) for v in values] if flat else None
+    except (TypeError, ValueError):  # a scalar, a nested grid, or a non-number
+        points = None
+    if points is None:
+        raise DomainError(f"{name}s must be a flat grid of numbers, got {values!r}")
+    for point in points:
+        require(point, domain, name, unit)
+    return points

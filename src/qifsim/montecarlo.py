@@ -61,7 +61,7 @@ from .detection import (
     simulate_detection,
 )
 from .conversion import _reject_repeats, run_efficiency_sweep
-from .errors import ConfigError, DomainError, QifsimError
+from .errors import COUNT, FINITE, ConfigError, DomainError, QifsimError, grid, require
 from .scenario import FWHM_TO_SIGMA, DetectorModel, Scenario, scenario_digest
 from .timebin import analyze, apply_conversion_phase, prepare_qubit
 
@@ -583,13 +583,9 @@ def _simulate_point(
 def _pulse_count(s: Scenario, pulses: int | None) -> int:
     """Pulses per point: the override, else the scenario's; an integer, never negative."""
     n_pulses = s.pulses_per_point if pulses is None else pulses
-    try:
-        n_pulses = operator.index(n_pulses)
-    except TypeError:
-        raise DomainError(f"pulses must be an integer, got {n_pulses!r}") from None
-    if n_pulses < 0:
-        raise DomainError(f"pulses must be >= 0, got {n_pulses}")
-    return n_pulses
+    require(n_pulses, COUNT, "pulses")
+    # A numpy integer reaches the digest and the metadata as an int.
+    return operator.index(n_pulses)
 
 
 def _usable_cpus() -> int:
@@ -648,25 +644,6 @@ def _run_points(simulate, phases: list[float]) -> list:
     return results
 
 
-def _phase_grid(phases_rad) -> np.ndarray:
-    """The analysis phases as a float array, refused unless flat and finite.
-
-    A non-finite phase keys a stream that no grid check can tell apart
-    from another NaN, its point would lose the middle slot, and the oracle
-    would count NaN there.
-    """
-    try:
-        phases = np.asarray(phases_rad, dtype=float)
-    except (TypeError, ValueError):  # a ragged grid, or one with a non-number
-        phases = None
-    if phases is None or phases.ndim > 1:
-        raise DomainError(f"phases must be a flat grid of numbers, got {phases_rad!r}")
-    for beta in phases.ravel().tolist():
-        if not math.isfinite(beta):
-            raise DomainError(f"phase must be finite, got {beta} rad")
-    return phases
-
-
 def run_fringe_scan(s: Scenario, phases_rad, pulses: int | None = None) -> RunResult:
     """Scan the analysis phase and count windowed arrivals at each point.
 
@@ -686,10 +663,11 @@ def run_fringe_scan(s: Scenario, phases_rad, pulses: int | None = None) -> RunRe
         ConfigError: a phase appears twice in the grid, or a point's
             projected events exceed the int32 indices of the engine.
     """
-    phases = _phase_grid(phases_rad)
-    if phases.size < 2:
-        raise DomainError(f"need at least 2 phase points, got {phases.size}")
-    betas = phases.tolist()
+    # A non-finite phase keys a stream that no repeat check can tell apart
+    # from another NaN, and its point would lose the middle slot.
+    betas = grid(phases_rad, "phase", FINITE, " rad")
+    if len(betas) < 2:
+        raise DomainError(f"need at least 2 phase points, got {len(betas)}")
     # Only the scan keys streams by phase.
     _reject_repeats(betas, "phase")
     n_pulses = _pulse_count(s, pulses)
@@ -762,7 +740,8 @@ def expected_fringe(s: Scenario, phases_rad, pulses: int | None = None) -> Expec
     """
     if s.source.pulse_shape != "gaussian":
         raise DomainError("expected_fringe only covers gaussian pulse shapes")
-    phases = _phase_grid(phases_rad)
+    # A non-finite phase would give the oracle a NaN count.
+    phases = np.array(grid(phases_rad, "phase", FINITE, " rad"))
     n_pulses = _pulse_count(s, pulses)
     m = _point_model(s)
     early, middle, late = (

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import FINITE, POSITIVE, Domain, check_domains, domains
-from .errors import DomainError, SolverError
+from .errors import DomainError, SolverError, require
 
 __all__ = [
     "SellmeierModel",
@@ -29,9 +29,6 @@ __all__ = [
 ]
 
 PUMP_SEARCH_BRACKET_UM = (1.3, 1.8)
-
-# Residual tolerance for the QPM solvers, rad/um.
-SOLVER_TOL_RAD_UM = 1e-9
 
 # Energy-conservation gate for phase_mismatch inputs, 1/um. Far below any
 # physical linewidth; catches inconsistent triples, not detunings.
@@ -101,6 +98,9 @@ CONGRUENT_LN_NE = SellmeierModel(
 )
 
 
+_ORDER = Domain(1, FINITE.hi, "an integer >= 1", integer=True)
+
+
 @dataclass(frozen=True)
 class QpmConfig:
     """Quasi-phase-matching geometry.
@@ -119,7 +119,7 @@ class QpmConfig:
 
     _DOMAINS = domains(
         poling_period_um=POSITIVE, crystal_length_cm=POSITIVE, temperature_k=FINITE,
-        order=Domain(1, FINITE.hi, "an integer >= 1", integer=True),
+        order=_ORDER,
     )
 
     def __post_init__(self) -> None:
@@ -146,9 +146,8 @@ def dfg_output_wavelength(signal_um: float, pump_um: float) -> float:
 
     The signal must be the most energetic wave (shortest wavelength).
     """
-    lo, hi = POSITIVE.lo, POSITIVE.hi
-    if not (lo <= signal_um <= hi and lo <= pump_um <= hi):
-        raise DomainError("wavelengths must be positive")
+    require(signal_um, POSITIVE, "signal wavelength", " um")
+    require(pump_um, POSITIVE, "pump wavelength", " um")
     if signal_um >= pump_um:
         raise DomainError(
             f"difference-frequency mixing needs signal < pump, "
@@ -170,6 +169,9 @@ def phase_mismatch(
     must satisfy energy conservation; a violation is an input error, not a
     detuning.
     """
+    require(signal_um, POSITIVE, "signal wavelength", " um")
+    require(pump_um, POSITIVE, "pump wavelength", " um")
+    require(output_um, POSITIVE, "output wavelength", " um")
     _check_energy(signal_um, pump_um, output_um)
     return _mismatch(_per_um(signal_um, cfg.temperature_k), pump_um, output_um, cfg)
 
@@ -212,12 +214,13 @@ def solve_poling_period(
     """Poling period (um) that quasi-phase matches the DFG triple.
 
     The mismatch 2 pi (bulk - m/Lambda) is linear in 1/Lambda, so the
-    period is m / bulk in closed form; the residual is checked afterwards.
+    period is m / bulk in closed form.
 
     Raises:
         SolverError: the bulk mismatch is not positive, so no positive
             period can compensate it (the error states the sign).
     """
+    require(order, _ORDER, "order")
     output_um = dfg_output_wavelength(signal_um, pump_um)
     bulk = _bulk_per_um(_per_um(signal_um, temperature_k), pump_um, output_um, temperature_k)
     if bulk <= 0:
@@ -226,12 +229,7 @@ def solve_poling_period(
             f"{'zero' if bulk == 0 else 'negative'} ({bulk:.6e} 1/um) for "
             f"({signal_um}, {pump_um}) um at {temperature_k} K"
         )
-    period = order / bulk
-    cfg = QpmConfig(period, 1.0, temperature_k, order)
-    residual = phase_mismatch(signal_um, pump_um, output_um, cfg)
-    if abs(residual) > SOLVER_TOL_RAD_UM:
-        raise SolverError(f"closed-form poling period leaves residual {residual:.3e} rad/um")
-    return period
+    return order / bulk
 
 
 def qpm_acceptance(delta_k_rad_um: float, length_cm: float) -> float:
@@ -239,10 +237,8 @@ def qpm_acceptance(delta_k_rad_um: float, length_cm: float) -> float:
 
     Peaks at 1 for zero mismatch, first null at Delta_k L / 2 = pi.
     """
-    if not FINITE.lo <= delta_k_rad_um <= FINITE.hi:
-        raise DomainError(f"phase mismatch must be finite, got {delta_k_rad_um} rad/um")
-    if not POSITIVE.lo <= length_cm <= POSITIVE.hi:
-        raise DomainError(f"crystal length must be > 0, got {length_cm}")
+    require(delta_k_rad_um, FINITE, "phase mismatch", " rad/um")
+    require(length_cm, POSITIVE, "crystal length", " cm")
     x = 0.5 * delta_k_rad_um * (length_cm * 1e4)
     if x == 0.0:
         return 1.0
@@ -306,15 +302,14 @@ def solve_pump_wavelength(
             f"[{lo}, {hi}] um"
         )
     cfg = QpmConfig(poling_period_um, 1.0, temperature_k, order)
-    # The blue end first, in phase_mismatch's order of checks, so that it
-    # raises what any point of a full scan would.
+    # The blue end first, so that it raises what any point of a full scan
+    # would. Each output comes from dfg_output_wavelength, so the triples
+    # conserve energy by construction and skip phase_mismatch's check.
     blue_output_um = dfg_output_wavelength(signal_um, lo)
-    _check_energy(signal_um, lo, blue_output_um)
     signal_per_um = _per_um(signal_um, temperature_k)
 
     def residual(pump_um: float) -> float:
         output_um = dfg_output_wavelength(signal_um, pump_um)
-        _check_energy(signal_um, pump_um, output_um)
         return _mismatch(signal_per_um, pump_um, output_um, cfg)
 
     n_scan = 128

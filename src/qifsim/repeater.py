@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import FRACTION, NON_NEGATIVE, DomainError, check_domains, domains
+from .errors import FRACTION, NON_NEGATIVE, POSITIVE, Domain, DomainError
+from .errors import check_domains, domains, require
 
 __all__ = [
     "PROTOCOL_CLASSES",
@@ -65,10 +66,8 @@ class LinkConfig:
 
 def fiber_transmission(length_km: float, attenuation_db_per_km: float) -> float:
     """Power transmission 10^(-alpha L / 10) of a fiber span."""
-    if not NON_NEGATIVE.lo <= length_km <= NON_NEGATIVE.hi:
-        raise DomainError(f"length must be >= 0, got {length_km} km")
-    if not NON_NEGATIVE.lo <= attenuation_db_per_km <= NON_NEGATIVE.hi:
-        raise DomainError(f"attenuation must be >= 0, got {attenuation_db_per_km} dB/km")
+    require(length_km, NON_NEGATIVE, "length", " km")
+    require(attenuation_db_per_km, NON_NEGATIVE, "attenuation", " dB/km")
     return 10.0 ** (-attenuation_db_per_km * length_km / 10.0)
 
 
@@ -78,8 +77,7 @@ def rate_penalty(efficiency: float, protocol: str) -> float:
     Linear for single-photon heralding (one photon must arrive), quadratic
     for two-photon heralding (both must).
     """
-    if not 0.0 <= efficiency <= 1.0:
-        raise DomainError(f"efficiency must be in [0, 1], got {efficiency}")
+    require(efficiency, FRACTION, "efficiency")
     if protocol not in PROTOCOL_CLASSES:
         raise DomainError(f"protocol must be one of {PROTOCOL_CLASSES}, got {protocol!r}")
     if protocol == "single-photon":
@@ -138,13 +136,9 @@ def break_even_distance(
         DomainError: alpha_native <= alpha_tel (conversion can then never
             win on loss alone), or efficiency outside (0, 1].
     """
-    if not 0.0 < interface_efficiency <= 1.0:
-        raise DomainError(
-            f"interface efficiency must be in (0, 1], got {interface_efficiency}"
-        )
-    lo, hi = NON_NEGATIVE.lo, NON_NEGATIVE.hi
-    if not (lo <= attenuation_native_db_per_km <= hi and lo <= attenuation_telecom_db_per_km <= hi):
-        raise DomainError("attenuations must be >= 0")
+    require(interface_efficiency, Domain(POSITIVE.lo, 1.0, "in (0, 1]"), "interface efficiency")
+    require(attenuation_native_db_per_km, NON_NEGATIVE, "native attenuation", " dB/km")
+    require(attenuation_telecom_db_per_km, NON_NEGATIVE, "telecom attenuation", " dB/km")
     delta = attenuation_native_db_per_km - attenuation_telecom_db_per_km
     if delta <= 0:
         raise DomainError(

@@ -457,13 +457,18 @@ def load_scenario(path: str | Path) -> Scenario:
     """Read and parse a scenario file.
 
     Raises:
-        ConfigError: missing file or any parse/validation failure; the
-            message names the file and the offending section and key.
+        ConfigError: missing file, one that cannot be read or is not
+            UTF-8 text, or any parse/validation failure; the message names
+            the file, and the offending section and key.
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"scenario file not found: {path}")
-    return parse_scenario(path.read_text(), origin=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
+    return parse_scenario(text, origin=str(path))
 
 
 def load_reference_scenario() -> Scenario:

@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 from .errors import FINITE, FRACTION, NON_NEGATIVE, POSITIVE, Domain, check_domains, domains
-from .errors import DomainError
+from .errors import DomainError, require
 
 __all__ = [
     "TimeBinQubit",
@@ -179,8 +179,7 @@ def apply_conversion_phase(qubit: TimeBinQubit, factor: float) -> TimeBinQubit:
     draws the drift per pulse (``montecarlo._point_model``) and passes
     only the scenario's extra visibility penalty here.
     """
-    if not 0.0 <= factor <= 1.0:
-        raise DomainError(f"coherence factor must be in [0, 1], got {factor}")
+    require(factor, FRACTION, "coherence factor")
     return replace(qubit, coherence=qubit.coherence * factor)
 
 

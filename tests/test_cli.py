@@ -6,6 +6,7 @@ import errno
 import hashlib
 import io
 import os
+import pathlib
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -149,6 +150,27 @@ def test_missing_scenario_exits_2_without_outputs(tmp_path, run_cli):
     log = (tmp_path / "run.log").read_text()
     assert "status=error:ConfigError" in log
     assert "digest=-" in log
+
+
+def refuse_read(self, *args, **kwargs):
+    raise PermissionError(errno.EACCES, "Permission denied", str(self))
+
+
+@pytest.mark.parametrize("unreadable", ["not-utf8", "permission"])
+def test_unreadable_scenario_exits_2_with_one_log_line(tmp_path, capsys, monkeypatch, unreadable):
+    # A file that is not UTF-8 once ended in a UnicodeDecodeError traceback,
+    # exit 1 and no run.log line. Mode bits do not bind root, so the
+    # permission case patches the read.
+    scenario = tmp_path / "bad.scenario"
+    scenario.write_bytes(b"\xff\xfe[source]\n")
+    if unreadable == "permission":
+        monkeypatch.setattr(pathlib.Path, "read_text", refuse_read)
+    assert cli.main(["budget", "--scenario", str(scenario), "--out", str(tmp_path)]) == 2
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read scenario file {scenario}: ")
+    assert run_log_fields(tmp_path / "run.log")["status"] == "error:ConfigError"
+    assert list(tmp_path.glob("*.csv")) == []
 
 
 def run_log_fields(path):
@@ -362,6 +384,17 @@ def test_failed_command_keeps_its_exit_code_when_stdout_is_gone(tmp_path, cli_en
     assert "Exception ignored" not in proc.stderr
     assert run_log_fields(tmp_path / "run.log")["status"] == "error:ConfigError"
     assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_help_into_a_closed_pipe_exits_2(tmp_path, cli_env):
+    # With stdout buffered, the help once stayed in the buffer until the
+    # interpreter's own flush at exit, which printed "Exception ignored"
+    # and exited 120. No command ran, so nothing is logged.
+    proc = run_child(["--help"], closed_pipe(), tmp_path, cli_env)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: cannot write to standard output: [Errno")
+    assert proc.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)

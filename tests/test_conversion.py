@@ -325,14 +325,14 @@ def test_efficiency_sweep_rejects_non_finite_power_before_drawing(ref, bad, monk
         raise AssertionError("drew before checking the grid")
 
     monkeypatch.setattr(conversion, "_stream", no_draws)
-    with pytest.raises(DomainError, match=f"pump power must be finite, got {bad} W"):
+    with pytest.raises(DomainError, match=f"pump power must be >= 0 and finite, got {bad} W"):
         run_efficiency_sweep(ref, [0.1, bad])
 
 
 @pytest.mark.parametrize(
     "grid",
-    [np.array([[0.1, 0.2]]), np.array([[0.1], [0.2]]), [[0.1, 0.2]], [0.1, [0.2]], 0.1, ["x"]],
-    ids=["row", "column", "nested", "ragged", "scalar", "text"],
+    [np.array([[0.1, 0.2]]), np.array([[0.1], [0.2]]), [[0.1, 0.2]], [0.1, [0.2]], 0.1, ["x"], "05"],
+    ids=["row", "column", "nested", "ragged", "scalar", "text", "string"],
 )
 def test_efficiency_sweep_rejects_a_grid_that_is_not_flat_before_drawing(ref, grid, monkeypatch):
     # A 2-D array once raised a bare TypeError.

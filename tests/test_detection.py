@@ -455,7 +455,7 @@ def test_histogram_folds_onto_origin():
 
 def test_histogram_validation():
     with pytest.raises(DomainError):
-        bin_times(np.empty(0), 0.0)
+        TacHistogram(0.0, np.zeros(4), 0)
     with pytest.raises(DomainError):
         TacHistogram(50.0, np.array([-1]), 0)
 
@@ -583,7 +583,7 @@ def test_visibility_fit_refuses_a_phase_that_is_not_finite(bad, capfd):
     # used to reach the least-squares solve, which failed inside LAPACK.
     pts = synth_fringe(100.0, 0.5, 0.0)
     pts[3, 0] = bad
-    with pytest.raises(DomainError, match=f"phases must be finite, got {bad} rad"):
+    with pytest.raises(DomainError, match=f"phase must be finite, got {bad} rad"):
         extract_visibility(pts)
     with pytest.raises(DomainError, match="finite"):
         detection.check_fit_phases(pts[:, 0])

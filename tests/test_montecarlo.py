@@ -143,8 +143,16 @@ def test_fringe_scan_rejects_non_finite_phase_before_drawing(ref, entry, bad, mo
 
 @pytest.mark.parametrize(
     "grid",
-    [[[0.0, 1.0, 2.0]], np.array([[0.0], [1.0], [2.0]]), [[0.0, 1.0], 2.0], ["zero", 1.0]],
-    ids=["row", "column", "ragged", "text"],
+    [
+        [[0.0, 1.0, 2.0]],
+        np.array([[0.0], [1.0], [2.0]]),
+        [[0.0, 1.0], 2.0],
+        ["zero", 1.0],
+        0.5,
+        np.array(0.5),
+        "05",
+    ],
+    ids=["row", "column", "ragged", "text", "scalar", "0-d", "string"],
 )
 @pytest.mark.parametrize("entry", [run_fringe_scan, validate_against_oracle, expected_fringe])
 def test_phase_grid_that_is_not_flat_is_refused_before_drawing(ref, monkeypatch, entry, grid):
@@ -157,9 +165,9 @@ def test_phase_grid_that_is_not_flat_is_refused_before_drawing(ref, monkeypatch,
         entry(ref, grid, pulses=1_000)
 
 
-@pytest.mark.parametrize("grid", [0.5, [0.5], np.array(0.5)])
+@pytest.mark.parametrize("grid", [[0.5], np.array([0.5])], ids=["list", "array"])
 @pytest.mark.parametrize("entry", [run_fringe_scan, validate_against_oracle])
-def test_scalar_or_one_point_phase_grid_needs_two_points(ref, monkeypatch, entry, grid):
+def test_one_point_phase_grid_needs_two_points(ref, monkeypatch, entry, grid):
     def no_draws(*args):
         raise AssertionError("drew before checking the grid")
 
@@ -683,9 +691,9 @@ def test_expected_fringe_rejects_square_pulses(ref):
 
 def test_expected_fringe_rejects_negative_pulses(ref):
     # The same error as the engine's, not a fringe of negative counts.
-    with pytest.raises(DomainError, match="pulses must be >= 0, got -5"):
+    with pytest.raises(DomainError, match="pulses must be an integer >= 0, got -5"):
         expected_fringe(ref, [0.0, 1.0], pulses=-5)
-    with pytest.raises(DomainError, match="pulses must be >= 0, got -5"):
+    with pytest.raises(DomainError, match="pulses must be an integer >= 0, got -5"):
         run_fringe_scan(ref, [0.0, 1.0], pulses=-5)
 
 
@@ -698,7 +706,7 @@ def test_pulse_count_must_be_an_integer(ref, entry, bad, monkeypatch):
         raise AssertionError("drew before checking the pulse count")
 
     monkeypatch.setattr(montecarlo, "substream", no_draws)
-    with pytest.raises(DomainError, match=f"pulses must be an integer, got {bad!r}"):
+    with pytest.raises(DomainError, match=f"pulses must be an integer >= 0, got {bad}"):
         entry(ref, [0.0, 1.0], pulses=bad)
 
 

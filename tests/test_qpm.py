@@ -20,6 +20,9 @@ N_PUMP = 2.140023845173866
 OUTPUT_UM = 1.308693586698337
 DK_AT_14UM = -0.03876736917399996
 BULK_PERIOD_352K = 15.323661866883143
+
+# Residual tolerance for the QPM solvers, rad/um.
+SOLVER_TOL_RAD_UM = 1e-9
 BULK_PERIOD_330K = 15.39039856635443
 
 
@@ -118,7 +121,7 @@ def test_solve_poling_period_zeroes_mismatch():
         period = qpm.solve_poling_period(SIGNAL_UM, PUMP_UM, t)
         cfg = qpm.QpmConfig(period, 1.0, t)
         out = qpm.dfg_output_wavelength(SIGNAL_UM, PUMP_UM)
-        assert abs(qpm.phase_mismatch(SIGNAL_UM, PUMP_UM, out, cfg)) < 1e-9
+        assert abs(qpm.phase_mismatch(SIGNAL_UM, PUMP_UM, out, cfg)) < SOLVER_TOL_RAD_UM
 
 
 def test_third_order_period_triples():
@@ -126,6 +129,13 @@ def test_third_order_period_triples():
         p1 = qpm.solve_poling_period(SIGNAL_UM, PUMP_UM, float(t), order=1)
         p3 = qpm.solve_poling_period(SIGNAL_UM, PUMP_UM, float(t), order=3)
         assert p3 == pytest.approx(3.0 * p1, rel=1e-12)
+
+
+@pytest.mark.parametrize("order", [0, -1, 1.0, True])
+def test_solve_poling_period_refuses_an_order_that_is_not_a_positive_integer(order):
+    # Once a period of 0, a negative one, or a float order's.
+    with pytest.raises(DomainError, match=f"order must be an integer >= 1, got {order}"):
+        qpm.solve_poling_period(SIGNAL_UM, PUMP_UM, T_DEVICE_K, order=order)
 
 
 def test_solve_poling_period_reports_impossible_sign(monkeypatch):
@@ -195,7 +205,7 @@ def test_solve_pump_zeroes_mismatch_over_tuning_range(order):
         cfg = qpm.QpmConfig(period, 1.0, float(t), order)
         pump = qpm.solve_pump_wavelength(period, SIGNAL_UM, float(t), order=order)
         out = qpm.dfg_output_wavelength(SIGNAL_UM, pump)
-        assert abs(qpm.phase_mismatch(SIGNAL_UM, pump, out, cfg)) <= qpm.SOLVER_TOL_RAD_UM
+        assert abs(qpm.phase_mismatch(SIGNAL_UM, pump, out, cfg)) <= SOLVER_TOL_RAD_UM
 
 
 def test_solve_pump_no_root_reports_endpoints():

@@ -126,6 +126,16 @@ def test_malformed_bool_reports_key(ref):
         parse_scenario(text)
 
 
+def test_stage_named_like_a_field_is_refused_by_its_key(ref):
+    # Only a field's refusal carries the field's name: a stage that shares
+    # one with LossChain's field keeps its own message.
+    text = serialize_scenario(ref).replace(
+        "in_coupling = 0.45 fraction", "stages = 1.5 fraction"
+    )
+    with pytest.raises(ConfigError, match=r"\[chain_pre\] stages must be in \[0, 1\], got 1\.5 fraction$"):
+        parse_scenario(text)
+
+
 def test_chain_stage_needs_unit(ref):
     text = serialize_scenario(ref).replace(
         "in_coupling = 0.45 fraction", "in_coupling = 0.45"
