@@ -410,6 +410,26 @@ def test_scan_output_bytes_are_pinned(ref, settings, seed):
     assert run.content_digest() == PINNED_DIGESTS[settings, seed]
 
 
+# content_digest() of full-size 12-point scans: 1e6 pulses per point on the
+# reference path and 3e5 on the saturated one, where a point holds tens of
+# thousands of events, so the block boundaries of every blocked step and
+# the gate's block-crossing clusters are pinned too.
+PINNED_FULL_DIGESTS = {
+    ("reference", 7): "40771c3ef45edbe78979d50be06d80336ccb4a92a444a80a2b60671ebb17111a",
+    ("reference", 4242): "2fad7280241c78b71252bea3d68712b05551fceaf138fe3c8b06ab09593c9555",
+    ("saturated", 7): "0dbce9220c6ae470922a7bbce2eec71634cbf95496061c601b0d426c2a7a59b5",
+    ("saturated", 4242): "f7859ba5e0c67e81b5e44da8d8b369822b414235bd7313ec821feac6c35954c6",
+}
+
+
+@pytest.mark.parametrize("settings, seed", sorted(PINNED_FULL_DIGESTS))
+def test_full_size_scan_output_bytes_are_pinned(ref, settings, seed):
+    s = dataclasses.replace(ref if settings == "reference" else saturated(ref), master_seed=seed)
+    pulses = 1_000_000 if settings == "reference" else 300_000
+    run = run_fringe_scan(s, PHASES_12, pulses=pulses)
+    assert run.content_digest() == PINNED_FULL_DIGESTS[settings, seed]
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_first_failing_point_in_grid_order_surfaces(ref, cpus, monkeypatch):
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
