@@ -37,7 +37,7 @@ Times are nanoseconds unless a suffix says otherwise; rates are hertz.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -131,8 +131,14 @@ _SCALAR_FRONTIER = 16
 # Elements per block where a whole-stream step would otherwise need an
 # event-sized temporary: 2**14 float64s are 128 kB. Two points run at once,
 # each with a few block temporaries live, and blocks this small keep those
-# within the CPU cache at no cost in speed.
+# within the CPU cache; larger blocks for every step run no faster with
+# one point in flight.
 _BLOCK = 1 << 14
+# Events per span whose longer clusters the gate's frontier steps at once.
+# The frontier's numpy calls cost per step, not per event, so a span wider
+# than a block makes fewer of them for the same acceptances; its index
+# arrays hold one entry per cluster, and wider spans add peak memory.
+_GATE_SPAN = 1 << 16
 
 
 def _blocks(start: int, stop: int) -> Iterator[tuple[int, int]]:
@@ -188,7 +194,7 @@ def _compress(times_ns: np.ndarray, mask: np.ndarray, tail=()) -> np.ndarray:
     filled = 0
     for lo, hi in _blocks(0, mask.size):
         # Each block lands at or before its own place, over no unread event.
-        block = times_ns[lo:hi][mask[lo:hi]]
+        block = times_ns[lo:hi].compress(mask[lo:hi])
         times_ns[filled : filled + block.size] = block
         filled += block.size
     out = _reserve(times_ns, filled, len(tail))
@@ -205,9 +211,9 @@ def _seek(times_ns: np.ndarray, x: np.ndarray, j: np.ndarray) -> np.ndarray:
     """
     n = times_ns.size
     for _ in range(2):
-        j = j + (times_ns[np.minimum(j, n - 1)] < x)
+        j = j + (times_ns.take(np.minimum(j, n - 1)) < x)
     j = np.minimum(j, n)
-    rest = np.flatnonzero(times_ns[np.minimum(j, n - 1)] < x)
+    rest = np.flatnonzero(times_ns.take(np.minimum(j, n - 1)) < x)
     j[rest] = np.searchsorted(times_ns, x[rest])
     return j
 
@@ -245,14 +251,14 @@ def _gate(times_ns: np.ndarray, dead_ns: float) -> np.ndarray:
         np.greater_equal(times_ns[lo:hi], times_ns[lo - 1 : hi - 1] + dead_ns, out=keep[lo:hi])
     # A longer cluster starts at a head followed by an event in its dead
     # time, and ends at the next head after such an event, or at n. The
-    # clusters are found and stepped a block of the stream at a time, each
-    # block from the end of the last cluster stepped, so a head that a step
+    # clusters are found and stepped a span of the stream at a time, each
+    # span from the end of the last cluster stepped, so a head that a step
     # marks is never read as a cluster start, and the index arrays and the
-    # frontier's temporaries stay block-sized.
+    # frontier's temporaries hold one entry per cluster in the span.
     accepted = []
     lo = 0
     while lo < n - 1:
-        hi = min(lo + _BLOCK, n - 1)
+        hi = min(lo + _GATE_SPAN, n - 1)
         frontier = np.flatnonzero(keep[lo:hi] > keep[lo + 1 : hi + 1]) + lo
         if not frontier.size:
             lo = hi
@@ -297,25 +303,6 @@ def _afterpulse_marks(
             yield next(delays) if spawns else None
 
 
-def _last_kept_before(keep: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Index of the last True in ``keep[:j]`` for each of the ascending ``j``, -1 if none.
-
-    A block of ``keep`` at a time, the j whose j - 1 falls in it search
-    the block's True indices, behind the last True index before the block,
-    so no index array as large as ``keep`` is allocated.
-    """
-    out = np.full(j.size, -1, dtype=np.intp)
-    carry, a = -1, 0
-    for lo, hi in _blocks(0, keep.size):
-        known = np.concatenate(((carry,), np.flatnonzero(keep[lo:hi]) + lo))
-        # j - 1 falls in this block, or before it, for j up to hi; the
-        # count of the block's True indices up to j - 1 picks the answer.
-        b = int(np.searchsorted(j, hi, side="right"))
-        out[a:b] = known[np.searchsorted(known[1:], j[a:b] - 1, side="right")]
-        carry, a = int(known[-1]), b
-    return out
-
-
 def _afterpulse_pass(
     times_ns: np.ndarray,
     dead_ns: float,
@@ -344,15 +331,20 @@ def _afterpulse_pass(
     also terminates the cascade at afterpulse probability 1.
 
     Each real candidate is tested against the gate of the real stream in
-    one array step. Until a rewrite reaches its backward window
-    [c - 2 dead, c), that test is the sequential one, short of one
-    comparison with the last accepted afterpulse, so a clean candidate
-    that the real gate rejects is never visited. The loop visits the rest
-    in time order, the afterpulses' own candidates on a heap, and re-walks
-    after each accepted one on a bytearray of acceptances. It reads the
-    candidates through memoryviews, 8 bytes each, and the array steps'
-    temporaries are freed before it starts. The output is compacted over
-    ``times_ns``, which the caller gives up.
+    array steps. Its j0 and j1, the first events at or after c and c +
+    dead, are found by short probes from its parent and from j0, and a
+    binary search settles the few that the probes do not reach. The last
+    real acceptance before c is found by stepping back from j0 over the
+    rejected events in its backward window [c - 2 dead, c), three steps
+    for every candidate and a scalar loop for the few still stepping.
+    Until a rewrite reaches that window, the test is the sequential one,
+    short of one comparison with the last accepted afterpulse, so a clean
+    candidate that the real gate rejects is never visited. The loop visits
+    the rest in time order, the afterpulses' own candidates on a heap, and
+    re-walks after each accepted one on a bytearray of acceptances. It
+    reads the candidates through memoryviews, 8 bytes each, and the array
+    steps' temporaries are freed before it starts. The output is compacted
+    over ``times_ns``, which the caller gives up.
     """
     keep0 = _gate(times_ns, dead_ns)
     n = times_ns.size
@@ -365,15 +357,34 @@ def _afterpulse_pass(
     del below, order
     m = cand.size
     # j0 is the first event at or after c, j1 the first after its dead time.
-    j0 = np.searchsorted(times_ns, cand)
-    j1 = np.searchsorted(times_ns, cand + dead_ns)
+    # c lies after its parent unless t + dead + delay rounds back to t, so
+    # j0 is sought from the parent on, and searched afresh where it does.
+    j0 = _seek(times_ns, cand, parent + 1)
+    tied = np.flatnonzero(times_ns.take(parent) >= cand)
+    j0[tied] = np.searchsorted(times_ns, cand.take(tied))
+    j1 = _seek(times_ns, cand + dead_ns, j0)
     floor = cand - 2.0 * dead_ns
     # The real gate blocks c when its last acceptance before c lies at or
-    # after the floor and c < t + dead.
-    before = _last_kept_before(keep0, j0)
-    t_prev = times_ns[np.maximum(before, 0)]
-    ok = (before < 0) | (t_prev < floor) | (cand >= t_prev + dead_ns)
-    del before, t_prev
+    # after the floor and c < t + dead. k steps back from j0 - 1 over the
+    # rejected events at or after the floor, and stops on that acceptance,
+    # before the floor, or at -1: three array steps, then a scalar loop
+    # over the few candidates left.
+    k = j0 - 1
+    left = np.arange(m)
+    for _ in range(3):
+        k_left = k.take(left)
+        at = np.maximum(k_left, 0)
+        back = (k_left >= 0) & (times_ns.take(at) >= floor.take(left)) & ~keep0.take(at)
+        left = left.compress(back)
+        k[left] -= 1
+    for a in left.tolist():
+        floor_a, k_a = floor[a], int(k[a])
+        while k_a >= 0 and times_ns[k_a] >= floor_a and not keep0[k_a]:
+            k_a -= 1
+        k[a] = k_a
+    t_prev = times_ns.take(np.maximum(k, 0))
+    ok = (k < 0) | (t_prev < floor) | (cand >= t_prev + dead_ns)
+    del tied, k, left, k_left, at, back, t_prev
     # Index of the next candidate at or after i that the real gate accepts.
     next_ok = np.minimum.accumulate(np.append(np.where(ok, np.arange(m), m), m)[::-1])[::-1]
     del ok
@@ -456,7 +467,11 @@ def _afterpulse_pass(
         last_j1 = j1_c
         if end > j0_c and tv[end - 1] > mod_t:
             mod_t = tv[end - 1]
-            dirty_end = bisect_right(floors, mod_t, i)
+            # Floors ascend and mod_t only grows, so the window's end only
+            # moves on, most often by a candidate or two.
+            dirty_end = max(dirty_end, i)
+            while dirty_end < m and floors[dirty_end] <= mod_t:
+                dirty_end += 1
         delay = next(marks)
         if delay is not None:
             spawned = c + dead_ns + delay

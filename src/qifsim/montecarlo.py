@@ -375,7 +375,7 @@ def _uniform_below(
         u = block[: hi - lo]
         rng.random(out=u)
         u *= scale
-        np.less(u, bound[lo:hi] if rank is None else bound[rank[lo:hi]], out=mask[lo:hi])
+        np.less(u, bound[lo:hi] if rank is None else bound.take(rank[lo:hi]), out=mask[lo:hi])
     return mask
 
 
@@ -383,27 +383,26 @@ def _shared_ranks(pulse: np.ndarray) -> tuple[np.ndarray, int]:
     """Rank of each entry of an ascending array among the values that repeat, and their count.
 
     An entry whose value occurs once has rank 0, and one whose value
-    repeats 1 + that value's rank among the values that repeat. A run
-    start followed by a run start is a run of one, and one followed by
-    none heads a longer run. A block at a time, each entry counts the
-    longer runs started up to it, the count carried over from block to
-    block, and the entries of runs of one are set to 0. Besides ``pulse``,
-    one bool and one int32 array of its size live at once. The caller keeps
-    ``pulse.size`` within ``_MAX_POINT_EVENTS``.
+    repeats 1 + that value's rank among the values that repeat. Such a
+    value fills a run of equal neighbours, so the ranks come from the
+    repeat pairs (i, i + 1) alone: a pair that does not continue the pair
+    before it heads a run, and a count of the heads ranks each pair's two
+    entries. Besides ``pulse`` and the int32 ranks, one bool of its size
+    lives while the pairs are found, then only arrays the size of the
+    repeat pairs. The caller keeps ``pulse.size`` within
+    ``_MAX_POINT_EVENTS``.
     """
-    n = pulse.size
-    run_start = np.ones(n + 1, dtype=bool)
-    np.not_equal(pulse[1:], pulse[:-1], out=run_start[1:n])
-    rank = np.empty(n, dtype=np.int32)
-    shared = 0
-    for lo, hi in _blocks(0, n):
-        starts, nexts = run_start[lo:hi], run_start[lo + 1 : hi + 1]
-        block = rank[lo:hi]
-        np.cumsum(starts > nexts, dtype=np.int32, out=block)
-        block += shared
-        shared = int(block[-1])
-        np.copyto(block, 0, where=starts & nexts)
-    return rank, shared
+    rank = np.zeros(pulse.size, dtype=np.int32)
+    pairs = np.flatnonzero(pulse[1:] == pulse[:-1])
+    if not pairs.size:
+        return rank, 0
+    heads = np.empty(pairs.size, dtype=bool)
+    heads[0] = True
+    np.not_equal(pairs[1:], pairs[:-1] + 1, out=heads[1:])
+    ranks = np.cumsum(heads, dtype=np.int32)
+    rank[pairs] = ranks
+    rank[pairs + 1] = ranks
+    return rank, int(ranks[-1])
 
 
 def _check_events(n: float, what: str) -> None:
@@ -525,8 +524,7 @@ def _arrival_times(
     del sides
     filled = n_sides
     for lo, hi in _blocks(0, pulse.size):
-        # A boolean index builds no index array, unlike compress.
-        block = pulse[lo:hi][kept[lo:hi]]
+        block = pulse[lo:hi].compress(kept[lo:hi])
         np.multiply(block, period, out=times[filled : filled + block.size])
         filled += block.size
     del pulse, kept

@@ -144,16 +144,20 @@ def refractive_index(wavelength_um: float, temperature_k: float) -> float:
 def dfg_output_wavelength(signal_um: float, pump_um: float) -> float:
     """Difference-frequency output wavelength, 1/out = 1/signal - 1/pump.
 
-    The signal must be the most energetic wave (shortest wavelength).
+    The signal must be the most energetic wave (shortest wavelength), and
+    far enough from the pump, and from 0, that 1/signal - 1/pump is finite
+    and positive in floating point: a subnormal signal overflows 1/signal,
+    and a pump one ulp above the signal rounds the difference to 0.
     """
     require(signal_um, POSITIVE, "signal wavelength", " um")
     require(pump_um, POSITIVE, "pump wavelength", " um")
-    if signal_um >= pump_um:
+    inverse = 1.0 / signal_um - 1.0 / pump_um
+    if not 0.0 < inverse < math.inf:
         raise DomainError(
-            f"difference-frequency mixing needs signal < pump, "
-            f"got signal {signal_um} um >= pump {pump_um} um"
+            f"difference-frequency mixing needs signal < pump with 1/signal - 1/pump "
+            f"finite and > 0, got signal {signal_um} um, pump {pump_um} um"
         )
-    return 1.0 / (1.0 / signal_um - 1.0 / pump_um)
+    return 1.0 / inverse
 
 
 def phase_mismatch(

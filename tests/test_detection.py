@@ -236,35 +236,52 @@ def test_gate_draws_no_random_numbers():
     assert rng.random() == rng_of(20).random()
 
 
-def afterpulse_streams(dead_ns, p_after):
-    """(name, times, spawners, delays) of each afterpulse test stream.
+def afterpulse_streams(p_after):
+    """(name, dead_ns, times, spawners, delays) of each afterpulse test stream.
 
-    The gate's streams with random marks, then two at the density of a
-    saturated detector.
+    The gate's streams with random marks at a 20 ns dead time, then two at
+    the density of a saturated detector, then two at the edges of the
+    candidates' index probes.
     """
+    dead_ns = 20.0
     rng = np.random.default_rng(21)
     for name, times in gate_streams(dead_ns):
         spawners = np.flatnonzero(rng.random(times.size) < p_after)
-        yield name, times, spawners, rng.exponential(dead_ns, spawners.size)
+        yield name, dead_ns, times, spawners, rng.exponential(dead_ns, spawners.size)
     # One event per 2.2 dead times (44 ns at 20 ns): most candidates keep
     # the real gate's test, the rest interact.
     n = 20000
     times = np.sort(rng.uniform(0.0, 2.2 * dead_ns * n, n))
     spawners = np.flatnonzero(rng.random(n) < p_after)
-    yield "poisson", times, spawners, rng.exponential(dead_ns, spawners.size)
+    yield "poisson", dead_ns, times, spawners, rng.exponential(dead_ns, spawners.size)
     # Every event spawns soon after its dead time and the next one follows
     # 1.2-1.8 dead times later: afterpulses keep rewriting the real chain,
     # and their own candidates land in the backward windows of the real
     # candidates after them.
     times = np.cumsum(rng.uniform(1.2, 1.8, 4000) * dead_ns)
     spawners = np.arange(times.size)
-    yield "children in windows", times, spawners, rng.uniform(0.0, 0.5 * dead_ns, times.size)
+    delays = rng.uniform(0.0, 0.5 * dead_ns, times.size)
+    yield "children in windows", dead_ns, times, spawners, delays
+    # 20 events per dead time: the gate rejects far more than three events
+    # in a candidate's backward window [c - 2 dead, c), so the search for
+    # its last acceptance outlasts the array steps.
+    times = np.sort(rng.uniform(0.0, 50 * dead_ns, 1000))
+    spawners = np.flatnonzero(rng.random(times.size) < p_after)
+    yield "dense cluster", dead_ns, times, spawners, rng.exponential(dead_ns, spawners.size)
+    # Just below 2**55 ns a float steps by 4 ns, so with a 2 ns dead time
+    # t + dead rounds to t or to t + 4 by the parity of t, and a candidate
+    # t + dead + delay often rounds back to its parent's own time, below
+    # the index that the probes start from. Steps of 0 to 3 floats give
+    # ties and clusters.
+    start = 2.0**55 - 4.0 * 4000
+    times = start + 4.0 * np.cumsum(rng.integers(0, 4, 800)).astype(float)
+    spawners = np.flatnonzero(rng.random(times.size) < p_after)
+    yield "rounding near 2**55", 2.0, times, spawners, rng.exponential(2.0, spawners.size)
 
 
 @pytest.mark.parametrize("p_after", [0.05, 0.3, 0.9, 1.0])
 def test_afterpulse_pass_matches_marked_reference(p_after):
-    dead_ns = 20.0
-    for name, times, spawners, delays in afterpulse_streams(dead_ns, p_after):
+    for name, dead_ns, times, spawners, delays in afterpulse_streams(p_after):
         horizon = (float(times[-1]) if times.size else 0.0) + 30 * dead_ns
         args = (times, dead_ns, spawners, delays, horizon)
         # The pass compacts the stream it is given in place.

@@ -74,6 +74,18 @@ def test_dfg_requires_signal_most_energetic():
         qpm.dfg_output_wavelength(-0.7, 1.5)
 
 
+@pytest.mark.parametrize(
+    "signal_um, pump_um",
+    [(5e-324, 1.552), (1.552, math.nextafter(1.552, 2.0))],
+    ids=["subnormal signal", "pump one ulp above"],
+)
+def test_dfg_refuses_an_inverse_output_that_is_not_finite_and_positive(signal_um, pump_um):
+    # 1/signal overflows to inf, or 1/signal - 1/pump rounds to 0: either
+    # would give an output wavelength of 0 or a ZeroDivisionError.
+    with pytest.raises(DomainError, match="1/signal - 1/pump"):
+        qpm.dfg_output_wavelength(signal_um, pump_um)
+
+
 def test_phase_mismatch_frozen_value():
     cfg = qpm.QpmConfig(poling_period_um=14.0, crystal_length_cm=1.0, temperature_k=T_DEVICE_K)
     dk = qpm.phase_mismatch(SIGNAL_UM, PUMP_UM, OUTPUT_UM, cfg)
