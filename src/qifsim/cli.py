@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import datetime
 import math
 import os
 import sys
@@ -365,7 +364,7 @@ def _append_run_log(
     started: float,
     error: QifsimError | None = None,
 ) -> None:
-    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
     digest = scenario_digest(s) if s is not None else "-"
     seed = s.master_seed if s is not None else "-"
     status = "ok"

@@ -219,13 +219,10 @@ def _seek(times_ns: np.ndarray, x: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 
 def _next_true(mask: np.ndarray, i: int) -> int:
-    """Index of the first True in ``mask[i:]``, or ``mask.size``; a block at a time."""
-    for lo, hi in _blocks(i, mask.size):
-        block = mask[lo:hi]
-        j = int(block.argmax())
-        if block[j]:
-            return lo + j
-    return mask.size
+    """Index of the first True in ``mask[i:]``, or ``mask.size``; i < mask.size."""
+    tail = mask[i:]
+    j = int(tail.argmax())  # a boolean argmax stops at the first True
+    return i + j if tail[j] else mask.size
 
 
 def _gate(times_ns: np.ndarray, dead_ns: float) -> np.ndarray:
@@ -331,9 +328,11 @@ def _afterpulse_pass(
     also terminates the cascade at afterpulse probability 1.
 
     Each real candidate is tested against the gate of the real stream in
-    array steps. Its j0 and j1, the first events at or after c and c +
-    dead, are found by short probes from its parent and from j0, and a
-    binary search settles the few that the probes do not reach. The last
+    array steps. Its j0, the first event at or after c, is sought from the
+    parent + 1: where c rounds back to the parent's time t, t + dead rounds
+    to t too, so no event up to the accepted parent can block c. Its j1,
+    the first at or after c + dead, is sought from j0. Short probes find
+    most, and a binary search settles the rest. The last
     real acceptance before c is found by stepping back from j0 over the
     rejected events in its backward window [c - 2 dead, c), three steps
     for every candidate and a scalar loop for the few still stepping.
@@ -356,12 +355,7 @@ def _afterpulse_pass(
     cand, parent = cand[order], parent[order]
     del below, order
     m = cand.size
-    # j0 is the first event at or after c, j1 the first after its dead time.
-    # c lies after its parent unless t + dead + delay rounds back to t, so
-    # j0 is sought from the parent on, and searched afresh where it does.
     j0 = _seek(times_ns, cand, parent + 1)
-    tied = np.flatnonzero(times_ns.take(parent) >= cand)
-    j0[tied] = np.searchsorted(times_ns, cand.take(tied))
     j1 = _seek(times_ns, cand + dead_ns, j0)
     floor = cand - 2.0 * dead_ns
     # The real gate blocks c when its last acceptance before c lies at or
@@ -384,7 +378,7 @@ def _afterpulse_pass(
         k[a] = k_a
     t_prev = times_ns.take(np.maximum(k, 0))
     ok = (k < 0) | (t_prev < floor) | (cand >= t_prev + dead_ns)
-    del tied, k, left, k_left, at, back, t_prev
+    del k, left, k_left, at, back, t_prev
     # Index of the next candidate at or after i that the real gate accepts.
     next_ok = np.minimum.accumulate(np.append(np.where(ok, np.arange(m), m), m)[::-1])[::-1]
     del ok

@@ -27,7 +27,6 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -473,10 +472,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def load_reference_scenario() -> Scenario:
     """The scenario bundled with the package."""
-    with resources.as_file(
-        resources.files("qifsim.data").joinpath("reference.scenario")
-    ) as path:
-        return load_scenario(path)
+    return load_scenario(Path(__file__).with_name("data") / "reference.scenario")
 
 
 def serialize_scenario(s: Scenario) -> str:

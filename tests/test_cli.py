@@ -1,14 +1,18 @@
 """End-to-end command-line checks via subprocess."""
 
+import calendar
 import csv
 import dataclasses
 import errno
 import hashlib
 import io
+import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -187,6 +191,15 @@ def test_run_log_records_wall_time(tmp_path):
     assert list(fields)[-2:] == ["wall_s", "status"]
     assert 0.0 <= float(fields["wall_s"]) < 60.0
     assert fields["status"] == "ok"
+
+
+def test_run_log_stamp_is_utc_to_the_second(tmp_path):
+    before = math.floor(time.time())
+    assert cli.main(["budget", "--out", str(tmp_path)]) == 0
+    after = math.ceil(time.time())
+    stamp = (tmp_path / "run.log").read_text().split("\t", 1)[0]
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp)
+    assert before <= calendar.timegm(time.strptime(stamp, "%Y-%m-%dT%H:%M:%S+00:00")) <= after
 
 
 def test_run_log_records_escaped_error_message(tmp_path):
@@ -538,6 +551,26 @@ def test_analytic_paths_import_no_numpy_or_scipy(tmp_path, cli_env, statement, c
     assert proc.stdout.splitlines()[-1] == "[]"
     if csv_kind is not None:
         assert (tmp_path / f"{DIGEST}-{csv_kind}.csv").exists()
+
+
+def test_cli_import_pulls_in_no_module_for_a_single_call(tmp_path, cli_env):
+    # -S leaves site-packages off the path, so importing numpy would fail the run too.
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-c", "import qifsim.cli"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=cli_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "qifsim.cli" in imported
+    for banned in ("importlib.resources", "tempfile", "datetime", "numpy"):
+        assert not {m for m in imported if m == banned or m.startswith(banned + ".")}, banned
 
 
 def test_module_run_warns_nothing(tmp_path, cli_env):

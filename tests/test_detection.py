@@ -241,7 +241,8 @@ def afterpulse_streams(p_after):
 
     The gate's streams with random marks at a 20 ns dead time, then two at
     the density of a saturated detector, then two at the edges of the
-    candidates' index probes.
+    candidates' index probes, then 200 short ones near 2**55 ns, where a
+    candidate often rounds back to its parent's own time.
     """
     dead_ns = 20.0
     rng = np.random.default_rng(21)
@@ -277,17 +278,28 @@ def afterpulse_streams(p_after):
     times = start + 4.0 * np.cumsum(rng.integers(0, 4, 800)).astype(float)
     spawners = np.flatnonzero(rng.random(times.size) < p_after)
     yield "rounding near 2**55", 2.0, times, spawners, rng.exponential(2.0, spawners.size)
+    # 200 short streams there, each with its own dead time in [1, 6] ns.
+    for k in range(200):
+        dead_ns = float(rng.uniform(1.0, 6.0))
+        times = start + 4.0 * np.cumsum(rng.integers(0, 4, 60)).astype(float)
+        spawners = np.flatnonzero(rng.random(times.size) < p_after)
+        delays = rng.exponential(dead_ns, spawners.size)
+        yield f"rounding near 2**55, {k}", dead_ns, times, spawners, delays
 
 
 @pytest.mark.parametrize("p_after", [0.05, 0.3, 0.9, 1.0])
 def test_afterpulse_pass_matches_marked_reference(p_after):
+    rounded_back = 0
     for name, dead_ns, times, spawners, delays in afterpulse_streams(p_after):
         horizon = (float(times[-1]) if times.size else 0.0) + 30 * dead_ns
+        rounded_back += np.count_nonzero(times[spawners] + dead_ns + delays == times[spawners])
         args = (times, dead_ns, spawners, delays, horizon)
         # The pass compacts the stream it is given in place.
         out = detection._afterpulse_pass(times.copy(), *args[1:], afterpulse_marks(p_after, dead_ns))
         expected = marked_reference(*args, afterpulse_marks(p_after, dead_ns))
         assert np.array_equal(out, expected), name
+    # Some candidates round back to their parent's own time.
+    assert rounded_back > 0
 
 
 def test_afterpulse_rate_delay_and_gap():
