@@ -558,13 +558,16 @@ def simulate_detection(
         had too little room; without, an array of their own.
 
     Raises:
-        DomainError: arrival times not 1-D, negative duration, or a
-            buffer that is not 1-D float64 or is shorter than the arrivals.
+        DomainError: arrival times not 1-D or not finite, a negative
+            duration, or a buffer not 1-D float64 or too short for them.
     """
     require(duration_s, NON_NEGATIVE, "duration", " s")
     fired = np.array(arrivals, dtype=float) if buffer is None else np.asarray(arrivals, dtype=float)
     if fired.ndim != 1:
         raise DomainError(f"arrival times must be 1-D, got shape {fired.shape}")
+    # An infinite time would stretch the afterpulse horizon without end.
+    if not np.isfinite(fired).all():
+        raise DomainError("arrival times must be finite")
     n_fired = fired.size
     if buffer is None:
         stream = fired

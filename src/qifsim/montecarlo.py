@@ -315,45 +315,43 @@ def _window_counts(folded_ns: np.ndarray, period_ns: float, center_ns: float, wi
     return folded_ns.size - below_lo + int(np.count_nonzero(folded_ns < hi - period_ns))
 
 
-def _window_share(s: Scenario, center_ns: float, sigma_ns: float) -> float:
+def _capture(period_ns: float, center_ns: float, width_ns: float, mu_ns: float, sigma_ns: float) -> float:
     """Share of a Gaussian peak's events that ``_window_counts`` counts.
 
-    The peak repeats every period T, so the share sums P(lo <= X < hi) over
-    the copies X ~ Normal(center + k T, sigma) that can reach the window.
-    Past 9 sigma, erf is 1.0 in double precision, so a farther copy adds
-    exactly 0. Copies -1 to 2 are always in the sum. From sigma = T / 2 on,
-    where that sum would take more than a dozen erf pairs, the share is the
-    folded Gaussian's Fourier series instead, integrated over the window
-    of width w and centre c: w / T + sum over k >= 1 of (2 / (pi k))
-    sin(pi k w / T) cos(2 pi k (c - center) / T) exp(-2 pi^2 k^2 sigma^2 / T^2).
-    Its terms fall below 1e-17 within three, so the cost no longer grows
-    with sigma.
+    The peak, of mean mu and sd sigma, repeats every period T, so the share
+    sums P(lo <= X < hi) over the copies X ~ Normal(mu + k T, sigma) that
+    can reach ``_window(T, center, width)``. Past 9 sigma, erf is 1.0 in
+    double precision, so a farther copy adds exactly 0. Copies -1 to 2 are
+    always in the sum. From sigma = T / 2 on, where that sum would take more
+    than a dozen erf pairs, the share is the folded Gaussian's Fourier series
+    instead, integrated over the interval of width w and centre c: w / T +
+    sum over k >= 1 of (2 / (pi k)) sin(pi k w / T) cos(2 pi k (c - mu) / T)
+    exp(-2 pi^2 k^2 sigma^2 / T^2). Its terms fall below 1e-17 within three.
     """
-    period = s.sync_period_ns()
-    window = _window(period, s.sca.center_ns, s.sca.width_ns)
+    window = _window(period_ns, center_ns, width_ns)
     if window is None:
         return 1.0
-    if sigma_ns >= 0.5 * period:
-        flat = s.sca.width_ns / period
+    if sigma_ns >= 0.5 * period_ns:
+        flat = width_ns / period_ns
         share, k = flat, 1
-        while (damping := math.exp(-2.0 * (math.pi * k * sigma_ns / period) ** 2)) > 1e-17:
-            cos = math.cos(2.0 * math.pi * k * (s.sca.center_ns - center_ns) / period)
+        while (damping := math.exp(-2.0 * (math.pi * k * sigma_ns / period_ns) ** 2)) > 1e-17:
+            cos = math.cos(2.0 * math.pi * k * (center_ns - mu_ns) / period_ns)
             share += 2.0 / (math.pi * k) * math.sin(math.pi * k * flat) * cos * damping
             k += 1
         return share
     lo, hi = window
-    center = center_ns % period
+    mu = mu_ns % period_ns
     reach = 9.0 * sigma_ns
     copies = range(
-        min(-1, math.floor((lo - reach - center) / period)),
-        max(2, math.ceil((hi + reach - center) / period)) + 1,
+        min(-1, math.floor((lo - reach - mu) / period_ns)),
+        max(2, math.ceil((hi + reach - mu) / period_ns)) + 1,
     )
     if sigma_ns == 0:
-        return sum(1.0 if lo <= center + k * period < hi else 0.0 for k in copies)
+        return sum(1.0 if lo <= mu + k * period_ns < hi else 0.0 for k in copies)
     z = 1.0 / (sigma_ns * math.sqrt(2.0))
     return sum(
-        0.5 * (math.erf((hi - mu) * z) - math.erf((lo - mu) * z))
-        for mu in (center + k * period for k in copies)
+        0.5 * (math.erf((hi - x) * z) - math.erf((lo - x) * z))
+        for x in (mu + k * period_ns for k in copies)
     )
 
 
@@ -742,8 +740,9 @@ def expected_fringe(s: Scenario, phases_rad, pulses: int | None = None) -> Expec
     phases = np.array(grid(phases_rad, "phase", FINITE, " rad"))
     n_pulses = _pulse_count(s, pulses)
     m = _point_model(s)
+    period = s.sync_period_ns()
     early, middle, late = (
-        _window_share(s, m.tac_offset_ns + delay, m.pulse_width_ns)
+        _capture(period, s.sca.center_ns, s.sca.width_ns, m.tac_offset_ns + delay, m.pulse_width_ns)
         for delay in (0.0, m.middle.delay_ns, m.sides.late_delay_ns)
     )
     scale = n_pulses * m.fired_per_pulse
@@ -753,7 +752,6 @@ def expected_fringe(s: Scenario, phases_rad, pulses: int | None = None) -> Expec
     # The mean of cos(x + drift) over a Gaussian drift is exp(-drift^2 / 2) cos x.
     signal_amplitude = scale * m.middle.amplitude * math.exp(-0.5 * m.middle.drift_rad**2) * middle
 
-    period = s.sync_period_ns()
     window = _window(period, s.sca.center_ns, s.sca.width_ns)
     flat = 1.0 if window is None else s.sca.width_ns / period
     dark = s.detector.dark_count_rate_hz * s.duration_s(n_pulses)

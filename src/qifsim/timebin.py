@@ -12,7 +12,6 @@ Times are nanoseconds; phases radians; probabilities plain fractions.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -164,7 +163,7 @@ def prepare_qubit(ifo: Interferometer) -> TimeBinQubit:
     amp = ifo.forward_path_amplitude()
     return TimeBinQubit(
         early=complex(amp),
-        late=amp * cmath.exp(1j * ifo.phase_rad),
+        late=amp * complex(math.cos(ifo.phase_rad), math.sin(ifo.phase_rad)),
         delta_tau_ns=ifo.delta_tau_ns,
     )
 
@@ -231,7 +230,7 @@ def analyze(qubit: TimeBinQubit, ifo: Interferometer) -> AnalysisResult:
     s = ifo.splitting_ratio
     eta = ifo.transmission
     beta = ifo.phase_rad
-    phase = cmath.exp(1j * beta)
+    phase = complex(math.cos(beta), math.sin(beta))
 
     u2 = s * (1.0 - s) * eta
     cross = (a0 * a1.conjugate() * phase).real

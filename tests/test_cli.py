@@ -569,7 +569,7 @@ def test_cli_import_pulls_in_no_module_for_a_single_call(tmp_path, cli_env):
         if line.startswith("import time:")
     }
     assert "qifsim.cli" in imported
-    for banned in ("importlib.resources", "tempfile", "datetime", "numpy"):
+    for banned in ("importlib.resources", "tempfile", "datetime", "cmath", "numpy"):
         assert not {m for m in imported if m == banned or m.startswith(banned + ".")}, banned
 
 

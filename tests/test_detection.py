@@ -356,6 +356,41 @@ def test_simulate_detection_input_validation():
         simulate_detection(np.zeros((3, 4)), det, 1e-6, rng_of(1))
 
 
+DETECTORS = {
+    "no dead time": DetectorModel(quantum_efficiency=1.0, jitter_fwhm_ps=800.0),
+    "dead time": DetectorModel(quantum_efficiency=1.0, dead_time_us=0.02),
+    "afterpulses at p = 1": DetectorModel(
+        quantum_efficiency=1.0, dead_time_us=0.02, afterpulse_probability=1.0
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("det", DETECTORS.values(), ids=DETECTORS)
+def test_simulate_detection_refuses_a_time_that_is_not_finite(det, bad):
+    # [1, inf] with afterpulses at p = 1 never returned: the horizon was the
+    # last arrival, inf, so the cascade never stopped. A NaN vanished under
+    # a dead time and came out as a NaN detection without one. Refused
+    # before any draw, with and without a buffer.
+    rng = rng_of(11)
+    with pytest.raises(DomainError, match="arrival times must be finite"):
+        simulate_detection([1.0, bad], det, 1e-7, rng)
+    buffer = np.array([1.0, bad, 2.0, 0.0])
+    with pytest.raises(DomainError, match="arrival times must be finite"):
+        simulate_detection(buffer[:3], det, 1e-7, rng, buffer=buffer)
+    assert rng.random() == rng_of(11).random()
+
+
+@pytest.mark.parametrize("det", [DETECTORS["no dead time"], DETECTORS["dead time"]])
+def test_simulate_detection_takes_every_finite_time(det):
+    # The extremes of a float pass the check; without afterpulses the dead
+    # time lets both far ends through.
+    times = [-np.finfo(float).max, -5e-324, 0.0, 5e-324, np.finfo(float).max]
+    out = simulate_detection(times, det, 0.0, rng_of(12))
+    assert out.size == len(times) - 2 * (det.dead_time_us > 0)
+    assert np.isfinite(out).all()
+
+
 @pytest.mark.parametrize("dead_time_us, p_after", [(0.0, 0.0), (0.02, 0.05)])
 def test_arrival_order_does_not_matter_without_jitter(dead_time_us, p_after):
     # Without jitter the arrivals take no draws, so their order changes
