@@ -357,12 +357,14 @@ def run_efficiency_sweep(s: Scenario, powers_w) -> tuple[EfficiencyPoint, ...]:
     results = []
     for power in powers:
         rng = _stream(s.master_seed, "efficiency-sweep", power)
-        converted = _binomial(_binomial(n, pre_t, rng), s.internal_efficiency(power), rng)
+        eta_internal = s.internal_efficiency(power)
+        converted = _binomial(_binomial(n, pre_t, rng), eta_internal, rng)
         survived = _binomial(converted, post_t, rng)
         results.append(
             EfficiencyPoint(
                 power_w=power,
-                eta_analytic=s.eta_qi(power),
+                # end_to_end_efficiency's product, from the factors in hand.
+                eta_analytic=pre_t * eta_internal * post_t,
                 eta_mc=survived / n if n else 0.0,
                 stat_error=math.sqrt(survived) / n if n else 0.0,
             )

@@ -720,22 +720,36 @@ class ExpectedFringe:
     v_raw: float
 
 
+def _check_oracle_domain(s: Scenario) -> None:
+    """Refuse a scenario the analytic oracle does not cover.
+
+    The oracle covers Gaussian pulses on a detector with no dead time:
+    the square shape has no closed-form window capture here, and a dead
+    time thins the counts by an amount the oracle does not model.
+    Afterpulses need a dead time, so they are refused with it.
+    """
+    if s.source.pulse_shape != "gaussian":
+        raise DomainError("expected_fringe only covers gaussian pulse shapes")
+    if s.detector.dead_time_us > 0:
+        raise DomainError(
+            f"expected_fringe only covers a detector without dead time, "
+            f"got {s.detector.dead_time_us} us"
+        )
+
+
 def expected_fringe(s: Scenario, phases_rad, pulses: int | None = None) -> ExpectedFringe:
     """Closed-form expectation of ``run_fringe_scan``'s window counts.
 
     Integrates the engine's own per-point model over the SCA window, by the
     engine's window rule, each peak the model's one Gaussian of pulse and
-    jitter, and adds the detector's flat darks. Assumes Gaussian pulses
-    (the square shape has no closed-form window capture here) and a
-    dead-time-free detector; the scenario's dead time is ignored, which is
-    exact at zero and an approximation otherwise.
+    jitter, and adds the detector's flat darks. ``_check_oracle_domain``
+    states what it covers: Gaussian pulses and no dead time.
 
     Raises:
-        DomainError: square pulse shape, a phase grid that is not flat, a
-            phase not finite, or pulses not an integer or < 0.
+        DomainError: square pulse shape, a dead time, a phase grid that is
+            not flat, a phase not finite, or pulses not an integer or < 0.
     """
-    if s.source.pulse_shape != "gaussian":
-        raise DomainError("expected_fringe only covers gaussian pulse shapes")
+    _check_oracle_domain(s)
     # A non-finite phase would give the oracle a NaN count.
     phases = np.array(grid(phases_rad, "phase", FINITE, " rad"))
     n_pulses = _pulse_count(s, pulses)

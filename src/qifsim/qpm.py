@@ -29,6 +29,11 @@ __all__ = [
 ]
 
 PUMP_SEARCH_BRACKET_UM = (1.3, 1.8)
+# The pump solver's 128 scan points; the ends are the bracket's own floats.
+_PUMP_GRID_UM = tuple(
+    PUMP_SEARCH_BRACKET_UM[0] + (PUMP_SEARCH_BRACKET_UM[1] - PUMP_SEARCH_BRACKET_UM[0]) * i / 127
+    for i in range(128)
+)
 
 # Energy-conservation gate for phase_mismatch inputs, 1/um. Far below any
 # physical linewidth; catches inconsistent triples, not detunings.
@@ -58,8 +63,8 @@ class SellmeierModel:
     wavelength_range_um: tuple[float, float]
     temperature_range_k: tuple[float, float]
 
-    def index(self, wavelength_um: float, temperature_k: float) -> float:
-        """Evaluate n_e; validity is enforced, never extrapolated."""
+    def check(self, wavelength_um: float, temperature_k: float) -> None:
+        """Refuse a point outside the validity ranges; the model never extrapolates."""
         lo, hi = self.wavelength_range_um
         if not lo <= wavelength_um <= hi:
             raise DomainError(
@@ -72,19 +77,31 @@ class SellmeierModel:
                 f"temperature {temperature_k} K outside Sellmeier validity "
                 f"[{tlo}, {thi}] K"
             )
+
+    def at(self, temperature_k: float):
+        """n_e(lam) at one temperature, with no range check.
+
+        The temperature-only terms a1 + b1 f, a2 + b2 f, (a3 + b3 f)^2,
+        a4 + b4 f and a5^2 are folded once; the sum keeps the order of the
+        formula above, so every index is the same float as term by term.
+        """
         t = temperature_k - 273.15
         f = (t - 24.5) * (t + 570.82)
         a1, a2, a3, a4, a5, a6 = self.a
         b1, b2, b3, b4 = self.b
-        lam2 = wavelength_um * wavelength_um
-        n2 = (
-            a1
-            + b1 * f
-            + (a2 + b2 * f) / (lam2 - (a3 + b3 * f) ** 2)
-            + (a4 + b4 * f) / (lam2 - a5 * a5)
-            - a6 * lam2
-        )
-        return math.sqrt(n2)
+        c1, c2, c3, c4, c5 = a1 + b1 * f, a2 + b2 * f, (a3 + b3 * f) ** 2, a4 + b4 * f, a5 * a5
+        sqrt = math.sqrt
+
+        def index(wavelength_um: float) -> float:
+            lam2 = wavelength_um * wavelength_um
+            return sqrt(c1 + c2 / (lam2 - c3) + c4 / (lam2 - c5) - a6 * lam2)
+
+        return index
+
+    def index(self, wavelength_um: float, temperature_k: float) -> float:
+        """Evaluate n_e; validity is enforced, never extrapolated."""
+        self.check(wavelength_um, temperature_k)
+        return self.at(temperature_k)(wavelength_um)
 
 
 # D. H. Jundt, "Temperature-dependent Sellmeier equation for the index of
@@ -177,7 +194,11 @@ def phase_mismatch(
     require(pump_um, POSITIVE, "pump wavelength", " um")
     require(output_um, POSITIVE, "output wavelength", " um")
     _check_energy(signal_um, pump_um, output_um)
-    return _mismatch(_per_um(signal_um, cfg.temperature_k), pump_um, output_um, cfg)
+    t = cfg.temperature_k
+    signal_per_um = _per_um(signal_um, t)
+    CONGRUENT_LN_NE.check(pump_um, t)
+    CONGRUENT_LN_NE.check(output_um, t)
+    return _mismatch(signal_per_um, pump_um, output_um, _kernel(cfg))
 
 
 def _check_energy(signal_um: float, pump_um: float, output_um: float) -> None:
@@ -196,17 +217,20 @@ def _per_um(wavelength_um: float, temperature_k: float) -> float:
     return CONGRUENT_LN_NE.index(wavelength_um, temperature_k) / wavelength_um
 
 
-def _mismatch(signal_per_um: float, pump_um: float, output_um: float, cfg: QpmConfig) -> float:
-    """``phase_mismatch`` from the signal's term n_s/lam_s, which a scan computes once."""
-    bulk = _bulk_per_um(signal_per_um, pump_um, output_um, cfg.temperature_k)
-    return 2.0 * math.pi * (bulk - cfg.order / cfg.poling_period_um)
+def _kernel(cfg: QpmConfig):
+    """(n_e at the crystal temperature, unchecked; grating term m/Lambda) for ``_mismatch``."""
+    return CONGRUENT_LN_NE.at(cfg.temperature_k), cfg.order / cfg.poling_period_um
 
 
-def _bulk_per_um(
-    signal_per_um: float, pump_um: float, output_um: float, temperature_k: float
-) -> float:
-    """Grating-free momentum imbalance n_s/lam_s - n_p/lam_p - n_o/lam_o, 1/um."""
-    return signal_per_um - _per_um(pump_um, temperature_k) - _per_um(output_um, temperature_k)
+def _mismatch(signal_per_um: float, pump_um: float, output_um: float, kernel) -> float:
+    """``phase_mismatch`` from the signal's term n_s/lam_s, which a scan computes once.
+
+    ``kernel`` comes from ``_kernel`` and checks no range: the caller has
+    checked, or bounded, both wavelengths.
+    """
+    index, grating_per_um = kernel
+    bulk = signal_per_um - index(pump_um) / pump_um - index(output_um) / output_um
+    return 2.0 * math.pi * (bulk - grating_per_um)
 
 
 def solve_poling_period(
@@ -226,7 +250,11 @@ def solve_poling_period(
     """
     require(order, _ORDER, "order")
     output_um = dfg_output_wavelength(signal_um, pump_um)
-    bulk = _bulk_per_um(_per_um(signal_um, temperature_k), pump_um, output_um, temperature_k)
+    bulk = (
+        _per_um(signal_um, temperature_k)
+        - _per_um(pump_um, temperature_k)
+        - _per_um(output_um, temperature_k)
+    )
     if bulk <= 0:
         raise SolverError(
             f"no positive poling period: bulk mismatch is "
@@ -306,23 +334,32 @@ def solve_pump_wavelength(
             f"[{lo}, {hi}] um"
         )
     cfg = QpmConfig(poling_period_um, 1.0, temperature_k, order)
-    # The blue end first, so that it raises what any point of a full scan
-    # would. Each output comes from dfg_output_wavelength, so the triples
+    # The checks a full scan would meet first, in its order: the signal and
+    # the temperature, the blue end and its output, the red end and its
+    # output. Each output comes from dfg_output_wavelength, so the triples
     # conserve energy by construction and skip phase_mismatch's check.
     blue_output_um = dfg_output_wavelength(signal_um, lo)
     signal_per_um = _per_um(signal_um, temperature_k)
+    red_output_um = dfg_output_wavelength(signal_um, hi)
+    for wavelength_um in (lo, blue_output_um, hi, red_output_um):
+        CONGRUENT_LN_NE.check(wavelength_um, temperature_k)
+    # No other point needs a check. Every scan point lies inside [lo, hi],
+    # and so does every Illinois step b - fb (b - a) / (fb - fa): b - a is
+    # exact (Sterbenz, both ends in [1.3, 1.8]) and |fb / (fb - fa)| <= 1
+    # after rounding. The output 1/(1/signal - 1/pump) is monotone in the pump
+    # under correct rounding, so it lies between the two outputs accepted.
+    kernel = _kernel(cfg)
+    inverse_signal = 1.0 / signal_um
 
     def residual(pump_um: float) -> float:
-        output_um = dfg_output_wavelength(signal_um, pump_um)
-        return _mismatch(signal_per_um, pump_um, output_um, cfg)
+        return _mismatch(signal_per_um, pump_um, 1.0 / (inverse_signal - 1.0 / pump_um), kernel)
 
-    n_scan = 128
-    xs = [lo + (hi - lo) * i / (n_scan - 1) for i in range(n_scan)]
-    f_blue = _mismatch(signal_per_um, lo, blue_output_um, cfg)
-    f_red = f1 = residual(xs[-1])
+    xs = _PUMP_GRID_UM
+    f_blue = _mismatch(signal_per_um, lo, blue_output_um, kernel)
+    f_red = f1 = _mismatch(signal_per_um, hi, red_output_um, kernel)
     if f_red == 0.0:
         return xs[-1]
-    for i in range(n_scan - 2, -1, -1):
+    for i in range(len(xs) - 2, -1, -1):
         f0 = f_blue if i == 0 else residual(xs[i])
         if f0 == 0.0:
             return xs[i]

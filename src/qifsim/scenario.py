@@ -133,14 +133,15 @@ class RepeaterSettings:
     def link(self, length_km: float, budget_efficiency: float) -> LinkConfig:
         """The link of ``length_km``, converting at ``budget_efficiency`` when set from the budget."""
         eta = self.interface_efficiency
+        # Positional, in LinkConfig's field order: keywords cost a grid of links.
         return LinkConfig(
-            length_km=length_km,
-            attenuation_native_db_per_km=self.attenuation_native_db_per_km,
-            attenuation_telecom_db_per_km=self.attenuation_telecom_db_per_km,
-            interface_efficiency=budget_efficiency if eta is None else eta,
-            system_efficiency=self.system_efficiency,
-            protocol=self.protocol,
-            attempt_rate_hz=self.attempt_rate_hz,
+            length_km,
+            self.attenuation_native_db_per_km,
+            self.attenuation_telecom_db_per_km,
+            budget_efficiency if eta is None else eta,
+            self.system_efficiency,
+            self.protocol,
+            self.attempt_rate_hz,
         )
 
 

@@ -660,6 +660,23 @@ def test_one_point_phase_grid_exits_2_before_scanning(tmp_path, capsys, monkeypa
     assert list(tmp_path.glob("*.csv")) == []
 
 
+def test_validate_refuses_a_dead_time_with_exit_3_before_scanning(tmp_path, capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned a scenario the oracle does not cover")
+
+    monkeypatch.setattr(montecarlo, "run_fringe_scan", no_scan)
+    s = load_reference_scenario()
+    path = tmp_path / "dead-time.scenario"
+    dead_time = dataclasses.replace(s, detector=dataclasses.replace(s.detector, dead_time_us=0.02))
+    path.write_text(serialize_scenario(dead_time))
+    assert cli.main(["validate", "--scenario", str(path), "--out", str(tmp_path)]) == 3
+    message = "expected_fringe only covers a detector without dead time, got 0.02 us"
+    assert f"error: {message}" in capsys.readouterr().err
+    fields = run_log_fields(tmp_path / "run.log")
+    assert (fields["status"], fields["error"]) == ("error:DomainError", message)
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 @pytest.mark.parametrize(
     "key, bad",
     [("attenuation_native_db_per_km", "-1.0"), ("system_efficiency", "1.5")],

@@ -1,5 +1,6 @@
 """Conversion law, loss chains, pump coherence, and noise channels."""
 
+import dataclasses
 import math
 import random
 
@@ -313,6 +314,25 @@ def test_efficiency_sweep_takes_lists_and_arrays(ref):
     assert from_array == swept
     assert all(type(p.power_w) is float for p in from_array)
     assert run_efficiency_sweep(ref, tuple(powers)) == swept
+
+
+SWEEP_SETTINGS = {
+    "reference": lambda ref: ref,
+    "physical-budget-with-a-db-input-stage": lambda ref: dataclasses.replace(
+        ref,
+        unit_conversion_survival=False,
+        chain_pre=LossChain(ref.chain_pre.stages + (LossStage("splice", -0.45, "dB"),)),
+    ),
+}
+
+
+@pytest.mark.parametrize("setting", SWEEP_SETTINGS)
+def test_efficiency_sweep_analytic_column_is_eta_qi_bit_for_bit(ref, setting):
+    s = SWEEP_SETTINGS[setting](ref)
+    powers = [*np.linspace(0.0, 2.0 * s.pump.power_w, 14), s.pump.power_w]
+    swept = run_efficiency_sweep(s, powers)
+    assert [p.eta_analytic for p in swept] == [s.eta_qi(float(p)) for p in powers]
+    assert swept[0].power_w == 0.0 and swept[-1].eta_analytic == s.eta_qi()
 
 
 def test_efficiency_sweep_is_reexported_by_montecarlo():

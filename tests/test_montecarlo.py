@@ -742,6 +742,25 @@ def test_pulse_count_must_be_an_integer(ref, entry, bad, monkeypatch):
         entry(ref, [0.0, 1.0], pulses=bad)
 
 
+@pytest.mark.parametrize(
+    "detector",
+    [{"dead_time_us": 0.02}, {"dead_time_us": 0.02, "afterpulse_probability": 0.05}],
+    ids=["dead-time", "dead-time-and-afterpulses"],
+)
+@pytest.mark.parametrize("entry", [expected_fringe, validate_against_oracle])
+def test_oracle_refuses_a_dead_time_before_drawing(ref, entry, detector, monkeypatch):
+    # The oracle models no dead time; validate used to print chi2/pt of 5-8 there.
+    def no_draws(*args):
+        raise AssertionError("drew for a scenario outside the oracle's domain")
+
+    monkeypatch.setattr(montecarlo, "substream", no_draws)
+    s = dataclasses.replace(ref, detector=dataclasses.replace(ref.detector, **detector))
+    with pytest.raises(
+        DomainError, match=r"^expected_fringe only covers a detector without dead time, got 0\.02 us$"
+    ):
+        entry(s, [0.0, 1.0])
+
+
 def test_pulse_count_accepts_numpy_integers(ref):
     # The count is read as a Python int, so its type does not reach the digest.
     run = run_fringe_scan(ref, [0.0, 1.0], pulses=np.int64(1_000))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qifsim import qpm
 from qifsim.errors import DomainError, SolverError
@@ -29,6 +31,41 @@ BULK_PERIOD_330K = 15.39039856635443
 def test_index_frozen_values():
     assert qpm.refractive_index(SIGNAL_UM, T_DEVICE_K) == N_SIGNAL
     assert qpm.refractive_index(PUMP_UM, T_DEVICE_K) == N_PUMP
+
+
+def jundt_index(wavelength_um, temperature_k):
+    """The Sellmeier formula of ``SellmeierModel``'s docstring, term by term, unfolded."""
+    a1, a2, a3, a4, a5, a6 = qpm.CONGRUENT_LN_NE.a
+    b1, b2, b3, b4 = qpm.CONGRUENT_LN_NE.b
+    t = temperature_k - 273.15
+    f = (t - 24.5) * (t + 570.82)
+    lam2 = wavelength_um * wavelength_um
+    n2 = (
+        a1
+        + b1 * f
+        + (a2 + b2 * f) / (lam2 - (a3 + b3 * f) ** 2)
+        + (a4 + b4 * f) / (lam2 - a5 * a5)
+        - a6 * lam2
+    )
+    return math.sqrt(n2)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    wavelength_um=st.floats(0.4, 5.0),
+    temperature_k=st.floats(293.0, 473.0),
+    period_um=st.floats(3.0, 40.0),
+)
+@example(wavelength_um=0.4, temperature_k=293.0, period_um=3.0)
+@example(wavelength_um=5.0, temperature_k=473.0, period_um=40.0)
+def test_solver_kernel_equals_the_checked_index_bit_for_bit(wavelength_um, temperature_k, period_um):
+    # The pump solver's unchecked kernel folds the temperature terms once;
+    # each n/lam it gives is the checked index's, and the unfolded formula's.
+    index, grating_per_um = qpm._kernel(qpm.QpmConfig(period_um, 1.0, temperature_k, 3))
+    per_um = index(wavelength_um) / wavelength_um
+    assert per_um == qpm.refractive_index(wavelength_um, temperature_k) / wavelength_um
+    assert per_um == jundt_index(wavelength_um, temperature_k) / wavelength_um
+    assert grating_per_um == 3 / period_um
 
 
 def test_index_plausible_over_validity():

@@ -6,8 +6,9 @@ import re
 
 import pytest
 
-from qifsim import conversion
+from qifsim import cli, conversion
 from qifsim.errors import ConfigError, DomainError
+from qifsim.repeater import LinkConfig
 from qifsim.scenario import (
     load_reference_scenario,
     load_scenario,
@@ -61,6 +62,26 @@ def test_repeater_link_uses_budget_by_default(ref):
     link = ref.repeater_link(10.0)
     assert link.interface_efficiency == pytest.approx(ref.eta_qi(), rel=1e-12)
     assert link.length_km == 10.0
+
+
+def test_repeater_link_equals_the_keyword_built_link_over_the_length_grid(ref):
+    r = ref.repeater
+    for length in cli._grid(*r.length_grid_km):
+        assert ref.repeater_link(length) == LinkConfig(
+            length_km=length,
+            attenuation_native_db_per_km=r.attenuation_native_db_per_km,
+            attenuation_telecom_db_per_km=r.attenuation_telecom_db_per_km,
+            interface_efficiency=ref.eta_qi(),
+            system_efficiency=r.system_efficiency,
+            protocol=r.protocol,
+            attempt_rate_hz=r.attempt_rate_hz,
+        )
+
+
+def test_repeater_link_refuses_a_negative_length(ref):
+    with pytest.raises(DomainError, match=r"^length_km must be >= 0 and finite, got -1.0$") as err:
+        ref.repeater_link(-1.0)
+    assert err.value.field == "length_km"
 
 
 def test_budget_at_the_configured_power_is_computed_once(monkeypatch):
