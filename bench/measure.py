@@ -20,7 +20,10 @@ One round measures a source tree, this checkout's ``src``, three ways:
   analytic pass behind ``budget``, ``qpm-solve``, ``repeater-rates`` and
   ``efficiency-curve``, every sample kept.
 
-``--pulses`` sets the pulses per point of both Monte Carlo workloads.
+``--pulses`` sets the pulses per point of both Monte Carlo workloads: the
+in-process scans run on the scenario with its ``pulses_per_point``
+replaced, and the commands take ``--pulses``. Both forms run on any tree
+whose scenario has that field, so ``--against`` may name an older one.
 With ``--against DIR`` each round measures both trees, in alternating
 order, and the file adds each metric's paired differences, this tree
 minus the other, with their median, quartiles and the pairs each side
@@ -75,6 +78,8 @@ saturated = dataclasses.replace(ref, detector=dataclasses.replace(
 with open(out, "w") as f:
     f.write(scenario.serialize_scenario(saturated))
 phases = np.linspace(0.0, 2.0 * math.pi, 12)
+reference_scan = dataclasses.replace(ref, pulses_per_point=reference_pulses)
+saturated_scan = dataclasses.replace(saturated, pulses_per_point=saturated_pulses)
 
 def analytic_pass(s):
     t, signal = s.qpm.temperature_k, s.signal_wavelength_um
@@ -88,8 +93,8 @@ def analytic_pass(s):
     return s.eta_qi(), s.output_wavelength_um()
 
 passes = {
-    "reference-fringe": lambda: montecarlo.run_fringe_scan(ref, phases, reference_pulses),
-    "detector-saturated": lambda: montecarlo.run_fringe_scan(saturated, phases, saturated_pulses),
+    "reference-fringe": lambda: montecarlo.run_fringe_scan(reference_scan, phases),
+    "detector-saturated": lambda: montecarlo.run_fringe_scan(saturated_scan, phases),
     "analytic-pass": lambda: analytic_pass(ref),
 }
 samples = {}

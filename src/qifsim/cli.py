@@ -98,20 +98,26 @@ def _build_parser() -> argparse.ArgumentParser:
         "--powers",
         help="pump power grid start:stop:n in W (default 0:scenario power:14)",
     )
-    parser.add_argument("--pulses", type=int, help="override pulses per phase point")
+    parser.add_argument("--pulses", type=int, help="override the scenario pulses per phase point")
     return parser
 
 
-def _load(scenario_path: str | None, seed: int | None) -> Scenario:
-    if scenario_path is None:
-        s = load_reference_scenario()
-    else:
-        s = load_scenario(scenario_path)
-    if seed is not None:
-        if not 0 <= seed < 2**64:
-            raise ConfigError(f"--seed must be a u64, got {seed}")
-        s = replace(s, master_seed=seed)
-    return s
+# Each scenario field a flag overrides, and its flag.
+_OVERRIDES = {"master_seed": "seed", "pulses_per_point": "pulses"}
+
+
+def _load(args) -> Scenario:
+    """The scenario, with the --seed and --pulses given; its domains check their values."""
+    s = load_reference_scenario() if args.scenario is None else load_scenario(args.scenario)
+    overrides = {
+        field: getattr(args, flag)
+        for field, flag in _OVERRIDES.items()
+        if getattr(args, flag) is not None
+    }
+    try:
+        return replace(s, **overrides)
+    except DomainError as exc:
+        raise ConfigError(f"--{_OVERRIDES[exc.field]}: {exc}") from exc
 
 
 def _write_output(s: Scenario, out: Path, kind: str, columns: list[str], rows, **meta) -> Path:
@@ -204,23 +210,21 @@ def _cmd_efficiency(s: Scenario, out: Path, args) -> Path:
     return path
 
 
-def _scan_args(args) -> tuple[list[float], int | None]:
-    """The --phases grid (default 0:2pi:12) and the --pulses override."""
+def _scan_phases(args) -> list[float]:
+    """The --phases grid, default 0:2pi:12."""
     if args.phases:
         phases = _parse_grid(args.phases, "--phases")
         if len(phases) < 2:
             raise ConfigError(f"--phases needs at least 2 points, got {len(phases)}")
     else:
         phases = _grid(0.0, 2.0 * math.pi, 12)
-    if args.pulses is not None and args.pulses < 0:
-        raise ConfigError(f"--pulses must be >= 0, got {args.pulses}")
-    return phases, args.pulses
+    return phases
 
 
 def _cmd_fringe_scan(s: Scenario, out: Path, args) -> Path:
     from . import detection, montecarlo
 
-    phases, pulses = _scan_args(args)
+    phases = _scan_phases(args)
     # Both grid rules before any draw; a repeat is named as such, not as
     # too few distinct phases.
     conversion._reject_repeats(phases, "phase")
@@ -228,7 +232,7 @@ def _cmd_fringe_scan(s: Scenario, out: Path, args) -> Path:
         detection.check_fit_phases(phases)
     except DomainError as exc:
         raise ConfigError(f"--phases: {exc}") from exc
-    result = montecarlo.run_fringe_scan(s, phases, pulses)
+    result = montecarlo.run_fringe_scan(s, phases)
     rows = [(repr(p.phase_rad), p.counts, repr(p.stat_error)) for p in result.fringe]
     columns = ["phase_rad", "counts", "stat_error"]
     n_pulses = result.metadata["pulses_per_point"]
@@ -247,7 +251,7 @@ def _cmd_fringe_scan(s: Scenario, out: Path, args) -> Path:
 def _cmd_histogram(s: Scenario, out: Path, args) -> Path:
     from . import montecarlo
 
-    result = montecarlo.run_fringe_scan(s, *_scan_args(args))
+    result = montecarlo.run_fringe_scan(s, _scan_phases(args))
     hist = result.histogram
     edges = hist.bin_edges_ns()
     rows = [
@@ -321,7 +325,7 @@ def _cmd_budget(s: Scenario, out: Path, args) -> Path:
 def _cmd_validate(s: Scenario, out: Path, args) -> Path:
     from . import montecarlo
 
-    report = montecarlo.validate_against_oracle(s, *_scan_args(args))
+    report = montecarlo.validate_against_oracle(s, _scan_phases(args))
     rows = [
         (repr(phase), repr(obs), repr(exp), repr(z))
         for phase, obs, exp, z in report.rows
@@ -419,7 +423,7 @@ def main(argv=None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-        scenario = _load(args.scenario, args.seed)
+        scenario = _load(args)
         scenario.warn_if_unresolved()
         try:
             path = COMMANDS[args.command](scenario, out, args)

@@ -61,7 +61,7 @@ from .detection import (
     simulate_detection,
 )
 from .conversion import _reject_repeats, run_efficiency_sweep
-from .errors import COUNT, FINITE, ConfigError, DomainError, QifsimError, grid, require
+from .errors import FINITE, ConfigError, DomainError, QifsimError, grid
 from .scenario import FWHM_TO_SIGMA, DetectorModel, Scenario, scenario_digest
 from .timebin import analyze, apply_conversion_phase, prepare_qubit
 
@@ -576,14 +576,6 @@ def _simulate_point(
     return _bin_folded(folded, period, s.histogram_bin_width_ps), window, background
 
 
-def _pulse_count(s: Scenario, pulses: int | None) -> int:
-    """Pulses per point: the override, else the scenario's; an integer, never negative."""
-    n_pulses = s.pulses_per_point if pulses is None else pulses
-    require(n_pulses, COUNT, "pulses")
-    # A numpy integer reaches the digest and the metadata as an int.
-    return operator.index(n_pulses)
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the OS has one."""
     try:
@@ -640,13 +632,12 @@ def _run_points(simulate, phases: list[float]) -> list:
     return results
 
 
-def run_fringe_scan(s: Scenario, phases_rad, pulses: int | None = None) -> RunResult:
+def run_fringe_scan(s: Scenario, phases_rad) -> RunResult:
     """Scan the analysis phase and count windowed arrivals at each point.
 
     Args:
-        s: scenario; its ``pulses_per_point`` is used unless overridden.
+        s: scenario; each point runs its ``pulses_per_point`` pulses.
         phases_rad: at least two analysis phases.
-        pulses: optional override of pulses per point.
 
     Deterministic for a given scenario and master seed; each phase point
     draws from its own substream, so up to two points run at once, one on
@@ -654,10 +645,11 @@ def run_fringe_scan(s: Scenario, phases_rad, pulses: int | None = None) -> RunRe
     summed in grid order into the scan's one histogram.
 
     Raises:
-        DomainError: a grid that is not flat, fewer than 2 phases, a phase
-            not finite, or pulses not an integer or < 0.
-        ConfigError: a phase appears twice in the grid, or a point's
-            projected events exceed the int32 indices of the engine.
+        DomainError: a grid that is not flat, fewer than 2 phases, or a
+            phase not finite.
+        ConfigError: a phase appears twice in the grid, an afterpulse
+            probability of 1, or a point's projected events exceed the
+            int32 indices of the engine.
     """
     # A non-finite phase keys a stream that no repeat check can tell apart
     # from another NaN, and its point would lose the middle slot.
@@ -666,18 +658,22 @@ def run_fringe_scan(s: Scenario, phases_rad, pulses: int | None = None) -> RunRe
         raise DomainError(f"need at least 2 phase points, got {len(betas)}")
     # Only the scan keys streams by phase.
     _reject_repeats(betas, "phase")
-    n_pulses = _pulse_count(s, pulses)
+    n_pulses = operator.index(s.pulses_per_point)  # the metadata holds an int
+    # At p = 1 only the afterpulse horizon, the last event, would end the
+    # cascade, at a cost that grows with any gap between events.
+    p_after = s.detector.afterpulse_probability
+    if p_after == 1.0:
+        raise ConfigError("afterpulse_probability = 1 spawns afterpulses without end")
 
     started = time.perf_counter()
     model = _point_model(s)
     # Mean events of a point, by arithmetic: signal, middle candidates at
-    # the largest slot probability, cw light and dark counts.
+    # the largest slot probability, cw light and dark counts, each bringing
+    # at most p / (1 - p) afterpulses on average.
     weight = model.sides.p_early + model.sides.p_late + model.middle.p_max + model.cw
-    _check_events(
-        n_pulses * model.fired_per_pulse * weight
-        + s.detector.dark_count_rate_hz * s.duration_s(n_pulses),
-        "projected events",
-    )
+    dark = s.detector.dark_count_rate_hz * s.duration_s(n_pulses)
+    real = n_pulses * model.fired_per_pulse * weight + dark
+    _check_events(real / (1.0 - p_after), "projected events")
 
     def point(beta: float) -> tuple[np.ndarray, int, int]:
         rng = substream(s.master_seed, "fringe-scan", beta)
@@ -737,7 +733,7 @@ def _check_oracle_domain(s: Scenario) -> None:
         )
 
 
-def expected_fringe(s: Scenario, phases_rad, pulses: int | None = None) -> ExpectedFringe:
+def expected_fringe(s: Scenario, phases_rad) -> ExpectedFringe:
     """Closed-form expectation of ``run_fringe_scan``'s window counts.
 
     Integrates the engine's own per-point model over the SCA window, by the
@@ -747,12 +743,12 @@ def expected_fringe(s: Scenario, phases_rad, pulses: int | None = None) -> Expec
 
     Raises:
         DomainError: square pulse shape, a dead time, a phase grid that is
-            not flat, a phase not finite, or pulses not an integer or < 0.
+            not flat, or a phase not finite.
     """
     _check_oracle_domain(s)
     # A non-finite phase would give the oracle a NaN count.
     phases = np.array(grid(phases_rad, "phase", FINITE, " rad"))
-    n_pulses = _pulse_count(s, pulses)
+    n_pulses = operator.index(s.pulses_per_point)
     m = _point_model(s)
     period = s.sync_period_ns()
     early, middle, late = (
@@ -801,19 +797,17 @@ class ValidationReport:
     """(phase, observed, expected, z-score) per point."""
 
 
-def validate_against_oracle(
-    s: Scenario, phases_rad, pulses: int | None = None
-) -> ValidationReport:
+def validate_against_oracle(s: Scenario, phases_rad) -> ValidationReport:
     """Cross-check the stochastic engine against the analytic fringe.
 
     Any point off by more than 4 sigma is flagged; the summary statistic is
     chi-square per point under Poisson errors. Discrepancies are report
-    content, not errors. The oracle checks the grid, the pulse count and
-    its own domain, so a refusal comes before the engine draws anything.
-    At zero pulses every row is (phase, 0, 0, 0) and chi-square is undefined.
+    content, not errors. The oracle checks the grid and its own domain, so
+    a refusal comes before the engine draws anything. At zero pulses every
+    row is (phase, 0, 0, 0) and chi-square is undefined.
     """
-    expected = expected_fringe(s, phases_rad, pulses)
-    run = run_fringe_scan(s, expected.phases_rad, pulses)
+    expected = expected_fringe(s, phases_rad)
+    run = run_fringe_scan(s, expected.phases_rad)
     observed = np.array([p.counts for p in run.fringe], dtype=float)
     z = (observed - expected.counts) / np.sqrt(np.maximum(expected.counts, 1.0))
     empty = run.metadata["pulses_per_point"] == 0

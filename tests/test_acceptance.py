@@ -205,8 +205,9 @@ def test_criterion_08_pump_coherence_emergence(ref):
             jitter_fwhm_ps=0.0,
         ),
         sca=ScaWindow(ref.sca.center_ns, 1.0),
+        pulses_per_point=100_000,
     )
-    run = montecarlo.run_fringe_scan(s, PHASES_12, pulses=100_000)
+    run = montecarlo.run_fringe_scan(s, PHASES_12)
     fit = extract_visibility(run.fringe_points(), background=run.mean_background())
     mean_counts = float(np.mean([p.counts for p in run.fringe]))
     sigma_v = math.sqrt(2.0 / (12 * mean_counts))

@@ -18,9 +18,14 @@ from types import SimpleNamespace
 import pytest
 
 from qifsim import cli, montecarlo
-from qifsim.scenario import load_reference_scenario, serialize_scenario
+from qifsim.scenario import load_reference_scenario, scenario_digest, serialize_scenario
 
 DIGEST = "521b5b16a1f4"
+
+
+def digest_at(pulses):
+    """The digest of the reference scenario that ``--pulses`` sets to ``pulses`` per point."""
+    return scenario_digest(dataclasses.replace(load_reference_scenario(), pulses_per_point=pulses))
 
 
 @pytest.fixture
@@ -87,7 +92,7 @@ def test_fringe_scan_reruns_are_byte_identical(tmp_path, run_cli):
         proc = run_cli("fringe-scan", "--pulses", "20000", "--out", str(out), cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert "V_raw = " in proc.stdout
-    name = f"{DIGEST}-fringe.csv"
+    name = f"{digest_at(20_000)}-fringe.csv"
     assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
@@ -96,15 +101,44 @@ def test_seed_override_changes_output_name(tmp_path, run_cli):
     assert proc.returncode == 0, proc.stderr
     produced = list(tmp_path.glob("*-fringe.csv"))
     assert len(produced) == 1
-    assert produced[0].name != f"{DIGEST}-fringe.csv"
+    assert produced[0].name != f"{digest_at(20_000)}-fringe.csv"
     assert "seed=1" in (tmp_path / "run.log").read_text()
+
+
+def test_pulses_override_changes_output_name(tmp_path, run_cli):
+    # Both runs once wrote 521b5b16a1f4-fringe.csv, the second over the first.
+    for pulses in ("20000", "40000"):
+        proc = run_cli("fringe-scan", "--pulses", pulses, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+    names = {path.name for path in tmp_path.glob("*-fringe.csv")}
+    assert names == {f"{digest_at(20_000)}-fringe.csv", f"{digest_at(40_000)}-fringe.csv"}
+    logged = re.findall(r"\tdigest=(\w+)\t", (tmp_path / "run.log").read_text())
+    assert logged == [digest_at(20_000), digest_at(40_000)]
+
+
+def test_scan_metadata_names_the_scenario_it_ran(tmp_path, monkeypatch):
+    # The scan once ran the file's scenario with a pulse count beside it,
+    # so its metadata and the CSV named the 10^6-pulse scenario.
+    runs = []
+    scan = montecarlo.run_fringe_scan
+
+    def recorded(*args, **kwargs):
+        runs.append(scan(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(montecarlo, "run_fringe_scan", recorded)
+    assert cli.main(["fringe-scan", "--pulses", "20000", "--out", str(tmp_path)]) == 0
+    (run,) = runs
+    assert run.metadata["scenario_digest"] == digest_at(20_000)
+    (path,) = tmp_path.glob("*-fringe.csv")
+    assert f"# scenario_digest = {digest_at(20_000)}\n" in path.read_text()
 
 
 def test_histogram_covers_full_sync_period(tmp_path, run_cli):
     proc = run_cli("histogram", "--pulses", "5000", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "sync pulses" in proc.stdout
-    header, rows = data_rows(tmp_path / f"{DIGEST}-histogram.csv")
+    header, rows = data_rows(tmp_path / f"{digest_at(5_000)}-histogram.csv")
     assert header == ["bin_start_ns", "bin_end_ns", "counts"]
     assert len(rows) == 334  # 16.667 ns sync period over 50 ps bins
     assert float(rows[0][0]) == 0.0
@@ -140,7 +174,7 @@ def test_validate_command(tmp_path, run_cli):
     proc = run_cli("validate", "--pulses", "20000", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "chi2/dof = " in proc.stdout
-    header, rows = data_rows(tmp_path / f"{DIGEST}-validate.csv")
+    header, rows = data_rows(tmp_path / f"{digest_at(20_000)}-validate.csv")
     assert header == ["phase_rad", "observed", "expected", "z_score"]
     assert len(rows) == 12
 
@@ -231,8 +265,8 @@ PINNED_ANALYTIC_CSVS = {
 # SHA-256 of the Monte Carlo CSVs on the bundled reference at --pulses 20000.
 # validate's observed column holds the same fringe counts, so it needs no pin.
 PINNED_MC_CSVS = {
-    "fringe-scan": ("fringe", "39c344964e99febdc23f23fd9bfcc80a5f7ebd3f4edac6314b407acfd6e6d2f4"),
-    "histogram": ("histogram", "47ace083867a650f852f0e064676bf2f169e678346464ad39142731bada56519"),
+    "fringe-scan": ("fringe", "1e39e9f0235d78e398997fa87e3fc9809c86123357df836dcf4e1afa41b315c4"),
+    "histogram": ("histogram", "9079a57dc901da213a2d471c7d67fe50085da022b12a5939d278c2e7afab05d9"),
 }
 
 
@@ -248,7 +282,7 @@ def test_analytic_csv_bytes_are_pinned(tmp_path, command):
 def test_monte_carlo_csv_bytes_are_pinned(tmp_path, command):
     kind, digest = PINNED_MC_CSVS[command]
     assert cli.main([command, "--pulses", "20000", "--out", str(tmp_path)]) == 0
-    data = (tmp_path / f"{DIGEST}-{kind}.csv").read_bytes()
+    data = (tmp_path / f"{digest_at(20_000)}-{kind}.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
 
 
@@ -465,8 +499,14 @@ def test_out_dir_under_a_regular_file_exits_2(tmp_path, capsys):
     "command, flag, value, message",
     [
         ("fringe-scan", "--phases", "0:1:0", "--phases needs n >= 1, got 0"),
-        ("budget", "--seed", "-1", "--seed must be a u64, got -1"),
-        ("budget", "--seed", str(2**64), f"--seed must be a u64, got {2**64}"),
+        ("budget", "--seed", "-1", "--seed: master_seed must be an integer in [0, 2**64), got -1"),
+        (
+            "budget",
+            "--seed",
+            str(2**64),
+            f"--seed: master_seed must be an integer in [0, 2**64), got {2**64}",
+        ),
+        ("fringe-scan", "--pulses", "-1", "--pulses: pulses_per_point must be an integer >= 0, got -1"),
         ("efficiency-curve", "--powers", "-1:0:3", "--powers must be >= 0"),
     ],
 )
@@ -498,8 +538,8 @@ def test_zero_pulses_per_point(tmp_path, capsys, command, code, message):
 def test_validate_prints_each_flagged_phase(tmp_path, capsys, monkeypatch):
     honest = montecarlo.expected_fringe
 
-    def doubled(s, phases, pulses=None):
-        exp = honest(s, phases, pulses)
+    def doubled(s, phases):
+        exp = honest(s, phases)
         return dataclasses.replace(exp, counts=2.0 * exp.counts)
 
     monkeypatch.setattr(montecarlo, "expected_fringe", doubled)
@@ -762,5 +802,5 @@ def test_unknown_protocol_exits_2_without_outputs(tmp_path, run_cli):
 def test_negative_pulses_exit_2_without_outputs(tmp_path, run_cli):
     proc = run_cli("validate", "--pulses", "-1", cwd=tmp_path)
     assert proc.returncode == 2
-    assert "--pulses must be >= 0" in proc.stderr
+    assert "--pulses: pulses_per_point must be an integer >= 0, got -1" in proc.stderr
     assert list(tmp_path.glob("*.csv")) == []

@@ -201,6 +201,14 @@ def test_field_error_names_section_and_key(ref, section, key, bad):
         parse_scenario("".join(lines), origin="probe.scenario")
 
 
+@pytest.mark.parametrize("bad", [-5, math.nan, math.inf, 1.5])
+def test_pulses_per_point_must_be_an_integer_at_least_zero(ref, bad):
+    # The one check of a pulse count, whether a file or --pulses sets it:
+    # 1.5 once ran and recorded 1.5 pulses, NaN failed inside numpy.
+    with pytest.raises(DomainError, match=rf"^pulses_per_point must be an integer >= 0, got {bad}$"):
+        dataclasses.replace(ref, pulses_per_point=bad)
+
+
 @pytest.mark.parametrize(
     "key, bad",
     [
