@@ -134,6 +134,34 @@ def test_scan_metadata_names_the_scenario_it_ran(tmp_path, monkeypatch):
     assert f"# scenario_digest = {digest_at(20_000)}\n" in path.read_text()
 
 
+def test_seed_and_pulses_name_one_scenario(tmp_path):
+    # Both flags land in the scenario, so an analytic command's CSV is named
+    # for the scenario with both set, not for the file's.
+    assert cli.main(["budget", "--seed", "1", "--pulses", "5000", "--out", str(tmp_path)]) == 0
+    both = dataclasses.replace(load_reference_scenario(), master_seed=1, pulses_per_point=5_000)
+    assert [path.name for path in tmp_path.glob("*.csv")] == [f"{scenario_digest(both)}-budget.csv"]
+    assert run_log_fields(tmp_path / "run.log")["digest"] == scenario_digest(both)
+
+
+@pytest.mark.parametrize("command", ["fringe-scan", "histogram"])
+def test_endless_afterpulse_cascade_exits_2_without_outputs(tmp_path, capsys, monkeypatch, command):
+    def no_draws(*args):
+        raise AssertionError("drew for an afterpulse probability of 1")
+
+    monkeypatch.setattr(montecarlo, "substream", no_draws)
+    s = load_reference_scenario()
+    detector = dataclasses.replace(s.detector, dead_time_us=0.02, afterpulse_probability=1.0)
+    path = tmp_path / "endless.scenario"
+    path.write_text(serialize_scenario(dataclasses.replace(s, detector=detector)))
+    argv = [command, "--scenario", str(path), "--pulses", "2000", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    message = "afterpulse_probability = 1 spawns afterpulses without end"
+    assert f"error: {message}" in capsys.readouterr().err
+    fields = run_log_fields(tmp_path / "run.log")
+    assert (fields["status"], fields["error"]) == ("error:ConfigError", message)
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_histogram_covers_full_sync_period(tmp_path, run_cli):
     proc = run_cli("histogram", "--pulses", "5000", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
