@@ -109,9 +109,7 @@ print(json.dumps(samples))
 
 
 def tree_env(src: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("QIFSIM_OUT", None)
-    return env
+    return dict(os.environ, PYTHONPATH=str(src))
 
 
 def git(src: Path, *args: str) -> str | None:

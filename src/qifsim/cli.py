@@ -2,9 +2,16 @@
 
 Loads a scenario file, dispatches one of the analysis or simulation
 commands, writes one plot-ready CSV file named <scenario-digest>-<kind>.csv
-into the output directory, prints ``wrote <path>`` last, and appends a
-provenance line to run.log there: scenario digest, seed, wall time since
-start-up and the status, with the error message when the command failed.
+into the output directory (--out, or the working directory), prints
+``wrote <path>`` last, and appends a provenance line to run.log there:
+scenario digest, seed, wall time since start-up and the status, with the
+error message when the command failed.
+
+A command sweeps only the scenario's own grids: the analysis phases of
+``[acquisition] phase_grid_rad``, the pump powers of ``[pump]
+power_grid_w`` and the link lengths of ``[repeater] length_grid_km``. So
+the scenario, with the --seed and --pulses it sets, names the whole run,
+and two runs that differ in any input write two CSVs.
 
 Only the fringe-scan, histogram and validate commands import numpy and
 the engine, inside their handlers. qpm-solve, budget, repeater-rates and
@@ -33,11 +40,8 @@ from pathlib import Path
 from . import __version__, conversion, qpm, repeater
 from .errors import ConfigError, DomainError, QifsimError
 from .scenario import Scenario, load_reference_scenario, load_scenario, scenario_digest
-from .scenario import _parse_grid as scenario_grid
 
 __all__ = ["main"]
-
-OUT_DIR_ENV = "QIFSIM_OUT"
 
 
 def _grid(start: float, stop: float, n: int) -> list[float]:
@@ -53,18 +57,6 @@ def _grid(start: float, stop: float, n: int) -> list[float]:
     values = [start + i * step for i in range(n)]
     values[-1] = stop
     return values
-
-
-def _parse_grid(raw: str, flag: str) -> list[float]:
-    try:
-        start, stop, n = scenario_grid(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"{flag} must be start:stop:n with finite ends, got {raw!r}"
-        ) from exc
-    if n < 1:
-        raise ConfigError(f"{flag} needs n >= 1, got {n}")
-    return _grid(start, stop, n)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,17 +79,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--out",
-        help=f"output directory (default: ${OUT_DIR_ENV} or the working directory)",
+        help="output directory (default: the working directory)",
     )
     parser.add_argument("--seed", type=int, help="override the scenario master seed")
-    parser.add_argument(
-        "--phases",
-        help="analysis phase grid start:stop:n in rad (default 0:2pi:12)",
-    )
-    parser.add_argument(
-        "--powers",
-        help="pump power grid start:stop:n in W (default 0:scenario power:14)",
-    )
     parser.add_argument("--pulses", type=int, help="override the scenario pulses per phase point")
     return parser
 
@@ -155,7 +139,7 @@ def _write_output(s: Scenario, out: Path, kind: str, columns: list[str], rows, *
     return path
 
 
-def _cmd_qpm_solve(s: Scenario, out: Path, args) -> Path:
+def _cmd_qpm_solve(s: Scenario, out: Path) -> Path:
     t = s.qpm.temperature_k
     signal = s.signal_wavelength_um
     pump = s.pump.wavelength_um
@@ -186,14 +170,8 @@ def _cmd_qpm_solve(s: Scenario, out: Path, args) -> Path:
     return path
 
 
-def _cmd_efficiency(s: Scenario, out: Path, args) -> Path:
-    if args.powers:
-        powers = _parse_grid(args.powers, "--powers")
-        if any(p < 0 for p in powers):
-            raise ConfigError("--powers must be >= 0")
-    else:
-        powers = _grid(0.0, s.pump.power_w, 14)
-    table = conversion.run_efficiency_sweep(s, powers)
+def _cmd_efficiency(s: Scenario, out: Path) -> Path:
+    table = conversion.run_efficiency_sweep(s, _grid(*s.power_grid_w))
     rows = [
         (repr(p.power_w), repr(p.eta_analytic), repr(p.eta_mc), repr(p.stat_error))
         for p in table
@@ -210,28 +188,17 @@ def _cmd_efficiency(s: Scenario, out: Path, args) -> Path:
     return path
 
 
-def _scan_phases(args) -> list[float]:
-    """The --phases grid, default 0:2pi:12."""
-    if args.phases:
-        phases = _parse_grid(args.phases, "--phases")
-        if len(phases) < 2:
-            raise ConfigError(f"--phases needs at least 2 points, got {len(phases)}")
-    else:
-        phases = _grid(0.0, 2.0 * math.pi, 12)
-    return phases
-
-
-def _cmd_fringe_scan(s: Scenario, out: Path, args) -> Path:
+def _cmd_fringe_scan(s: Scenario, out: Path) -> Path:
     from . import detection, montecarlo
 
-    phases = _scan_phases(args)
+    phases = _grid(*s.phase_grid_rad)
     # Both grid rules before any draw; a repeat is named as such, not as
     # too few distinct phases.
-    conversion._reject_repeats(phases, "phase")
     try:
+        conversion._reject_repeats(phases, "phase")
         detection.check_fit_phases(phases)
-    except DomainError as exc:
-        raise ConfigError(f"--phases: {exc}") from exc
+    except (ConfigError, DomainError) as exc:
+        raise ConfigError(f"[acquisition] phase_grid_rad: {exc}") from exc
     result = montecarlo.run_fringe_scan(s, phases)
     rows = [(repr(p.phase_rad), p.counts, repr(p.stat_error)) for p in result.fringe]
     columns = ["phase_rad", "counts", "stat_error"]
@@ -248,10 +215,10 @@ def _cmd_fringe_scan(s: Scenario, out: Path, args) -> Path:
     return path
 
 
-def _cmd_histogram(s: Scenario, out: Path, args) -> Path:
+def _cmd_histogram(s: Scenario, out: Path) -> Path:
     from . import montecarlo
 
-    result = montecarlo.run_fringe_scan(s, _scan_phases(args))
+    result = montecarlo.run_fringe_scan(s, _grid(*s.phase_grid_rad))
     hist = result.histogram
     edges = hist.bin_edges_ns()
     rows = [
@@ -267,7 +234,7 @@ def _cmd_histogram(s: Scenario, out: Path, args) -> Path:
     return path
 
 
-def _cmd_repeater(s: Scenario, out: Path, args) -> Path:
+def _cmd_repeater(s: Scenario, out: Path) -> Path:
     rows = []
     for length in _grid(*s.repeater.length_grid_km):
         cfg = s.repeater_link(length)
@@ -299,7 +266,7 @@ def _cmd_repeater(s: Scenario, out: Path, args) -> Path:
     return path
 
 
-def _cmd_budget(s: Scenario, out: Path, args) -> Path:
+def _cmd_budget(s: Scenario, out: Path) -> Path:
     stages = [(f"pre/{st.name}", st.transmission()) for st in s.chain_pre.stages]
     stages.append(("internal_conversion", s.internal_efficiency()))
     stages += [(f"post/{st.name}", st.transmission()) for st in s.chain_post.stages]
@@ -322,10 +289,10 @@ def _cmd_budget(s: Scenario, out: Path, args) -> Path:
     return _write_output(s, out, "budget", columns, csv_rows, pump_power_w=s.pump.power_w)
 
 
-def _cmd_validate(s: Scenario, out: Path, args) -> Path:
+def _cmd_validate(s: Scenario, out: Path) -> Path:
     from . import montecarlo
 
-    report = montecarlo.validate_against_oracle(s, _scan_phases(args))
+    report = montecarlo.validate_against_oracle(s, _grid(*s.phase_grid_rad))
     rows = [
         (repr(phase), repr(obs), repr(exp), repr(z))
         for phase, obs, exp, z in report.rows
@@ -415,7 +382,7 @@ def main(argv=None) -> int:
             print(f"config error: cannot write to standard output: {exc}", file=sys.stderr)
             return 2
         raise
-    out = Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
+    out = Path(args.out or ".")
 
     scenario: Scenario | None = None
     try:
@@ -426,7 +393,7 @@ def main(argv=None) -> int:
         scenario = _load(args)
         scenario.warn_if_unresolved()
         try:
-            path = COMMANDS[args.command](scenario, out, args)
+            path = COMMANDS[args.command](scenario, out)
             print(f"wrote {path}")
             sys.stdout.flush()
         except OSError as exc:  # the handlers' own files raise ConfigError

@@ -57,6 +57,27 @@ __all__ = [
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 
+def _check_grid(obj, name: str, ends: Domain, min_points: int) -> None:
+    """The one rule for a ``start:stop:n`` field of ``obj``, which a command sweeps.
+
+    Both ends lie in ``ends``, start <= stop with a finite span, so every
+    step is finite too, and n is an integer >= ``min_points``.
+    """
+    start, stop, n = getattr(obj, name)
+    lo, hi, text, _ = ends
+    if not (
+        lo <= start <= stop <= hi
+        and stop - start <= FINITE.hi
+        and is_integer(n)
+        and n >= min_points
+    ):
+        raise DomainError(
+            f"{name} must be start:stop:n with each end {text}, start <= stop, a finite "
+            f"span and n an integer >= {min_points}, got {start}:{stop}:{n}",
+            field=name,
+        )
+
+
 @dataclass(frozen=True)
 class DetectorModel:
     """Free-running single-photon avalanche detector.
@@ -109,7 +130,8 @@ class RepeaterSettings:
     """Repeater-link comparison inputs carried by a scenario.
 
     ``interface_efficiency`` of None means "use this scenario's own
-    conversion budget". The settings hold to ``LinkConfig``'s own rule.
+    conversion budget". The settings hold to ``LinkConfig``'s own rule,
+    and the length grid to the grid rule.
     """
 
     attenuation_native_db_per_km: float
@@ -121,14 +143,9 @@ class RepeaterSettings:
     length_grid_km: tuple[float, float, int]
 
     def __post_init__(self) -> None:
-        start, stop, n = self.length_grid_km
-        if not (is_integer(n) and n >= 1 and 0 <= start <= stop <= FINITE.hi):
-            raise DomainError(
-                f"length grid must be finite, 0 <= start <= stop, n an integer >= 1; "
-                f"got {start}:{stop}:{n}"
-            )
+        _check_grid(self, "length_grid_km", NON_NEGATIVE, 1)
         # A budget efficiency is checked where the budget is computed.
-        self.link(start, budget_efficiency=1.0)
+        self.link(self.length_grid_km[0], budget_efficiency=1.0)
 
     def link(self, length_km: float, budget_efficiency: float) -> LinkConfig:
         """The link of ``length_km``, converting at ``budget_efficiency`` when set from the budget."""
@@ -155,6 +172,7 @@ class Scenario:
     qpm: QpmConfig
     signal_wavelength_um: float
     pump: conversion.PumpField
+    power_grid_w: tuple[float, float, int]
     eta_norm_per_w_cm2: float
     unit_conversion_survival: bool
     extra_visibility_penalty: float
@@ -168,6 +186,7 @@ class Scenario:
     pulses_per_point: int
     mc_photons_per_point: int
     master_seed: int
+    phase_grid_rad: tuple[float, float, int]
     repeater: RepeaterSettings
 
     _DOMAINS = domains(
@@ -179,6 +198,10 @@ class Scenario:
 
     def __post_init__(self) -> None:
         check_domains(self)
+        _check_grid(self, "power_grid_w", NON_NEGATIVE, 1)
+        # Two points at least: a scan is two or more phases. fringe-scan's
+        # fit asks for more, and checks it.
+        _check_grid(self, "phase_grid_rad", FINITE, 2)
         dt_p, dt_a = self.preparation.delta_tau_ns, self.analysis.delta_tau_ns
         if abs(dt_p - dt_a) > DELAY_MATCH_RTOL * dt_p:
             raise ConfigError(
@@ -267,12 +290,12 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _parse_grid(raw: str) -> tuple[float, float, int]:
-    """``start:stop:n`` as (start, stop, n); ValueError when malformed or an end is not finite."""
+    """``start:stop:n`` as (start, stop, n); ValueError when malformed.
+
+    ``_check_grid`` then holds the values to their field's rule.
+    """
     start, stop, n = raw.split(":")
-    start, stop = float(start), float(stop)
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ValueError(raw)
-    return start, stop, int(n)
+    return float(start), float(stop), int(n)
 
 
 def _parse_stage(raw: str) -> tuple[float, str]:
@@ -289,9 +312,7 @@ _FRACTION_OR_BUDGET = _Kind(
     lambda v: "from_budget" if v is None else repr(v),
     "a fraction or 'from_budget'",
 )
-_GRID = _Kind(
-    _parse_grid, lambda g: f"{g[0]!r}:{g[1]!r}:{g[2]}", "start:stop:n with finite ends"
-)
+_GRID = _Kind(_parse_grid, lambda g: f"{g[0]!r}:{g[1]!r}:{g[2]}", "start:stop:n")
 # One loss stage: parsed to (value, unit), formatted from a LossStage.
 _STAGE = _Kind(
     _parse_stage, lambda st: f"{st.value!r} {st.unit}", "'<value> fraction' or '<value> dB'"
@@ -330,6 +351,7 @@ _KEYS = (
     _Key("pump", "power_w", "pump.power_w", _FLOAT),
     _Key("pump", "wavelength_um", "pump.wavelength_um", _FLOAT),
     _Key("pump", "coherence_time_ns", "pump.coherence_time_ns", _FLOAT),
+    _Key("pump", "power_grid_w", "power_grid_w", _GRID),
     _Key("conversion", "eta_norm_per_W_cm2", "eta_norm_per_w_cm2", _FLOAT),
     _Key("conversion", "unit_conversion_survival", "unit_conversion_survival", _BOOL),
     _Key("conversion", "extra_visibility_penalty", "extra_visibility_penalty", _FLOAT),
@@ -352,6 +374,7 @@ _KEYS = (
     _Key("acquisition", "pulses_per_point", "pulses_per_point", _INT),
     _Key("acquisition", "mc_photons_per_point", "mc_photons_per_point", _INT),
     _Key("acquisition", "master_seed", "master_seed", _INT),
+    _Key("acquisition", "phase_grid_rad", "phase_grid_rad", _GRID),
     _Key("repeater", "attenuation_native_db_per_km", "repeater.attenuation_native_db_per_km", _FLOAT),
     _Key("repeater", "attenuation_telecom_db_per_km", "repeater.attenuation_telecom_db_per_km", _FLOAT),
     _Key("repeater", "system_efficiency", "repeater.system_efficiency", _FLOAT),

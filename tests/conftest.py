@@ -14,11 +14,9 @@ def cli_env():
 
     The child imports the same ``qifsim`` as this test session, whatever
     its working directory: the package's parent directory is prepended to
-    ``PYTHONPATH`` as an absolute path. ``QIFSIM_OUT`` is removed so that
-    outputs land in the child's working directory unless a test sets it.
+    ``PYTHONPATH`` as an absolute path.
     """
     env = dict(os.environ)
-    env.pop("QIFSIM_OUT", None)
     package_root = str(Path(qifsim.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_root, env.get("PYTHONPATH")])

@@ -17,10 +17,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from qifsim import cli, montecarlo
-from qifsim.scenario import load_reference_scenario, scenario_digest, serialize_scenario
+from qifsim import cli, conversion, montecarlo
+from qifsim.scenario import (
+    load_reference_scenario,
+    load_scenario,
+    scenario_digest,
+    serialize_scenario,
+)
 
-DIGEST = "521b5b16a1f4"
+DIGEST = "3210a7572db2"
 
 
 def digest_at(pulses):
@@ -28,15 +33,25 @@ def digest_at(pulses):
     return scenario_digest(dataclasses.replace(load_reference_scenario(), pulses_per_point=pulses))
 
 
+def scenario_file(path, **values):
+    """Write the reference scenario to ``path`` with each ``key = value`` line given set, text as is."""
+    lines = serialize_scenario(load_reference_scenario()).splitlines(keepends=True)
+    for key, value in values.items():
+        index = next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))
+        lines[index] = f"{key} = {value}\n"
+    path.write_text("".join(lines))
+    return path
+
+
 @pytest.fixture
 def run_cli(cli_env):
-    def run(*args, cwd, env_extra=None):
+    def run(*args, cwd):
         return subprocess.run(
             [sys.executable, "-m", "qifsim.cli", *args],
             capture_output=True,
             text=True,
             cwd=cwd,
-            env={**cli_env, **(env_extra or {})},
+            env=cli_env,
         )
 
     return run
@@ -116,6 +131,46 @@ def test_pulses_override_changes_output_name(tmp_path, run_cli):
     assert logged == [digest_at(20_000), digest_at(40_000)]
 
 
+@pytest.mark.parametrize(
+    "command, kind, key, grids",
+    [
+        ("fringe-scan", "fringe", "phase_grid_rad", ["0.0:6.283185307179586:12", "0.0:6.3:7"]),
+        ("efficiency-curve", "efficiency", "power_grid_w", ["0.0:0.65:14", "0.0:2.0:5"]),
+    ],
+)
+def test_grid_key_changes_output_name(tmp_path, command, kind, key, grids):
+    # With the grid a flag beside the scenario, both runs once wrote one CSV
+    # name and logged one digest, the second run's CSV over the first's.
+    digests = []
+    for index, grid in enumerate(grids):
+        path = scenario_file(tmp_path / f"{index}.scenario", pulses_per_point=20_000, **{key: grid})
+        assert cli.main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 0
+        digests.append(scenario_digest(load_scenario(path)))
+    assert len(set(digests)) == 2
+    for digest, grid in zip(digests, grids):
+        _, rows = data_rows(tmp_path / f"{digest}-{kind}.csv")
+        assert len(rows) == int(grid.rsplit(":", 1)[1])
+    assert len(list(tmp_path.glob("*.csv"))) == 2
+    assert re.findall(r"\tdigest=(\w+)\t", (tmp_path / "run.log").read_text()) == digests
+
+
+@pytest.mark.parametrize(
+    "command, kind, line",
+    [
+        ("fringe-scan", "fringe", "# phase_points = 7\n"),
+        ("histogram", "histogram", "# sync_pulses = 140000\n"),
+        ("validate", "validate", "# phase_points = 7\n"),
+    ],
+)
+def test_scan_commands_sweep_the_phase_grid_key(tmp_path, command, kind, line):
+    path = scenario_file(
+        tmp_path / "seven.scenario", pulses_per_point=20_000, phase_grid_rad="0.0:6.3:7"
+    )
+    assert cli.main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    (written,) = tmp_path.glob(f"*-{kind}.csv")
+    assert line in written.read_text()
+
+
 def test_scan_metadata_names_the_scenario_it_ran(tmp_path, monkeypatch):
     # The scan once ran the file's scenario with a pulse count beside it,
     # so its metadata and the CSV named the 10^6-pulse scenario.
@@ -172,12 +227,14 @@ def test_histogram_covers_full_sync_period(tmp_path, run_cli):
     assert float(rows[0][0]) == 0.0
 
 
-def test_efficiency_curve_grid_flag(tmp_path, run_cli):
-    proc = run_cli("efficiency-curve", "--powers", "0:0.65:5", cwd=tmp_path)
+def test_efficiency_curve_sweeps_the_power_grid_key(tmp_path, run_cli):
+    path = scenario_file(tmp_path / "five.scenario", power_grid_w="0:0.65:5")
+    proc = run_cli("efficiency-curve", "--scenario", str(path), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "eta_QI at 0.650 W" in proc.stdout
     assert "0.1329 %" in proc.stdout
-    header, rows = data_rows(tmp_path / f"{DIGEST}-efficiency.csv")
+    digest = scenario_digest(load_scenario(path))
+    header, rows = data_rows(tmp_path / f"{digest}-efficiency.csv")
     assert header == ["power_w", "eta_qi_analytic", "eta_qi_mc", "stat_error"]
     assert len(rows) == 5
     assert float(rows[0][1]) == 0.0
@@ -279,13 +336,13 @@ def test_run_log_records_escaped_error_message(tmp_path):
 # budget may get faster, but these bytes must not move; a change that moves
 # them on purpose says so and updates the pin.
 PINNED_ANALYTIC_CSVS = {
-    "qpm-solve": ("qpm", "2f4b88086dad6af34f312a2275d7e1952b5775183c2a201164ca1f95fa29c7bd"),
-    "budget": ("budget", "0fa282351fade895d6011f1af831ef9863e1442a4408147e6028751c900bd381"),
+    "qpm-solve": ("qpm", "cd24be1d6a7561692770df67a3027b0370ce8491c368b546aa9654beb5fa7b8d"),
+    "budget": ("budget", "54aba1d1eea1d2130e3d2502a8736112617a74b1611cf4c371178fa2b2be20e3"),
     "repeater-rates": (
-        "repeater", "63eaaa9766db163429afb9c365cb2d4c90e736cf3c858796366ff2dddf773a11"
+        "repeater", "79af724937ff874cc6d7612d88e9d6d3293558a356b7e721fb81366601659125"
     ),
     "efficiency-curve": (
-        "efficiency", "f8954f51f5fd7957dfbb65c29fd813aef8c91378407b691368fb8000656660de"
+        "efficiency", "27d45a3b482546646632205e90a5f088059d06d646d155c7b2e5c2992c3c4a78"
     ),
 }
 
@@ -293,8 +350,8 @@ PINNED_ANALYTIC_CSVS = {
 # SHA-256 of the Monte Carlo CSVs on the bundled reference at --pulses 20000.
 # validate's observed column holds the same fringe counts, so it needs no pin.
 PINNED_MC_CSVS = {
-    "fringe-scan": ("fringe", "1e39e9f0235d78e398997fa87e3fc9809c86123357df836dcf4e1afa41b315c4"),
-    "histogram": ("histogram", "9079a57dc901da213a2d471c7d67fe50085da022b12a5939d278c2e7afab05d9"),
+    "fringe-scan": ("fringe", "572e491c23867a388d2268c3e5ccb9f10ac66ccc5283fa246b7fb5da7f22c04a"),
+    "histogram": ("histogram", "6243694a3223f2b13ffe48fa7b1f645db6e794704234ec56d7d1793bdf76344e"),
 }
 
 
@@ -526,7 +583,6 @@ def test_out_dir_under_a_regular_file_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, flag, value, message",
     [
-        ("fringe-scan", "--phases", "0:1:0", "--phases needs n >= 1, got 0"),
         ("budget", "--seed", "-1", "--seed: master_seed must be an integer in [0, 2**64), got -1"),
         (
             "budget",
@@ -535,7 +591,6 @@ def test_out_dir_under_a_regular_file_exits_2(tmp_path, capsys):
             f"--seed: master_seed must be an integer in [0, 2**64), got {2**64}",
         ),
         ("fringe-scan", "--pulses", "-1", "--pulses: pulses_per_point must be an integer >= 0, got -1"),
-        ("efficiency-curve", "--powers", "-1:0:3", "--powers must be >= 0"),
     ],
 )
 def test_flag_outside_its_domain_exits_2_without_outputs(
@@ -654,43 +709,95 @@ def test_module_run_warns_nothing(tmp_path, cli_env):
 
 
 def test_bad_phase_grid_exits_2(tmp_path, run_cli):
-    proc = run_cli("fringe-scan", "--phases", "0:6.28", cwd=tmp_path)
+    path = scenario_file(tmp_path / "bad.scenario", phase_grid_rad="0:6.28")
+    proc = run_cli("fringe-scan", "--scenario", str(path), cwd=tmp_path)
     assert proc.returncode == 2
-    assert "start:stop:n" in proc.stderr
+    assert "[acquisition] phase_grid_rad = '0:6.28'; expected start:stop:n" in proc.stderr
+
+
+# Each grid key and the commands that sweep it.
+GRID_COMMANDS = [
+    ("repeater-rates", "repeater", "length_grid_km"),
+    ("efficiency-curve", "pump", "power_grid_w"),
+    ("fringe-scan", "acquisition", "phase_grid_rad"),
+    ("histogram", "acquisition", "phase_grid_rad"),
+    ("validate", "acquisition", "phase_grid_rad"),
+]
+
+
+def no_draws(*args):
+    raise AssertionError("drew for a grid the scenario refuses")
+
+
+def run_refused_grid(tmp_path, capsys, monkeypatch, command, key, grid):
+    """Run ``command`` on the reference with ``key = grid``, drawing nothing; its stderr."""
+    monkeypatch.setattr(montecarlo, "substream", no_draws)
+    monkeypatch.setattr(conversion, "_stream", no_draws)
+    path = scenario_file(tmp_path / "bad.scenario", **{key: grid})
+    assert cli.main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert run_log_fields(tmp_path / "run.log")["status"] == "error:ConfigError"
+    assert list(tmp_path.glob("*.csv")) == []
+    return capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("template", ["{}:1:3", "0:{}:3"])
-@pytest.mark.parametrize(
-    "command, flag",
-    [
-        ("repeater-rates", None),
-        ("efficiency-curve", "--powers"),
-        ("fringe-scan", "--phases"),
-        ("histogram", "--phases"),
-        ("validate", "--phases"),
-    ],
-)
-def test_non_finite_grid_end_exits_2(tmp_path, capsys, command, flag, template, bad):
-    grid = template.format(bad)
-    if flag is None:
-        text = serialize_scenario(load_reference_scenario())
-        path = tmp_path / "bad.scenario"
-        path.write_text(text.replace("length_grid_km = 2.0:100.0:50", f"length_grid_km = {grid}"))
-        args, named = ["--scenario", str(path)], "[repeater] length_grid_km"
-    else:
-        args, named = [f"{flag}={grid}"], flag
-    assert cli.main([command, "--out", str(tmp_path), *args]) == 2
-    err = capsys.readouterr().err
-    assert named in err
+@pytest.mark.parametrize("command, section, key", GRID_COMMANDS)
+def test_non_finite_grid_end_exits_2(
+    tmp_path, capsys, monkeypatch, command, section, key, template, bad
+):
+    err = run_refused_grid(tmp_path, capsys, monkeypatch, command, key, template.format(bad))
+    assert f"[{section}] {key} must be start:stop:n with each end " in err
     assert "finite" in err
-    assert list(tmp_path.glob("*.csv")) == []
+
+
+# The grids the rule refuses beyond a non-finite end: a span that
+# overflows, descending ends, a negative power or length, and too few points.
+RULE_REFUSALS = [
+    *(
+        (command, "acquisition", "phase_grid_rad", grid)
+        for command in ("fringe-scan", "histogram", "validate")
+        for grid in ("-1e308:1e308:3", "6.3:0.0:12", "0:1:1", "0:1:0")
+    ),
+    ("efficiency-curve", "pump", "power_grid_w", "-1:0:3"),
+    ("efficiency-curve", "pump", "power_grid_w", "0.65:0:14"),
+    ("efficiency-curve", "pump", "power_grid_w", "0:1:0"),
+    ("repeater-rates", "repeater", "length_grid_km", "-1:100:3"),
+    ("repeater-rates", "repeater", "length_grid_km", "100:2:50"),
+    ("repeater-rates", "repeater", "length_grid_km", "2:5:0"),
+]
+
+
+@pytest.mark.parametrize("command, section, key, grid", RULE_REFUSALS)
+def test_grid_the_rule_refuses_exits_2_before_any_draw(
+    tmp_path, capsys, monkeypatch, command, section, key, grid
+):
+    err = run_refused_grid(tmp_path, capsys, monkeypatch, command, key, grid)
+    ends, fewest = ("finite", 2) if key == "phase_grid_rad" else (">= 0 and finite", 1)
+    start, stop, n = grid.split(":")
+    assert (
+        f"[{section}] {key} must be start:stop:n with each end {ends}, start <= stop, "
+        f"a finite span and n an integer >= {fewest}, got {float(start)}:{float(stop)}:{n}"
+    ) in err
+
+
+@pytest.mark.parametrize(
+    "command, flag", [("fringe-scan", "--phases"), ("efficiency-curve", "--powers")]
+)
+def test_grid_flags_are_unrecognised(tmp_path, capsys, command, flag):
+    # Each grid is a scenario key; a flag beside the scenario once set it.
+    with pytest.raises(SystemExit) as exited:
+        cli.main([command, flag, "0:1:3", "--out", str(tmp_path)])
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: {flag} 0:1:3" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_repeated_phases_exit_2_without_outputs(tmp_path, run_cli):
-    proc = run_cli("fringe-scan", "--phases", "1:1:4", cwd=tmp_path)
+    path = scenario_file(tmp_path / "repeats.scenario", phase_grid_rad="1:1:4")
+    proc = run_cli("fringe-scan", "--scenario", str(path), cwd=tmp_path)
     assert proc.returncode == 2
-    assert "repeats the value 1.0" in proc.stderr
+    assert "[acquisition] phase_grid_rad: phase grid repeats the value 1.0" in proc.stderr
     assert list(tmp_path.glob("*.csv")) == []
 
 
@@ -708,9 +815,10 @@ def test_unfittable_phase_grid_exits_2_before_scanning(
         raise AssertionError("scanned a grid the fit cannot use")
 
     monkeypatch.setattr(montecarlo, "run_fringe_scan", no_scan)
-    assert cli.main(["fringe-scan", "--out", str(tmp_path), f"--phases={grid}"]) == 2
+    path = scenario_file(tmp_path / "unfittable.scenario", phase_grid_rad=grid)
+    assert cli.main(["fringe-scan", "--scenario", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "--phases" in err and reason in err
+    assert "[acquisition] phase_grid_rad: " in err and reason in err
     assert list(tmp_path.glob("*.csv")) == []
     log = (tmp_path / "run.log").read_text()
     assert "status=error:ConfigError" in log and reason in log
@@ -723,8 +831,9 @@ def test_one_point_phase_grid_exits_2_before_scanning(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(montecarlo, "run_fringe_scan", no_scan)
     monkeypatch.setattr(montecarlo, "validate_against_oracle", no_scan)
-    assert cli.main([command, "--out", str(tmp_path), "--phases=0:1:1"]) == 2
-    assert "--phases needs at least 2 points, got 1" in capsys.readouterr().err
+    path = scenario_file(tmp_path / "one-point.scenario", phase_grid_rad="0:1:1")
+    assert cli.main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert "n an integer >= 2, got 0.0:1.0:1" in capsys.readouterr().err
     assert list(tmp_path.glob("*.csv")) == []
 
 
@@ -750,11 +859,7 @@ def test_validate_refuses_a_dead_time_with_exit_3_before_scanning(tmp_path, caps
     [("attenuation_native_db_per_km", "-1.0"), ("system_efficiency", "1.5")],
 )
 def test_bad_repeater_setting_exits_2_from_every_command(tmp_path, capsys, key, bad):
-    lines = serialize_scenario(load_reference_scenario()).splitlines(keepends=True)
-    index = next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))
-    lines[index] = f"{key} = {bad}\n"
-    path = tmp_path / "bad.scenario"
-    path.write_text("".join(lines))
+    path = scenario_file(tmp_path / "bad.scenario", **{key: bad})
     for command in cli.COMMANDS:
         assert cli.main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 2, command
         assert f"[repeater] {key} must be" in capsys.readouterr().err
@@ -799,14 +904,6 @@ def test_unknown_command_rejected(tmp_path, run_cli):
     proc = run_cli("melt-crystal", cwd=tmp_path)
     assert proc.returncode == 2
     assert "invalid choice" in proc.stderr
-
-
-def test_out_dir_env_variable(tmp_path, run_cli):
-    target = tmp_path / "results"
-    proc = run_cli("budget", cwd=tmp_path, env_extra={"QIFSIM_OUT": str(target)})
-    assert proc.returncode == 0, proc.stderr
-    assert (target / f"{DIGEST}-budget.csv").exists()
-    assert not (tmp_path / f"{DIGEST}-budget.csv").exists()
 
 
 def test_explicit_scenario_path(tmp_path, run_cli):

@@ -1,7 +1,5 @@
 """Property test of the CLI's grid: the values of np.linspace, bit for bit."""
 
-import math
-
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,8 +17,8 @@ ends = st.builds(lambda m, negative: -m if negative else m, magnitudes, st.boole
 
 @settings(max_examples=500, deadline=None)
 @given(ends, ends, st.integers(1, 500))
-@example(0.0, 2.0 * math.pi, 12)  # default --phases
-@example(0.0, REF.pump.power_w, 14)  # default --powers
+@example(*REF.phase_grid_rad)
+@example(*REF.power_grid_w)
 @example(*REF.repeater.length_grid_km)
 @example(-0.0, 1.0, 1)
 @example(-2.5, 7.0, 1)

@@ -400,10 +400,10 @@ def test_points_in_flight_change_no_result(ref, settings, seed, monkeypatch):
 # that moves any output byte, such as a change to the random stream, must
 # update these and record the change.
 PINNED_DIGESTS = {
-    ("reference", 7): "9730294e23284cba192574f44bf9c827248cbb712a846226eca7568bb688a5a1",
-    ("reference", 4242): "858bc434e578dd421874068b46429b9fae2ecd3f5b71a799ad4b53454df9280e",
-    ("saturated", 7): "9fcd262a4dd841be04616825ba0f67fc3aef0a796b045c7c05b328872778452e",
-    ("saturated", 4242): "75241540ccd3f9062d4b95413278c42b023a74a5560d12dc0fe9c11d24da837e",
+    ("reference", 7): "86f27f35a4f9b4b12b0ac0255d9060c525351c8116e2224f1d1bfb524acf11f5",
+    ("reference", 4242): "a02af214422833f34e52603eb9b63b7f96c5a2db421fd6c9022c540ea0c95c99",
+    ("saturated", 7): "7dbba421cfa42a51ae1868dee5a03c0df62456f56bd48c1fc9cb848b96be4a50",
+    ("saturated", 4242): "d696c445c32ab159639b9b9c1ff1ac2e3da1697862c97064714486ce1c05c594",
 }
 
 
@@ -419,10 +419,10 @@ def test_scan_output_bytes_are_pinned(ref, settings, seed):
 # thousands of events, so the block boundaries of every blocked step and
 # the gate's block-crossing clusters are pinned too.
 PINNED_FULL_DIGESTS = {
-    ("reference", 7): "40771c3ef45edbe78979d50be06d80336ccb4a92a444a80a2b60671ebb17111a",
-    ("reference", 4242): "2fad7280241c78b71252bea3d68712b05551fceaf138fe3c8b06ab09593c9555",
-    ("saturated", 7): "8af52a8ea488a9b3bfde4c7a9211e596d1ee8d8e867cc1e3c4e7be8927f37e2d",
-    ("saturated", 4242): "9bde9234ac19cd2ebb31d5d0a1683da1c473664b08d189b08f6108963bda1b07",
+    ("reference", 7): "1e6774af2783658f652b575e5bfa034e68ecffb09347c2dc127918b77ca9da15",
+    ("reference", 4242): "5bc2ad43042381d010d25a8059f49fb7600ae27176ae8ed25bee3a38a7e55764",
+    ("saturated", 7): "bc97248fffea446b89d138199127205b2ea129bb032ebb0cfebf4062fe4a215d",
+    ("saturated", 4242): "363a8d0d22a27edd71a6c75d6bd3e149381741f68d621170bea04aae56d87b3b",
 }
 
 

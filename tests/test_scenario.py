@@ -17,7 +17,7 @@ from qifsim.scenario import (
     serialize_scenario,
 )
 
-REFERENCE_DIGEST = "521b5b16a1f4"
+REFERENCE_DIGEST = "3210a7572db2"
 
 
 @pytest.fixture(scope="module")
@@ -259,8 +259,28 @@ def test_bad_length_grid(ref):
     ],
 )
 def test_repeater_settings_reject_length_grid(ref, grid):
-    with pytest.raises(DomainError, match="length grid"):
+    with pytest.raises(DomainError, match="^length_grid_km must be start:stop:n with each end >= 0"):
         dataclasses.replace(ref.repeater, length_grid_km=grid)
+
+
+@pytest.mark.parametrize(
+    "field, grid",
+    [
+        ("phase_grid_rad", (math.nan, 1.0, 3)),
+        ("phase_grid_rad", (-1e308, 1e308, 3)),
+        ("phase_grid_rad", (1.0, 0.0, 3)),
+        ("phase_grid_rad", (0.0, 1.0, 1)),
+        ("phase_grid_rad", (0.0, 1.0, 2.0)),
+        ("power_grid_w", (-1.0, 1.0, 3)),
+        ("power_grid_w", (0.0, math.inf, 3)),
+        ("power_grid_w", (1.0, 0.0, 3)),
+        ("power_grid_w", (0.0, 1.0, 0)),
+    ],
+)
+def test_scenario_rejects_sweep_grid(ref, field, grid):
+    with pytest.raises(DomainError, match=f"^{field} must be start:stop:n") as refused:
+        dataclasses.replace(ref, **{field: grid})
+    assert refused.value.field == field
 
 
 def test_explicit_interface_efficiency_roundtrip(ref):

@@ -81,6 +81,7 @@ ALTERNATIVES = {
     ("pump", "power_w"): "0.5",
     ("pump", "wavelength_um"): "1.55",
     ("pump", "coherence_time_ns"): "20.0",
+    ("pump", "power_grid_w"): "0.0:0.5:14",
     ("conversion", "eta_norm_per_W_cm2"): "0.2",
     ("conversion", "unit_conversion_survival"): "false",
     ("conversion", "extra_visibility_penalty"): "0.5",
@@ -103,6 +104,7 @@ ALTERNATIVES = {
     ("acquisition", "pulses_per_point"): "10000",
     ("acquisition", "mc_photons_per_point"): "1000",
     ("acquisition", "master_seed"): "1",
+    ("acquisition", "phase_grid_rad"): "0.0:6.283185307179586:8",
     ("repeater", "attenuation_native_db_per_km"): "3.0",
     ("repeater", "attenuation_telecom_db_per_km"): "0.3",
     ("repeater", "system_efficiency"): "0.5",

@@ -47,7 +47,11 @@ def scenarios(draw):
         )
 
     dead_time_us = draw(st.one_of(st.just(0.0), positive))
-    start = draw(st.floats(0.0, 1e3))
+
+    def grid(starts, min_points):
+        start = draw(starts)
+        return start, start + draw(st.floats(0.0, 1e3)), draw(st.integers(min_points, 500))
+
     return replace(
         REF,
         source=replace(
@@ -78,6 +82,7 @@ def scenarios(draw):
             wavelength_um=draw(positive),
             coherence_time_ns=draw(st.one_of(st.just(math.inf), positive)),
         ),
+        power_grid_w=grid(st.floats(0.0, 1e3), 1),
         eta_norm_per_w_cm2=draw(nonnegative),
         unit_conversion_survival=draw(st.booleans()),
         extra_visibility_penalty=draw(fractions),
@@ -105,6 +110,7 @@ def scenarios(draw):
         pulses_per_point=draw(st.integers(0, 10**12)),
         mc_photons_per_point=draw(st.integers(0, 10**9)),
         master_seed=draw(st.integers(0, 2**64 - 1)),
+        phase_grid_rad=grid(signed, 2),
         repeater=replace(
             REF.repeater,
             attenuation_native_db_per_km=draw(nonnegative),
@@ -113,7 +119,7 @@ def scenarios(draw):
             interface_efficiency=draw(st.one_of(st.none(), fractions)),
             protocol=draw(st.sampled_from(["single-photon", "two-photon"])),
             attempt_rate_hz=draw(positive),
-            length_grid_km=(start, start + draw(st.floats(0.0, 1e3)), draw(st.integers(1, 500))),
+            length_grid_km=grid(st.floats(0.0, 1e3), 1),
         ),
     )
 
@@ -136,6 +142,8 @@ INTEGER_FIELDS = {
     "repeater.length_grid_km": lambda s, v: replace(
         s, repeater=replace(s.repeater, length_grid_km=(*s.repeater.length_grid_km[:2], v))
     ),
+    "phase_grid_rad": lambda s, v: replace(s, phase_grid_rad=(*s.phase_grid_rad[:2], v)),
+    "power_grid_w": lambda s, v: replace(s, power_grid_w=(*s.power_grid_w[:2], v)),
 }
 
 
