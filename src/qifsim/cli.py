@@ -38,7 +38,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, conversion, qpm, repeater
-from .errors import ConfigError, DomainError, QifsimError
+from .errors import ConfigError, DomainError, QifsimError, reject_repeats
 from .scenario import Scenario, load_reference_scenario, load_scenario, scenario_digest
 
 __all__ = ["main"]
@@ -57,6 +57,19 @@ def _grid(start: float, stop: float, n: int) -> list[float]:
     values = [start + i * step for i in range(n)]
     values[-1] = stop
     return values
+
+
+_PHASE_GRID = "[acquisition] phase_grid_rad"  # fringe-scan, histogram and validate sweep it
+
+
+def _sweep(spec: tuple[float, float, int], key: str, quantity: str) -> list[float]:
+    """The points of a grid whose values key streams; a repeat is refused, naming ``key``."""
+    points = _grid(*spec)
+    try:
+        reject_repeats(points, quantity)
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+    return points
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -171,7 +184,8 @@ def _cmd_qpm_solve(s: Scenario, out: Path) -> Path:
 
 
 def _cmd_efficiency(s: Scenario, out: Path) -> Path:
-    table = conversion.run_efficiency_sweep(s, _grid(*s.power_grid_w))
+    powers = _sweep(s.power_grid_w, "[pump] power_grid_w", "pump power")
+    table = conversion.run_efficiency_sweep(s, powers)
     rows = [
         (repr(p.power_w), repr(p.eta_analytic), repr(p.eta_mc), repr(p.stat_error))
         for p in table
@@ -191,14 +205,12 @@ def _cmd_efficiency(s: Scenario, out: Path) -> Path:
 def _cmd_fringe_scan(s: Scenario, out: Path) -> Path:
     from . import detection, montecarlo
 
-    phases = _grid(*s.phase_grid_rad)
-    # Both grid rules before any draw; a repeat is named as such, not as
-    # too few distinct phases.
+    # The fit's rule, before any draw too; a repeat is refused first, as such.
+    phases = _sweep(s.phase_grid_rad, _PHASE_GRID, "phase")
     try:
-        conversion._reject_repeats(phases, "phase")
         detection.check_fit_phases(phases)
-    except (ConfigError, DomainError) as exc:
-        raise ConfigError(f"[acquisition] phase_grid_rad: {exc}") from exc
+    except DomainError as exc:
+        raise ConfigError(f"{_PHASE_GRID}: {exc}") from exc
     result = montecarlo.run_fringe_scan(s, phases)
     rows = [(repr(p.phase_rad), p.counts, repr(p.stat_error)) for p in result.fringe]
     columns = ["phase_rad", "counts", "stat_error"]
@@ -218,7 +230,7 @@ def _cmd_fringe_scan(s: Scenario, out: Path) -> Path:
 def _cmd_histogram(s: Scenario, out: Path) -> Path:
     from . import montecarlo
 
-    result = montecarlo.run_fringe_scan(s, _grid(*s.phase_grid_rad))
+    result = montecarlo.run_fringe_scan(s, _sweep(s.phase_grid_rad, _PHASE_GRID, "phase"))
     hist = result.histogram
     edges = hist.bin_edges_ns()
     rows = [
@@ -292,7 +304,8 @@ def _cmd_budget(s: Scenario, out: Path) -> Path:
 def _cmd_validate(s: Scenario, out: Path) -> Path:
     from . import montecarlo
 
-    report = montecarlo.validate_against_oracle(s, _grid(*s.phase_grid_rad))
+    phases = _sweep(s.phase_grid_rad, _PHASE_GRID, "phase")
+    report = montecarlo.validate_against_oracle(s, phases)
     rows = [
         (repr(phase), repr(obs), repr(exp), repr(z))
         for phase, obs, exp, z in report.rows

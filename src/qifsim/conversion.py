@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import FINITE, FRACTION, NON_NEGATIVE, POSITIVE, POSITIVE_OR_INF, Domain
-from .errors import ConfigError, DomainError, check_domains, domains, grid, require
+from .errors import DomainError, check_domains, domains, grid, reject_repeats, require
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -231,18 +231,6 @@ class EfficiencyPoint:
     stat_error: float
 
 
-def _reject_repeats(values: list[float], quantity: str) -> None:
-    """A grid value keys its point's stream, so a repeat would replay its draws."""
-    seen: set[float] = set()
-    for value in values:
-        if value in seen:
-            raise ConfigError(
-                f"{quantity} grid repeats the value {value!r}; each point draws "
-                f"from a stream keyed by its value, so grid values must be distinct"
-            )
-        seen.add(value)
-
-
 def _stream(master_seed: int, tag: str, value: float) -> random.Random:
     """Independent standard-library stream for one grid point.
 
@@ -351,7 +339,7 @@ def run_efficiency_sweep(s: Scenario, powers_w) -> tuple[EfficiencyPoint, ...]:
     """
     n = s.mc_photons_per_point
     powers = grid(powers_w, "pump power", NON_NEGATIVE, " W")
-    _reject_repeats(powers, "pump power")
+    reject_repeats(powers, "pump power")
     pre_t = s.chain_pre.transmission()
     post_t = s.chain_post.transmission()
     results = []

@@ -105,3 +105,15 @@ def grid(values, name: str, domain: Domain, unit: str = "") -> list[float]:
     for point in points:
         require(point, domain, name, unit)
     return points
+
+
+def reject_repeats(values: list[float], quantity: str) -> None:
+    """A grid value keys its point's stream, so a repeat would replay its draws."""
+    seen: set[float] = set()
+    for value in values:
+        if value in seen:
+            raise ConfigError(
+                f"{quantity} grid repeats the value {value!r}; each point draws "
+                f"from a stream keyed by its value, so grid values must be distinct"
+            )
+        seen.add(value)

@@ -17,7 +17,7 @@ into its one histogram. Every run is reproducible: all randomness flows
 from PCG64DXSM substreams derived from the scenario's master seed,
 a role tag, and the grid value of the point, so results are independent
 of the order in which points are simulated, and a scan runs two points
-at once where the process may use two CPUs.
+at once, on the calling thread and one helper.
 
 Each point is one intensity model, a few Poisson components with a mean
 count per pulse and a time profile: the engine samples it, and
@@ -42,7 +42,6 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
-import os
 import threading
 import time
 import zlib
@@ -60,13 +59,11 @@ from .detection import (
     _reserve,
     simulate_detection,
 )
-from .conversion import _reject_repeats, run_efficiency_sweep
-from .errors import FINITE, ConfigError, DomainError, QifsimError, grid
+from .conversion import run_efficiency_sweep
+from .errors import FINITE, ConfigError, DomainError, QifsimError, grid, reject_repeats
 from .scenario import FWHM_TO_SIGMA, DetectorModel, Scenario, scenario_digest
 from .timebin import analyze, apply_conversion_phase, prepare_qubit
 
-# Points in flight at once: the calling thread's and one helper's.
-_MAX_IN_FLIGHT = 2
 # Events of one point, and so every index into them, fit an int32.
 _MAX_POINT_EVENTS = 2**31 - 1
 
@@ -576,22 +573,13 @@ def _simulate_point(
     return _bin_folded(folded, period, s.histogram_bin_width_ps), window, background
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _run_points(simulate, phases: list[float]) -> list:
-    """``simulate(beta)`` for each phase, at most two points at once, in grid order.
+    """``simulate(beta)`` for each phase, two points at once, in grid order.
 
     The points draw from their own substreams, so the order in which they
-    run changes no result. The calling thread runs points, and one helper
-    thread more runs points beside it when the process may use two CPUs and
-    the grid has two points; most of a point's time is numpy work that
-    releases the interpreter lock. Both take the next point in grid order.
+    run changes no result. The calling thread and one helper thread run
+    points side by side, each taking the next point in grid order; most of
+    a point's time is numpy work that releases the interpreter lock.
     Once a point fails no new point starts, the points in flight finish,
     and the failure of the first failing point in grid order is raised.
     The helper is joined before this returns or raises.
@@ -616,17 +604,14 @@ def _run_points(simulate, phases: list[float]) -> list:
                 stop.set()
                 return
 
-    in_flight = min(_MAX_IN_FLIGHT, _usable_cpus(), len(phases))
-    helpers = [threading.Thread(target=work, name="qifsim-point") for _ in range(in_flight - 1)]
-    for helper in helpers:
-        helper.start()
+    helper = threading.Thread(target=work, name="qifsim-point")
+    helper.start()
     try:
         work()
     finally:
         # Also when the caller is interrupted: the helper starts no new point.
         stop.set()
-        for helper in helpers:
-            helper.join()
+        helper.join()
     if failures:
         raise failures[min(failures)]
     return results
@@ -640,9 +625,9 @@ def run_fringe_scan(s: Scenario, phases_rad) -> RunResult:
         phases_rad: at least two analysis phases.
 
     Deterministic for a given scenario and master seed; each phase point
-    draws from its own substream, so up to two points run at once, one on
-    the calling thread and one on a helper; the points' bin counts are
-    summed in grid order into the scan's one histogram.
+    draws from its own substream, so two points run at once, one on the
+    calling thread and one on a helper; the points' bin counts are summed
+    in grid order into the scan's one histogram.
 
     Raises:
         DomainError: a grid that is not flat, fewer than 2 phases, or a
@@ -657,7 +642,7 @@ def run_fringe_scan(s: Scenario, phases_rad) -> RunResult:
     if len(betas) < 2:
         raise DomainError(f"need at least 2 phase points, got {len(betas)}")
     # Only the scan keys streams by phase.
-    _reject_repeats(betas, "phase")
+    reject_repeats(betas, "phase")
     n_pulses = operator.index(s.pulses_per_point)  # the metadata holds an int
     # At p = 1 only the afterpulse horizon, the last event, would end the
     # cascade, at a cost that grows with any gap between events.

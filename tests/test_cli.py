@@ -781,6 +781,28 @@ def test_grid_the_rule_refuses_exits_2_before_any_draw(
     ) in err
 
 
+# Each grid whose values key the points' streams, a grid of it that repeats
+# a value, and a command that sweeps it.
+REPEATED_GRIDS = [
+    *(
+        ("acquisition", "phase_grid_rad", "1:1:4", command)
+        for command in ("fringe-scan", "histogram", "validate")
+    ),
+    ("pump", "power_grid_w", "0.5:0.5:3", "efficiency-curve"),
+]
+
+
+@pytest.mark.parametrize("section, key, grid, command", REPEATED_GRIDS)
+def test_repeated_grid_exits_2_naming_its_key(
+    tmp_path, capsys, monkeypatch, section, key, grid, command
+):
+    # Two points of one value would draw from one stream; every command
+    # that sweeps the grid refuses it, before any draw, by its key.
+    err = run_refused_grid(tmp_path, capsys, monkeypatch, command, key, grid)
+    assert f"[{section}] {key}: " in err
+    assert "grid repeats the value" in err
+
+
 @pytest.mark.parametrize(
     "command, flag", [("fringe-scan", "--phases"), ("efficiency-curve", "--powers")]
 )

@@ -312,7 +312,6 @@ def test_each_point_detects_through_simulate_detection(ref, monkeypatch):
     # The engine calls the module's public name at every point, so a
     # wrapper around it, such as a tracer's, sees each point's arrivals and
     # detections, from either thread.
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     s = with_pulses(saturated(ref), 50_000)
     calls = []
     lock = threading.Lock()
@@ -367,21 +366,9 @@ def test_points_in_flight_change_no_result(ref, settings, seed, monkeypatch):
     s = dataclasses.replace(base, master_seed=seed, pulses_per_point=50_000)
     expected = grid_order_scan(s, PHASES_12).content_digest()
 
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+    # Two in flight, whatever the CPUs: the first two points wait for each other.
     threads = set()
     simulate = montecarlo._simulate_point
-
-    def recorded(*args):
-        threads.add(threading.get_ident())
-        return simulate(*args)
-
-    monkeypatch.setattr(montecarlo, "_simulate_point", recorded)
-    assert run_fringe_scan(s, PHASES_12).content_digest() == expected
-    assert threads == {threading.get_ident()}
-
-    # Two in flight, even on one CPU: the first two points wait for each other.
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-    threads.clear()
     both = threading.Barrier(2, timeout=30)
     calls = []
 
@@ -389,7 +376,8 @@ def test_points_in_flight_change_no_result(ref, settings, seed, monkeypatch):
         calls.append(args[2])
         if len(calls) <= 2:
             both.wait()
-        return recorded(*args)
+        threads.add(threading.get_ident())
+        return simulate(*args)
 
     monkeypatch.setattr(montecarlo, "_simulate_point", paired)
     assert run_fringe_scan(s, PHASES_12).content_digest() == expected
@@ -434,9 +422,7 @@ def test_full_size_scan_output_bytes_are_pinned(ref, settings, seed):
     assert run.content_digest() == PINNED_FULL_DIGESTS[settings, seed]
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_first_failing_point_in_grid_order_surfaces(ref, cpus, monkeypatch):
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+def test_first_failing_point_in_grid_order_surfaces(ref, monkeypatch):
     phases = PHASES_12[:8]
     ran = []
     lock = threading.Lock()
@@ -459,16 +445,15 @@ def test_first_failing_point_in_grid_order_surfaces(ref, cpus, monkeypatch):
     with pytest.raises(FitError, match=rf"^phase point beta = {phases[2]:.6g} rad: no fit here$"):
         run_fringe_scan(with_pulses(ref, 1_000), phases)
     assert set(threading.enumerate()) == before
-    # Points 0 to 2 ran; with two in flight point 3 may have started beside
-    # point 2, and no later point started.
-    assert set(phases[:3].tolist()) <= set(ran) <= set(phases[: 3 if cpus == 1 else 4].tolist())
+    # Points 0 to 2 ran; point 3 may have started beside point 2, and no
+    # later point started.
+    assert set(phases[:3].tolist()) <= set(ran) <= set(phases[:4].tolist())
 
 
-def test_point_runner_takes_each_point_once_under_fast_switching(monkeypatch):
+def test_point_runner_takes_each_point_once_under_fast_switching():
     # Both workers take points from one shared iterator; with the
     # interpreter switching threads every microsecond, a lost or repeated
     # take would show as a missing, repeated or misplaced result.
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     phases = [0.001 * k for k in range(3000)]
     taken = []
     threads = set()
